@@ -23,17 +23,6 @@ RunnerConfig RunnerConfig::tiny(std::uint64_t seed) {
   return cfg;
 }
 
-RunnerConfig RunnerConfig::bench_scale(std::uint64_t seed) {
-  RunnerConfig cfg;
-  cfg.campaign.seed = seed;
-  cfg.campaign.duration = 2 * kWeek;
-  cfg.campaign.population.client_count = 20'000;
-  cfg.campaign.catalog.file_count = 60'000;
-  cfg.campaign.population.collector_share_max = 12'000;
-  cfg.campaign.population.scanner_ask_max = 40'000;
-  return cfg;
-}
-
 std::string checkpoint_file_name(SimTime boundary) {
   std::string digits = std::to_string(boundary);
   std::string name = "checkpoint-";
@@ -65,8 +54,8 @@ struct CheckpointMeta {
   std::uint8_t has_metrics = 0;
   /// Chunk grid of the compressed dataset stream, 0 when compression is
   /// off.  The grid fixes where container frames fall, so a compressed
-  /// snapshot only resumes onto the same grid (the pool size, like the
-  /// batch knobs, stays out of the fingerprint).
+  /// snapshot only resumes onto the same grid (the pool size stays out of
+  /// the fingerprint).
   std::uint64_t compress_chunk = 0;
   std::uint64_t boundary = 0;  // simulated time the snapshot was taken at
 };
@@ -341,9 +330,6 @@ CampaignReport CampaignRunner::run() {
     parallel_config.metrics = config_.metrics;
     parallel_config.log = config_.log;
     parallel_config.flight = config_.flight;
-    parallel_config.batch_frames = config_.batch_frames;
-    parallel_config.buffer_pool = config_.buffer_pool;
-    parallel_config.writer_offload = config_.writer_offload;
     parallel_config.anon_shards = config_.anon_shards;
     parallel_config.profiler = config_.profiler;
     if (config_.client_table_flat) {
@@ -634,12 +620,9 @@ CampaignReport CampaignRunner::run() {
     sink = feed;
   }
 
-  if ((checkpointing || config_.boundary_sink) &&
-      config_.checkpoint_interval > 0) {
-    if (checkpointing) {
-      std::error_code ec;
-      std::filesystem::create_directories(config_.checkpoint_dir, ec);
-    }
+  if (checkpointing && config_.checkpoint_interval > 0) {
+    std::error_code ec;
+    std::filesystem::create_directories(config_.checkpoint_dir, ec);
     // Segment the campaign at checkpoint boundaries.  run_until() produces
     // the exact frame sequence run() does, and background frames drained at
     // a boundary are exactly those an uninterrupted merge would have fed
@@ -654,24 +637,10 @@ CampaignReport CampaignRunner::run() {
         pending = background->next();
       }
       quiesce();
-      std::pair<double, std::uint64_t> ckpt{0.0, 0};
-      if (checkpointing) ckpt = write_checkpoint(boundary);
+      const auto [wall_s, bytes] = write_checkpoint(boundary);
       if (config_.boundary_sink) {
-        RunnerConfig::BoundarySample sample;
-        sample.boundary = boundary;
-        sample.messages = stats().messages();
-        if (compressor) {
-          sample.dataset_bytes = compressor->writer().compressed_bytes();
-          sample.dataset_uncompressed_bytes =
-              compressor->writer().uncompressed_bytes();
-        } else if (xml_interposed) {
-          sample.dataset_bytes =
-              static_cast<std::uint64_t>(xml_buffer.tellp());
-          sample.dataset_uncompressed_bytes = sample.dataset_bytes;
-        }
-        sample.checkpoint_wall_s = ckpt.first;
-        sample.checkpoint_bytes = ckpt.second;
-        config_.boundary_sink(sample);
+        config_.boundary_sink(
+            RunnerConfig::BoundarySample{boundary, wall_s, bytes});
       }
       boundary += config_.checkpoint_interval;
     }

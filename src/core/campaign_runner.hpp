@@ -53,19 +53,12 @@ struct RunnerConfig {
   /// Decode worker threads: 0 or 1 = serial CapturePipeline, >1 = the
   /// order-preserving ParallelCapturePipeline (same output, more cores).
   std::size_t workers = 0;
-  /// Parallel data-plane tuning (ignored for serial runs; see
-  /// ParallelPipelineConfig).  None of these affect the output bytes, so
-  /// none join the checkpoint fingerprint: a campaign checkpointed with
-  /// one batch size may resume with another.
-  std::size_t batch_frames = 16;
-  bool buffer_pool = true;
-  bool writer_offload = true;
   /// Anonymisation table shards (clamped to a power of two in [1, 64]).
   /// Dense IDs are assigned by the merge thread in sequence order, so the
   /// shard count never changes the output — it only spreads lock-free
-  /// lookup state for the workers' optimistic pass.  Like the knobs above
-  /// it stays out of the checkpoint fingerprint: a campaign may resume
-  /// with a different shard count.
+  /// lookup state for the workers' optimistic pass.  It stays out of the
+  /// checkpoint fingerprint: a campaign may resume with a different shard
+  /// count.
   std::size_t anon_shards = 8;
   /// Optional metrics registry: when set, the capture buffer, the server
   /// index, and every pipeline stage register their instruments there.
@@ -106,27 +99,19 @@ struct RunnerConfig {
   std::string checkpoint_dir;
   SimTime checkpoint_interval = kWeek;
   std::string resume_from;
-  /// Per-boundary progress observer (the campaign bench's hook): called at
-  /// every `checkpoint_interval` boundary of simulated time, after the
-  /// pipeline quiesced (and after the snapshot, when checkpointing), with
-  /// exact prefix counters.  Works without a checkpoint_dir too — the
-  /// runner still segments the campaign at interval boundaries then.
-  /// Purely observational: never affects output bytes or the fingerprint.
+  /// Per-snapshot observer: called after the snapshot at every
+  /// `checkpoint_interval` boundary of a checkpointing run, with its wall
+  /// cost and on-disk size.  Purely observational: never affects output
+  /// bytes or the fingerprint.
   struct BoundarySample {
     SimTime boundary = 0;
-    std::uint64_t messages = 0;       ///< anonymised messages so far
-    std::uint64_t dataset_bytes = 0;  ///< bytes at the dataset sink so far
-    /// Pre-compression XML bytes (== dataset_bytes when compression off).
-    std::uint64_t dataset_uncompressed_bytes = 0;
-    double checkpoint_wall_s = 0.0;   ///< 0 when no snapshot was written
-    std::uint64_t checkpoint_bytes = 0;
+    double checkpoint_wall_s = 0.0;
+    std::uint64_t checkpoint_bytes = 0;  ///< 0 when the write failed
   };
   std::function<void(const BoundarySample&)> boundary_sink;
 
   /// Convenience: a small config that runs in well under a second.
   static RunnerConfig tiny(std::uint64_t seed = 42);
-  /// Default bench-scale config (about a million messages).
-  static RunnerConfig bench_scale(std::uint64_t seed = 42);
 };
 
 /// Snapshot file name for a boundary: "checkpoint-<zero-padded time>.ckpt"

@@ -28,20 +28,33 @@ void accumulate(decode::DecodeStats& total, const decode::DecodeStats& part) {
 }
 
 /// Free-list retention caps.  In-flight object counts are already bounded
-/// by the queue capacities, so these are backstops, not working limits.
+/// by the ring capacities, so these are backstops, not working limits.
 constexpr std::size_t kMaxRetainedBatches = 4096;
+
+/// Frames per worker micro-batch: enough to amortise a ring hand-off, few
+/// enough that a batch's frames stay in cache while the worker decodes.
+constexpr std::size_t kBatchFrames = 16;
+
+/// An open batch is flushed when the next frame for its worker arrives
+/// more than this much simulated time after the batch's last frame, so a
+/// quiet flow never waits on a half-full batch.
+constexpr SimTime kBatchTimeGap = kSecond;
+
+/// Bound of each worker's input and output ring, in batches (8192 frames).
+constexpr std::size_t kRingBatches = 8192 / kBatchFrames;
+
+/// Events per writer hand-off, and the writer ring's bound in chunks.
+constexpr std::size_t kWriterChunkEvents = 256;
+constexpr std::size_t kWriterRingChunks = 64;
 
 }  // namespace
 
 ParallelCapturePipeline::ParallelCapturePipeline(
     const ParallelPipelineConfig& config)
     : config_(config),
-      batch_frames_(std::max<std::size_t>(1, config.batch_frames)),
-      in_capacity_batches_(
-          std::max<std::size_t>(2, config.queue_capacity / batch_frames_)),
-      frame_pool_(config.buffer_pool, kMaxRetainedBatches),
-      result_pool_(config.buffer_pool, kMaxRetainedBatches),
-      chunk_pool_(config.buffer_pool, config.writer_queue_chunks + 8),
+      frame_pool_(kMaxRetainedBatches),
+      result_pool_(kMaxRetainedBatches),
+      chunk_pool_(kWriterRingChunks + 8),
       clients_(config.anon_shards, config.client_table_mode,
                config.client_table_space_bits),
       files_(config.anon_shards, config.fileid_index_byte_0,
@@ -53,10 +66,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
     // thread only touches the stream after a chunk arrives, and thread
     // creation below orders these writes before it.
     xml_ = std::make_unique<xmlio::DatasetWriter>(*config_.xml_out);
-    if (config_.writer_offload) {
-      writer_ring_ = std::make_unique<SpscRing<XmlChunk>>(
-          std::max<std::size_t>(1, config_.writer_queue_chunks));
-    }
+    writer_ring_ = std::make_unique<SpscRing<XmlChunk>>(kWriterRingChunks);
   }
 
   const std::size_t n = std::max<std::size_t>(1, config_.workers);
@@ -64,8 +74,8 @@ ParallelCapturePipeline::ParallelCapturePipeline(
   for (std::size_t w = 0; w < n; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->in = std::make_unique<SpscRing<FrameBatch>>(in_capacity_batches_);
-    worker->out = std::make_unique<SpscRing<ResultBatch>>(in_capacity_batches_);
+    worker->in = std::make_unique<SpscRing<FrameBatch>>(kRingBatches);
+    worker->out = std::make_unique<SpscRing<ResultBatch>>(kRingBatches);
     worker->out->bind_consumer_signal(&merge_signal_);
     worker->decoder = std::make_unique<decode::FrameDecoder>(
         config_.server_ip, config_.server_port, decode::MessageSink{});
@@ -90,14 +100,9 @@ ParallelCapturePipeline::ParallelCapturePipeline(
                "parallel pipeline up (" << n << " workers, "
                                         << clients_.shard_count()
                                         << " anon shards, batch "
-                                        << batch_frames_ << " frames, queue "
-                                        << in_capacity_batches_
-                                        << " batches per worker, pool "
-                                        << (config_.buffer_pool ? "on" : "off")
-                                        << ", writer "
-                                        << (writer_ring_ ? "offloaded"
-                                                         : "inline")
-                                        << ")");
+                                        << kBatchFrames << " frames, queue "
+                                        << kRingBatches
+                                        << " batches per worker)");
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
   }
@@ -137,12 +142,12 @@ void ParallelCapturePipeline::push(const sim::TimedFrame& frame) {
   // clock, or batch shapes — and their histograms — would go
   // nondeterministic.
   if (worker.open.used > 0 &&
-      frame.time > worker.open_last_time + config_.batch_time_gap) {
+      frame.time > worker.open_last_time + kBatchTimeGap) {
     flush_open_batch(target);
   }
   worker.open.add(next_seq_++, frame);
   worker.open_last_time = frame.time;
-  if (worker.open.used >= batch_frames_) flush_open_batch(target);
+  if (worker.open.used >= kBatchFrames) flush_open_batch(target);
 }
 
 void ParallelCapturePipeline::flush_open_batch(std::size_t target) {
@@ -328,10 +333,10 @@ void ParallelCapturePipeline::merge_loop() {
   std::vector<ResultBatch> backlog;
   std::uint64_t next_expected = 0;
   bool failed = false;
-  XmlChunk chunk;  // open XML hand-off chunk (writer offload only)
+  XmlChunk chunk;  // open XML hand-off chunk (only filled when xml_ is set)
 
   auto hand_off_chunk = [&] {
-    if (!writer_ring_ || chunk.events == 0) return;
+    if (chunk.events == 0) return;
     const std::uint64_t events = chunk.events;
     if (!writer_ring_->push(std::move(chunk))) {
       note_dropped(events, "events");
@@ -342,28 +347,11 @@ void ParallelCapturePipeline::merge_loop() {
     chunk.reset();
   };
 
-  // Route one finished event's bytes to the XML stream: pre-rendered bytes
-  // splice straight through, slow-path events render here (rare).
-  auto emit_fast = [&](const anon::AnonEvent& event, std::string_view bytes,
-                       std::uint32_t elements) {
-    (void)event;
-    if (writer_ring_) {
-      chunk.bytes.append(bytes);
-      chunk.events += 1;
-      chunk.elements += elements;
-      if (chunk.events >= config_.writer_chunk_events) hand_off_chunk();
-    } else if (xml_) {
-      xml_->write_rendered(bytes, 1, elements);
-    }
-  };
-  auto emit_slow = [&](const anon::AnonEvent& event) {
-    if (writer_ring_) {
-      chunk.elements += xmlio::render_event(event, chunk.bytes);
-      chunk.events += 1;
-      if (chunk.events >= config_.writer_chunk_events) hand_off_chunk();
-    } else if (xml_) {
-      xml_->write(event);
-    }
+  // Count one event into the open chunk (its bytes already appended).
+  auto chunk_event = [&](std::uint64_t elements) {
+    chunk.events += 1;
+    chunk.elements += elements;
+    if (chunk.events >= kWriterChunkEvents) hand_off_chunk();
   };
 
   // The order-sensitive stage, one frame's messages at a time.  Fast-path
@@ -389,10 +377,9 @@ void ParallelCapturePipeline::merge_loop() {
             stats_.consume(event);
             if (config_.extra_sink) config_.extra_sink(event);
             if (xml_) {
-              emit_fast(event,
-                        std::string_view(cur.batch.xml.data() + cur.xml_off,
-                                         len),
-                        cur.batch.xml_elems[mi]);
+              // Pre-rendered bytes splice straight through.
+              chunk.bytes.append(cur.batch.xml, cur.xml_off, len);
+              chunk_event(cur.batch.xml_elems[mi]);
             }
           } else {
             obs::SpanTimer span(metrics_.anonymise_span);
@@ -404,7 +391,7 @@ void ParallelCapturePipeline::merge_loop() {
             anonymised_events_.fetch_add(1, std::memory_order_relaxed);
             stats_.consume(event);
             if (config_.extra_sink) config_.extra_sink(event);
-            if (xml_) emit_slow(event);
+            if (xml_) chunk_event(xmlio::render_event(event, chunk.bytes));
           }
           cur.xml_off += len;
           if (config_.replay != nullptr && from_client) {

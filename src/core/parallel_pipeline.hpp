@@ -50,16 +50,18 @@
 //     (core/spsc_ring.hpp) — two atomic ops in the common case instead of
 //     a mutex round-trip.  The merger sleeps on one shared RingSignal that
 //     fans in all worker output rings.
-//   * WRITER OFFLOAD: the merger does not stream XML; it hands chunks of
-//     pre-rendered bytes to a dedicated writer thread.  The merger flushes
-//     its open chunk at the end of every drain cycle, so a flush()-quiesce
-//     (wait for results_merged, then for the writer to catch up) always
-//     leaves the XML stream byte-complete — which is what keeps
-//     checkpoint/resume byte-identical.
+//   * WRITER THREAD: when a dataset stream is attached, the merger does not
+//     write XML; it hands chunks of pre-rendered bytes to a dedicated
+//     writer thread, which keeps the copy into the (cold) output stream off
+//     the merge critical path.  The merger flushes its open chunk at the
+//     end of every drain cycle, so a flush()-quiesce (wait for
+//     results_merged, then for the writer to catch up) always leaves the
+//     XML stream byte-complete — which is what keeps checkpoint/resume
+//     byte-identical.
 //
 // The output is bit-identical to the serial pipeline for any worker count,
-// shard count, batch size, pool setting and thread interleaving — asserted
-// by tests, not just claimed.
+// shard count and thread interleaving — asserted by tests, not just
+// claimed.
 #pragma once
 
 #include <atomic>
@@ -86,7 +88,6 @@ struct ParallelPipelineConfig {
   std::uint32_t server_ip = 0xC0A80001;
   std::uint16_t server_port = 4665;
   std::size_t workers = 2;
-  std::size_t queue_capacity = 8192;   // per worker, in frames
   unsigned fileid_index_byte_0 = 5;
   unsigned fileid_index_byte_1 = 11;
   /// Shards for the anonymisation tables (clamped to a power of two in
@@ -120,15 +121,6 @@ struct ParallelPipelineConfig {
   /// never part of the metrics registry, the series or the checkpoint
   /// fingerprint, so output bytes are identical with or without it.
   obs::Profiler* profiler = nullptr;
-  /// Data-plane tuning.  Output bytes are identical for ANY setting here —
-  /// pinned by the differential tests — so these trade only throughput
-  /// against latency/memory.
-  std::size_t batch_frames = 16;     ///< frames per worker micro-batch
-  SimTime batch_time_gap = kSecond;  ///< flush an open batch across idle gaps
-  bool buffer_pool = true;           ///< recycle batch/message/frame buffers
-  bool writer_offload = true;        ///< dedicated XML dataset-writer thread
-  std::size_t writer_chunk_events = 256;  ///< events per writer hand-off
-  std::size_t writer_queue_chunks = 64;   ///< writer queue bound (chunks)
 };
 
 class ParallelCapturePipeline {
@@ -145,8 +137,8 @@ class ParallelCapturePipeline {
   /// Quiesce to the current intake boundary: flush the open per-worker
   /// batches, then block the pushing thread until every frame pushed so
   /// far has been decoded, merged back into sequence order and anonymised
-  /// — and, with writer offload, until the writer thread has drained every
-  /// chunk the merger handed it.  Workers emit exactly one result per
+  /// — and, with a dataset stream, until the writer thread has drained
+  /// every chunk the merger handed it.  Workers emit exactly one result per
   /// frame and the merger flushes its open chunk at the end of every drain
   /// cycle, so the two waits together mean the XML stream holds the
   /// complete pushed prefix.  Call only between pushes (same contract as
@@ -163,10 +155,9 @@ class ParallelCapturePipeline {
   /// count is part of the snapshot: in-flight IP fragments live in the
   /// per-worker reassemblers frames are routed to by flow hash modulo the
   /// worker count, so restoring into a pipeline with a different worker
-  /// count is rejected.  Batch/pool/writer settings and the anonymiser
-  /// shard count are NOT part of the snapshot — they don't affect the
-  /// output bytes (the sharded tables serialise exactly like the serial
-  /// pipeline's unsharded ones).
+  /// count is rejected.  The anonymiser shard count is NOT part of the
+  /// snapshot — it doesn't affect the output bytes (the sharded tables
+  /// serialise exactly like the serial pipeline's unsharded ones).
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -314,14 +305,12 @@ class ParallelCapturePipeline {
   };
 
   ParallelPipelineConfig config_;
-  std::size_t batch_frames_ = 16;       // normalized (>= 1)
-  std::size_t in_capacity_batches_ = 0; // per-worker queue bound, in batches
   ObjectPool<FrameBatch> frame_pool_;
   ObjectPool<ResultBatch> result_pool_;
   ObjectPool<XmlChunk> chunk_pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   RingSignal merge_signal_;  // fans in every worker's out ring
-  std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // offload only
+  std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // iff xml_
 
   anon::ShardedClientTable clients_;
   anon::ShardedFileIdStore files_;

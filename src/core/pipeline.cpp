@@ -6,10 +6,17 @@
 
 namespace dtr::core {
 
+namespace {
+
+/// Bound of each stage queue (frames, then decoded messages).
+constexpr std::size_t kQueueCapacity = 65536;
+
+}  // namespace
+
 CapturePipeline::CapturePipeline(const PipelineConfig& config)
     : config_(config),
-      frame_queue_(config.frame_queue_capacity),
-      message_queue_(config.message_queue_capacity),
+      frame_queue_(kQueueCapacity),
+      message_queue_(kQueueCapacity),
       clients_(config.client_table_mode, config.client_table_space_bits),
       files_(config.fileid_index_byte_0, config.fileid_index_byte_1),
       anonymiser_(clients_, files_) {
@@ -26,9 +33,8 @@ CapturePipeline::CapturePipeline(const PipelineConfig& config)
   decoder_->bind_telemetry(config_.log, config_.flight);
   anonymiser_.bind_telemetry(config_.log);
   DTR_LOG_INFO(config_.log, "pipeline", 0,
-               "serial pipeline up (frame queue "
-                   << config_.frame_queue_capacity << ", message queue "
-                   << config_.message_queue_capacity << ")");
+               "serial pipeline up (frame and message queues of "
+                   << kQueueCapacity << ")");
   decode_thread_ = std::thread([this] { decode_loop(); });
   anonymise_thread_ = std::thread([this] { anonymise_loop(); });
 }
@@ -43,7 +49,7 @@ void CapturePipeline::push(const sim::TimedFrame& frame) {
   }
   obs::inc(metrics_.frames);
   if (config_.flight != nullptr &&
-      frame_queue_.size() >= config_.frame_queue_capacity) {
+      frame_queue_.size() >= kQueueCapacity) {
     // The decode stage is not keeping up: this push is about to block.
     obs::record(config_.flight, obs::FlightEvent::kStageStall, frame.time,
                 frame_queue_.size());

@@ -38,8 +38,6 @@ class ServerWorkerPool;
 struct PipelineConfig {
   std::uint32_t server_ip = 0xC0A80001;
   std::uint16_t server_port = 4665;
-  std::size_t frame_queue_capacity = 65536;
-  std::size_t message_queue_capacity = 65536;
   /// fileID anonymisation index bytes (paper §2.4: (0,1) is pathological
   /// under forged IDs; the default is the fixed choice).
   unsigned fileid_index_byte_0 = 5;

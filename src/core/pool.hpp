@@ -1,14 +1,13 @@
 // Free-list object pool for the pipeline data plane.
 //
 // The batched pipelines shuttle container objects (frame batches, decoded-
-// message vectors, anonymised-event chunks) between threads at a high rate;
-// constructing them fresh each time puts an allocation — and later a free
-// on a *different* thread — on the hot path.  The pool recycles them
-// instead: release() parks an object after the owner reset() its logical
+// message vectors, XML writer chunks, compressor scratch buffers) between
+// threads at a high rate; constructing them fresh each time puts an
+// allocation — and later a free on a *different* thread — on the hot path.
+// The pool recycles them instead: release() parks an object after the
+// owner reset() its logical
 // contents (vector capacity survives, so a recycled batch's buffers are
-// already warm), acquire() hands it back out.  Disabled, it degenerates to
-// plain construction; the differential tests run both ways, because pooling
-// must never change the output bytes.
+// already warm), acquire() hands it back out.
 #pragma once
 
 #include <mutex>
@@ -22,8 +21,7 @@ namespace dtr::core {
 template <typename T>
 class ObjectPool {
  public:
-  ObjectPool(bool enabled, std::size_t max_retained)
-      : enabled_(enabled), max_retained_(max_retained) {}
+  explicit ObjectPool(std::size_t max_retained) : max_retained_(max_retained) {}
 
   ObjectPool(const ObjectPool&) = delete;
   ObjectPool& operator=(const ObjectPool&) = delete;
@@ -38,7 +36,7 @@ class ObjectPool {
   /// A recycled object when one is parked, a fresh T{} otherwise.  The
   /// caller owns it until release().
   [[nodiscard]] T acquire() {
-    if (enabled_) {
+    {
       std::unique_lock lock(mutex_);
       if (!free_.empty()) {
         T obj = std::move(free_.back());
@@ -53,10 +51,8 @@ class ObjectPool {
   }
 
   /// Park `obj` for reuse (the caller must have reset its logical contents
-  /// first).  Beyond max_retained — or with pooling disabled — the object
-  /// is simply destroyed.
+  /// first).  Beyond max_retained the object is simply destroyed.
   void release(T&& obj) {
-    if (!enabled_) return;
     std::lock_guard lock(mutex_);
     if (free_.size() < max_retained_) free_.push_back(std::move(obj));
   }
@@ -67,7 +63,6 @@ class ObjectPool {
   }
 
  private:
-  const bool enabled_;
   const std::size_t max_retained_;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;

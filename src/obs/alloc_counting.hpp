@@ -8,7 +8,7 @@
 // a library would silently hijack allocation in every linking binary,
 // including sanitizer builds that interpose their own allocator.
 //
-// bench/pipeline_throughput and the donkeytrace CLI opt in; tests do not.
+// The donkeytrace CLI and donkeybench opt in; tests do not.
 #pragma once
 
 #include <cstdlib>

@@ -274,7 +274,7 @@ struct BottleneckReport {
   /// verdict, checkpoint and resource summaries.
   void render_text(std::ostream& out) const;
   /// One JSON object (valid per obs::json_valid); the campaign trajectory
-  /// lands under "resources.series" in BENCH_campaign.json shape.
+  /// lands under "resources.series".
   void render_json(std::ostream& out) const;
 };
 

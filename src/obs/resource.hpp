@@ -9,11 +9,10 @@
 // (resident pages x page size) with a getrusage(RUSAGE_SELF) peak-RSS
 // fallback for hosts without procfs.
 //
-// Allocation totals come from the global operator-new counters that
-// bench/pipeline_throughput introduced; they now live here so the CLI and
-// the bench share one definition.  The counters only tick in binaries that
-// compile obs/alloc_counting.hpp into exactly one translation unit —
-// everywhere else allocation_count() reads zero.
+// Allocation totals come from global operator-new counters defined here, so
+// the CLI and donkeybench share one definition.  The counters only tick in
+// binaries that compile obs/alloc_counting.hpp into exactly one
+// translation unit — everywhere else allocation_count() reads zero.
 //
 // Determinism contract: the sampler runs on *wall* time and publishes only
 // under the "proc." prefix, which TimeSeriesOptions excludes by default —

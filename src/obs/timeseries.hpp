@@ -45,7 +45,7 @@ struct TimeSeriesOptions {
   /// byte-reproducibility.  checkpoint.* is excluded so a resumed run's
   /// series stays byte-identical to an uninterrupted run's (checkpointing
   /// activity is operational, not part of the measured campaign);
-  /// pipeline.pool.* (free-list hit/miss) and pipeline.writer.* (offload
+  /// pipeline.pool.* (free-list hit/miss) and pipeline.writer.* (writer
   /// chunk shapes) depend on thread scheduling the same way queue depths
   /// do.  pipeline.batch.* stays IN the series: batch formation happens on
   /// the pushing thread from input count/time alone, so batch shapes are

@@ -111,8 +111,7 @@ struct ChunkedWriter::Impl {
         config(cfg),
         seed(chunked_checksum_seed(
             kChunkedVersion, static_cast<std::uint32_t>(cfg.chunk_bytes))),
-        scratch_pool(/*enabled=*/true,
-                     /*max_retained=*/cfg.threads + 2) {
+        scratch_pool(/*max_retained=*/cfg.threads + 2) {
     if (config.metrics != nullptr) {
       obs::Registry& r = *config.metrics;
       metrics.chunks = &r.counter("writer.compress.chunks");

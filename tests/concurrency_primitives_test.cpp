@@ -146,7 +146,7 @@ TEST(BoundedQueueBulk, ManyProducersManyConsumersConserveEveryElement) {
 // ---------------------------------------------------------------------------
 
 TEST(ObjectPoolRetention, CapsRetainedObjectsAndRecyclesWarmBuffers) {
-  ObjectPool<std::vector<int>> pool(/*enabled=*/true, /*max_retained=*/3);
+  ObjectPool<std::vector<int>> pool(/*max_retained=*/3);
   std::vector<std::vector<int>> out;
   for (int i = 0; i < 6; ++i) {
     std::vector<int> v = pool.acquire();
@@ -163,15 +163,8 @@ TEST(ObjectPoolRetention, CapsRetainedObjectsAndRecyclesWarmBuffers) {
   EXPECT_EQ(pool.retained(), 2u);
 }
 
-TEST(ObjectPoolRetention, DisabledPoolNeverRetains) {
-  ObjectPool<std::vector<int>> pool(/*enabled=*/false, /*max_retained=*/8);
-  pool.release(std::vector<int>(100));
-  EXPECT_EQ(pool.retained(), 0u);
-  EXPECT_EQ(pool.acquire().capacity(), 0u);  // always a fresh object
-}
-
 TEST(ObjectPoolRetention, ConcurrentAcquireReleaseStaysWithinCap) {
-  ObjectPool<std::vector<int>> pool(/*enabled=*/true, /*max_retained=*/4);
+  ObjectPool<std::vector<int>> pool(/*max_retained=*/4);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&pool] {

@@ -315,9 +315,6 @@ struct SeriesRun {
 };
 
 struct DataPlaneTuning {
-  std::size_t batch_frames = 16;
-  bool buffer_pool = true;
-  bool writer_offload = true;
   std::size_t anon_shards = 8;
   obs::Profiler* profiler = nullptr;
   /// Run a wall-clock ResourceSampler over the registry for the duration:
@@ -331,9 +328,6 @@ SeriesRun run_with_series(std::uint64_t seed, std::size_t workers,
   core::RunnerConfig cfg;
   cfg.campaign = campaign_config(seed);
   cfg.workers = workers;
-  cfg.batch_frames = tuning.batch_frames;
-  cfg.buffer_pool = tuning.buffer_pool;
-  cfg.writer_offload = tuning.writer_offload;
   cfg.anon_shards = tuning.anon_shards;
   cfg.profiler = tuning.profiler;
   obs::Registry registry;
@@ -407,38 +401,6 @@ TEST(SeriesReconcile, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(pa.jsonl, pb.jsonl);
   EXPECT_EQ(pa.csv, pb.csv);
   EXPECT_EQ(pa.xml, pb.xml);
-}
-
-// The data-plane tuning knobs (micro-batch size, buffer pooling, writer
-// offload) trade throughput for latency/memory — never output bytes.  One
-// serial reference; every parallel tuning must reproduce its XML dataset
-// byte for byte and its counter series sample by sample.
-TEST(SeriesReconcile, BatchSizeAndPoolingNeverChangeTheBytes) {
-  const SeriesRun serial = run_with_series(33, 0);
-  ASSERT_FALSE(serial.xml.empty());
-
-  std::vector<DataPlaneTuning> tunings;
-  for (std::size_t batch : {std::size_t{1}, std::size_t{16}, std::size_t{256}}) {
-    for (bool pool : {true, false}) {
-      tunings.push_back(DataPlaneTuning{batch, pool, true});
-    }
-  }
-  // The merge thread writing XML inline (no offload thread) must match too.
-  tunings.push_back(DataPlaneTuning{16, true, false});
-
-  for (const DataPlaneTuning& tuning : tunings) {
-    SCOPED_TRACE(::testing::Message()
-                 << "batch=" << tuning.batch_frames << " pool="
-                 << tuning.buffer_pool << " offload=" << tuning.writer_offload);
-    SeriesRun parallel = run_with_series(33, 3, tuning);
-    EXPECT_EQ(parallel.xml, serial.xml);
-    ASSERT_EQ(parallel.samples.size(), serial.samples.size());
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-      EXPECT_EQ(parallel.samples[i].snapshot.counters,
-                serial.samples[i].snapshot.counters)
-          << "sample " << i;
-    }
-  }
 }
 
 // The pipeline profiler observes wall time only — it must never feed the
