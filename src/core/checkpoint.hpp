@@ -33,7 +33,10 @@
 
 namespace dtr::core {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: the parallel pipeline's section carries its feeder decoder
+/// (the counters of every frame settled on the pushing thread) and one
+/// pipeline clock instead of one per worker.  Version 1 is rejected.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr char kCheckpointMagic[8] = {'D', 'T', 'R', 'C',
                                              'K', 'P', 'T', '1'};
 

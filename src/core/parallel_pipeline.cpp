@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 
 #include "common/rng.hpp"
 #include "core/server_pool.hpp"
@@ -55,6 +56,8 @@ ParallelCapturePipeline::ParallelCapturePipeline(
       frame_pool_(kMaxRetainedBatches),
       result_pool_(kMaxRetainedBatches),
       chunk_pool_(kWriterRingChunks + 8),
+      feeder_decoder_(config.server_ip, config.server_port,
+                      decode::MessageSink{}),
       clients_(config.anon_shards, config.client_table_mode,
                config.client_table_space_bits),
       files_(config.anon_shards, config.fileid_index_byte_0,
@@ -92,6 +95,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
     worker->out->bind_metrics(metrics_.worker_parks, nullptr);
     worker->decoder->bind_telemetry(config_.log, config_.flight);
   }
+  feeder_decoder_.bind_telemetry(config_.log, config_.flight);
   if (writer_ring_) {
     writer_ring_->bind_metrics(metrics_.merge_parks, metrics_.writer_parks);
   }
@@ -117,12 +121,11 @@ ParallelCapturePipeline::~ParallelCapturePipeline() {
 }
 
 std::size_t ParallelCapturePipeline::route(const sim::TimedFrame& frame) const {
-  // Flow identity without a full decode: IPv4 src/dst/id live at fixed
-  // offsets behind the 14-byte ethernet header when there are no IP
-  // options (this traffic has none); short or non-IP frames route to 0 —
-  // misrouting those is harmless since they carry no fragments.
+  // Flow identity without a full decode: IPv4 id, src and dst sit at fixed
+  // offsets behind the 14-byte ethernet header — options, if any, follow
+  // them.  Only frames classify_frame() called UDP get here, so the
+  // 20-byte IPv4 header is complete.
   const Bytes& b = frame.bytes;
-  if (b.size() < 34) return 0;
   std::uint64_t key = 0;
   for (std::size_t i = 26; i < 34; ++i) key = key << 8 | b[i];  // src+dst
   key ^= static_cast<std::uint64_t>(b[18]) << 40 |
@@ -135,6 +138,14 @@ void ParallelCapturePipeline::push(const sim::TimedFrame& frame) {
     feeder_lease_ = obs::ThreadLease(config_.profiler, "capture", "feed");
   }
   obs::inc(metrics_.frames);
+  last_time_ = frame.time;
+  {
+    // A settled (non-UDP) frame is fully counted here; its decode span is
+    // the classification.  A UDP frame's span is timed by its worker.
+    obs::SpanTimer span(metrics_.decode_span);
+    if (feeder_decoder_.settle(frame)) return;
+    span.cancel();
+  }
   const std::size_t target = route(frame);
   Worker& worker = *workers_[target];
   // An idle gap in simulated time flushes the open batch: batch boundaries
@@ -169,6 +180,7 @@ void ParallelCapturePipeline::flush_open_batch(std::size_t target) {
 void ParallelCapturePipeline::flush() {
   // next_seq_ is only written by the pushing thread — which is the only
   // thread allowed to call flush(), so reading it unsynchronised is fine.
+  // Settled frames never enter the count: push() finished them.
   for (std::size_t w = 0; w < workers_.size(); ++w) flush_open_batch(w);
   const std::uint64_t frames = next_seq_;
   if (results_merged_.load(std::memory_order_acquire) < frames) {
@@ -276,7 +288,7 @@ void ParallelCapturePipeline::optimistic_pass(ResultBatch& result) {
 void ParallelCapturePipeline::worker_loop(Worker& worker) {
   obs::ThreadLease lease(config_.profiler, "worker",
                          "worker." + std::to_string(worker.index));
-  bool failed = false;
+  bool& failed = worker.failed;
   while (auto batch = worker.in->pop()) {
     ResultBatch result = result_pool_.acquire();
     result.reset();
@@ -287,7 +299,6 @@ void ParallelCapturePipeline::worker_loop(Worker& worker) {
         try {
           obs::SpanTimer span(metrics_.decode_span);
           worker.decoder->decode_into(sf.frame, result.messages);
-          worker.last_time = sf.frame.time;
         } catch (const std::exception& e) {
           failed = true;
           fail("decode", sf.frame.time, e.what());
@@ -315,21 +326,17 @@ void ParallelCapturePipeline::worker_loop(Worker& worker) {
                  static_cast<double>(result.messages.size()));
     if (!worker.out->push(std::move(result))) note_dropped(frames, "results");
   }
-  if (!failed) worker.decoder->finish(worker.last_time);
   // The merger exits once every worker's out ring is closed and drained.
   worker.out->close();
 }
 
 void ParallelCapturePipeline::merge_loop() {
   obs::ThreadLease lease(config_.profiler, "merge", "merge");
-  // Min-heap of partially consumed result batches keyed by their front
-  // sequence number.  Each batch is internally an ascending run, so the
-  // heap holds at most one entry per in-flight batch — far fewer nodes
-  // than the per-frame map it replaces.
-  auto later = [](const PendingBatch& a, const PendingBatch& b) {
-    return a.front_seq() > b.front_seq();
-  };
-  std::vector<PendingBatch> heap;
+  // One FIFO lane of result batches per worker.  A worker's frames carry
+  // ascending sequence numbers, batch after batch, so the frame the merger
+  // needs next is always at the front of exactly one lane: restoring
+  // order takes a scan of the lane fronts where a run ends, not a heap.
+  std::vector<std::deque<PendingBatch>> lanes(workers_.size());
   std::vector<ResultBatch> backlog;
   std::uint64_t next_expected = 0;
   bool failed = false;
@@ -352,6 +359,12 @@ void ParallelCapturePipeline::merge_loop() {
     chunk.events += 1;
     chunk.elements += elements;
     if (chunk.events >= kWriterChunkEvents) hand_off_chunk();
+  };
+
+  // Publish progress (next_expected frames merged) for flush().  Once per
+  // drain cycle, before notify_quiesce(), rather than once per frame.
+  auto publish = [&] {
+    results_merged_.store(next_expected, std::memory_order_release);
   };
 
   // The order-sensitive stage, one frame's messages at a time.  Fast-path
@@ -409,29 +422,31 @@ void ParallelCapturePipeline::merge_loop() {
     }
     cur.msg += count;
     ++cur.frame;
-    results_merged_.fetch_add(1, std::memory_order_release);
   };
 
+  // Consume frames in sequence order until no lane holds the next one.
+  // `idle` counts lanes visited since the last progress; once every lane
+  // has been visited without the next frame, it has not arrived yet.
   auto drain_contiguous = [&] {
-    while (!heap.empty() && heap.front().front_seq() == next_expected) {
-      std::pop_heap(heap.begin(), heap.end(), later);
-      PendingBatch cur = std::move(heap.back());
-      heap.pop_back();
-      for (;;) {
-        process_frame(cur);
-        ++next_expected;
-        if (cur.frame == cur.batch.seqs.size()) {
-          cur.batch.reset();
-          result_pool_.release(std::move(cur.batch));
-          break;
-        }
-        if (cur.batch.seqs[cur.frame] != next_expected) {
-          // A gap inside this worker's stream: another worker owns the
-          // next frame.  Park the cursor and wait for it.
-          heap.push_back(std::move(cur));
-          std::push_heap(heap.begin(), heap.end(), later);
-          break;
-        }
+    std::size_t idle = 0;
+    for (std::size_t w = 0; idle < lanes.size();
+         w = w + 1 == lanes.size() ? 0 : w + 1) {
+      std::deque<PendingBatch>& lane = lanes[w];
+      ++idle;
+      while (!lane.empty() && lane.front().front_seq() == next_expected) {
+        idle = 1;  // this lane, now past next_expected, counts as visited
+        PendingBatch& cur = lane.front();
+        do {
+          process_frame(cur);
+          ++next_expected;
+        } while (cur.frame < cur.batch.seqs.size() &&
+                 cur.front_seq() == next_expected);
+        // A gap inside this worker's stream: another worker owns the next
+        // frame.  Leave the cursor at the front of the lane.
+        if (cur.frame < cur.batch.seqs.size()) break;
+        cur.batch.reset();
+        result_pool_.release(std::move(cur.batch));
+        lane.pop_front();
       }
     }
   };
@@ -461,7 +476,13 @@ void ParallelCapturePipeline::merge_loop() {
     // only park when nothing arrived AND something can still arrive.
     const RingSignal::Epoch seen = merge_signal_.prepare();
     std::size_t got = 0;
-    for (auto& worker : workers_) got += worker->out->pop_all(backlog);
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      got += workers_[w]->out->pop_all(backlog);
+      for (ResultBatch& result : backlog) {
+        lanes[w].push_back(PendingBatch{std::move(result)});
+      }
+      backlog.clear();
+    }
     if (got == 0) {
       bool all_drained = true;
       for (auto& worker : workers_) all_drained &= worker->out->drained();
@@ -477,18 +498,16 @@ void ParallelCapturePipeline::merge_loop() {
     std::size_t depth = 0;
     for (auto& worker : workers_) depth += worker->out->size();
     obs::set(metrics_.merge_queue_depth, static_cast<std::int64_t>(depth));
-    for (ResultBatch& result : backlog) {
-      heap.push_back(PendingBatch{std::move(result)});
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-    backlog.clear();
     drain_contiguous();
-    obs::set(metrics_.merge_pending, static_cast<std::int64_t>(heap.size()));
+    std::size_t pending = 0;
+    for (const auto& lane : lanes) pending += lane.size();
+    obs::set(metrics_.merge_pending, static_cast<std::int64_t>(pending));
     update_shard_gauges();
     // End of drain cycle: hand the open chunk to the writer — a checkpoint
     // quiesce must find the full anonymised prefix on its way to the XML
     // stream, never parked here — and wake any flush() waiter.
     hand_off_chunk();
+    publish();
     notify_quiesce();
   }
   // All rings closed and drained: everything left is contiguous.
@@ -496,6 +515,7 @@ void ParallelCapturePipeline::merge_loop() {
   obs::set(metrics_.merge_pending, 0);
   update_shard_gauges();
   hand_off_chunk();
+  publish();
   notify_quiesce();
 }
 
@@ -532,10 +552,9 @@ void ParallelCapturePipeline::save_state(ByteWriter& out) const {
   files_.save_state(out);
   anonymiser_.save_state(out);
   stats_.save_state(out);
-  for (const auto& worker : workers_) {
-    out.u64le(worker->last_time);
-    worker->decoder->save_state(out);
-  }
+  out.u64le(last_time_);
+  feeder_decoder_.save_state(out);
+  for (const auto& worker : workers_) worker->decoder->save_state(out);
 }
 
 bool ParallelCapturePipeline::restore_state(ByteReader& in) {
@@ -553,8 +572,9 @@ bool ParallelCapturePipeline::restore_state(ByteReader& in) {
   if (!files_.restore_state(in)) return false;
   if (!anonymiser_.restore_state(in)) return false;
   if (!stats_.restore_state(in)) return false;
+  last_time_ = in.u64le();
+  if (!feeder_decoder_.restore_state(in)) return false;
   for (auto& worker : workers_) {
-    worker->last_time = in.u64le();
     if (!worker->decoder->restore_state(in)) return false;
   }
   return in.ok();
@@ -599,6 +619,7 @@ void ParallelCapturePipeline::bind_metrics(obs::Registry& registry) {
   metrics_.anonymise_span = &registry.histogram("span.anonymise.seconds");
   metrics_.write_span = &registry.histogram("span.write.seconds");
   for (auto& worker : workers_) worker->decoder->bind_metrics(registry);
+  feeder_decoder_.bind_metrics(registry);
   anonymiser_.bind_metrics(registry);
   stats_.bind_metrics(registry);
 }
@@ -609,6 +630,11 @@ PipelineResult ParallelCapturePipeline::finish() {
     for (std::size_t w = 0; w < workers_.size(); ++w) flush_open_batch(w);
     for (auto& worker : workers_) worker->in->close();
     for (auto& worker : workers_) worker->thread.join();
+    // Flush reassembly timeouts against the last pushed frame's time, as
+    // the serial decoder does (a worker's own last frame may be older).
+    for (auto& worker : workers_) {
+      if (!worker->failed) worker->decoder->finish(last_time_);
+    }
     // Workers close their out rings on exit; the merger drains them all
     // and stops once every ring reports drained.
     merge_thread_.join();
@@ -621,6 +647,7 @@ PipelineResult ParallelCapturePipeline::finish() {
     feeder_lease_.reset();  // finish() runs on the pushing thread
     if (config_.replay != nullptr) config_.replay->drain();
     if (xml_) xml_->finish();
+    accumulate(total_decode_, feeder_decoder_.stats());
     for (auto& worker : workers_) {
       accumulate(total_decode_, worker->decoder->stats());
     }

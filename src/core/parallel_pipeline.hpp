@@ -3,15 +3,28 @@
 // The serial pipeline (core/pipeline.hpp) decodes on one thread.  Decoding
 // is independent per frame — except IP reassembly, which is stateful per
 // (src, dst, id) — and anonymisation must see messages in capture order
-// (order-of-appearance tokens).  The classic HPC recipe applies:
+// (order-of-appearance tokens).  The classic HPC recipe applies, to the
+// UDP frames only:
 //
-//   * PARTITION: frames are routed to N workers by a hash of their IP flow
-//     identity, so all fragments of one packet meet in the same worker's
-//     private reassembler.  No shared mutable state between workers.
-//   * SEQUENCE: every frame carries a global sequence number; a worker
-//     emits exactly one (seq, message count) entry per frame, batched.
-//   * MERGE: a single merger restores sequence order with a min-heap of
-//     pending batches and runs the order-sensitive stage.
+//   * SETTLE: at the capture point ~95% of the frames are not eDonkey at
+//     all (background TCP, §2.2).  The pushing thread classifies every
+//     frame from its headers (net::classify_frame, via a feeder-owned
+//     FrameDecoder's settle()) and counts each non-UDP frame straight into
+//     that decoder's stats — the same counters a worker would have bumped.
+//     Such a frame carries no message and no reassembly state, so it never
+//     needs a sequence number, a batch slot, a worker or a merge step.
+//   * PARTITION: UDP frames are routed to N workers by a hash of their IP
+//     flow identity, so all fragments of one packet meet in the same
+//     worker's private reassembler.  No shared mutable state between
+//     workers.
+//   * SEQUENCE: every routed frame carries a global sequence number; a
+//     worker emits exactly one (seq, message count) entry per frame,
+//     batched.
+//   * MERGE: a single merger restores sequence order from one FIFO lane of
+//     result batches per worker (a worker's sequence numbers ascend, so the
+//     next frame is always at the front of some lane) and runs the
+//     order-sensitive stage.  It publishes its progress once per drain
+//     cycle, not once per frame.
 //
 // Anonymisation itself is parallel (the change that broke the merge-thread
 // bottleneck): workers optimistically anonymise each decoded message with
@@ -102,14 +115,15 @@ struct ParallelPipelineConfig {
   std::uint32_t client_table_space_bits = 32;
   std::ostream* xml_out = nullptr;
   std::function<void(const anon::AnonEvent&)> extra_sink;
-  /// Optional metrics registry (see PipelineConfig::metrics).  All workers
-  /// bind their decoders to the same registry: the striped counters merge
-  /// concurrent increments, so `decode.*` still totals across workers.
+  /// Optional metrics registry (see PipelineConfig::metrics).  The feeder
+  /// and every worker bind their decoders to the same registry: the
+  /// striped counters merge concurrent increments, so `decode.*` still
+  /// totals across threads.
   obs::Registry* metrics = nullptr;
   /// Optional structured logger shared by every stage (may be null).
   obs::Logger* log = nullptr;
-  /// Optional flight recorder; each worker records into its own
-  /// per-thread ring (may be null).
+  /// Optional flight recorder; the feeder and each worker record into
+  /// their own per-thread rings (may be null).
   obs::FlightRecorder* flight = nullptr;
   /// Optional shadow-serving pool (see PipelineConfig::replay): decoded
   /// client->server queries are resubmitted, in merge order, to a live
@@ -135,14 +149,15 @@ class ParallelCapturePipeline {
   PipelineResult finish();
 
   /// Quiesce to the current intake boundary: flush the open per-worker
-  /// batches, then block the pushing thread until every frame pushed so
+  /// batches, then block the pushing thread until every frame routed so
   /// far has been decoded, merged back into sequence order and anonymised
   /// — and, with a dataset stream, until the writer thread has drained
-  /// every chunk the merger handed it.  Workers emit exactly one result per
-  /// frame and the merger flushes its open chunk at the end of every drain
-  /// cycle, so the two waits together mean the XML stream holds the
-  /// complete pushed prefix.  Call only between pushes (same contract as
-  /// CapturePipeline::flush()).
+  /// every chunk the merger handed it.  (Settled frames were fully counted
+  /// inside push().)  Workers emit exactly one result per routed frame and
+  /// the merger publishes its progress and flushes its open chunk at the
+  /// end of every drain cycle, so the two waits together mean the XML
+  /// stream holds the complete pushed prefix.  Call only between pushes
+  /// (same contract as CapturePipeline::flush()).
   void flush();
 
   [[nodiscard]] const analysis::CampaignStats& stats() const { return stats_; }
@@ -151,8 +166,9 @@ class ParallelCapturePipeline {
     return clients_.shard_count();
   }
 
-  /// Checkpoint codec (same contract as CapturePipeline's).  The worker
-  /// count is part of the snapshot: in-flight IP fragments live in the
+  /// Checkpoint codec (same contract as CapturePipeline's).  The snapshot
+  /// carries the feeder decoder's counters next to the workers'.  The
+  /// worker count is part of the snapshot: in-flight IP fragments live in the
   /// per-worker reassemblers frames are routed to by flow hash modulo the
   /// worker count, so restoring into a pipeline with a different worker
   /// count is rejected.  The anonymiser shard count is NOT part of the
@@ -218,7 +234,7 @@ class ParallelCapturePipeline {
     }
   };
 
-  /// Cursor over a partially consumed ResultBatch in the merge heap.
+  /// Cursor over a partially consumed ResultBatch in a merge lane.
   struct PendingBatch {
     ResultBatch batch;
     std::size_t frame = 0;    // next unconsumed index into seqs/counts
@@ -247,13 +263,13 @@ class ParallelCapturePipeline {
     std::unique_ptr<decode::FrameDecoder> decoder;
     std::thread thread;
     std::size_t index = 0;  // for the profiler's "worker.N" label
-    SimTime last_time = 0;
+    bool failed = false;    // worker thread; read by finish() after join
     // Pushing-thread-only state: the open (unflushed) micro-batch.
     FrameBatch open;
     SimTime open_last_time = 0;
   };
 
-  /// Stable frame -> worker routing that keeps IP fragments together.
+  /// Stable UDP frame -> worker routing that keeps IP fragments together.
   std::size_t route(const sim::TimedFrame& frame) const;
 
   void flush_open_batch(std::size_t target);
@@ -309,6 +325,13 @@ class ParallelCapturePipeline {
   ObjectPool<ResultBatch> result_pool_;
   ObjectPool<XmlChunk> chunk_pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Pushing-thread-only: counts every frame settle() handles (all but
+  /// UDP), bound to the same registry and telemetry as the workers.
+  decode::FrameDecoder feeder_decoder_;
+  /// Pushing-thread-only: time of the last pushed frame.  Workers see only
+  /// UDP frames, so their reassemblers expire against this clock at
+  /// finish(), as the serial decoder's does.
+  SimTime last_time_ = 0;
   RingSignal merge_signal_;  // fans in every worker's out ring
   std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // iff xml_
 
@@ -326,9 +349,10 @@ class ParallelCapturePipeline {
 
   std::thread merge_thread_;
   std::thread writer_thread_;
-  std::uint64_t next_seq_ = 0;
-  /// Results fully processed by the merger (one per pushed frame); with
-  /// next_seq_ it forms the first half of the flush() quiescence test.
+  std::uint64_t next_seq_ = 0;  // routed (UDP) frames so far
+  /// Results fully processed by the merger (one per routed frame),
+  /// published once per drain cycle; with next_seq_ it forms the first
+  /// half of the flush() quiescence test.
   std::atomic<std::uint64_t> results_merged_{0};
   /// Events the writer thread has retired (second half of the quiescence
   /// test: the merger increments anonymised_events_ before handing the

@@ -1,5 +1,7 @@
 #include "decode/decoder.hpp"
 
+#include <ostream>
+
 namespace dtr::decode {
 
 namespace {
@@ -11,49 +13,67 @@ constexpr std::uint64_t kRejectIp = 2;
 constexpr std::uint64_t kRejectUdp = 3;
 }  // namespace
 
+std::ostream& operator<<(std::ostream& os, const DecodeStats& s) {
+  return os << "{frames=" << s.frames << " non_ipv4=" << s.non_ipv4_frames
+            << " bad_ip=" << s.bad_ip_packets << " tcp=" << s.tcp_packets
+            << " other_ip=" << s.other_ip_packets
+            << " udp=" << s.udp_packets << " udp_fragments=" << s.udp_fragments
+            << " udp_malformed=" << s.udp_malformed
+            << " edonkey=" << s.edonkey_messages << " decoded=" << s.decoded
+            << " undecoded_structural=" << s.undecoded_structural
+            << " undecoded_effective=" << s.undecoded_effective << "}";
+}
+
 FrameDecoder::FrameDecoder(std::uint32_t server_ip, std::uint16_t server_port,
                            MessageSink sink)
     : server_ip_(server_ip),
       server_port_(server_port),
       sink_(std::move(sink)) {}
 
+bool FrameDecoder::settle(const sim::TimedFrame& frame) {
+  switch (net::classify_frame(frame.bytes)) {
+    case net::FrameClass::kUdp:
+      return false;  // push() decodes it
+    case net::FrameClass::kNonIpv4:
+      ++stats_.non_ipv4_frames;
+      obs::inc(metrics_.non_ipv4);
+      break;
+    case net::FrameClass::kBadIp:
+      ++stats_.bad_ip_packets;
+      obs::inc(metrics_.bad_ip);
+      obs::record(flight_, obs::FlightEvent::kDecodeReject, frame.time, 0,
+                  kRejectIp);
+      DTR_LOG_WARN(log_, "decode", frame.time,
+                   "bad IPv4 packet rejected (truncated or bad checksum)");
+      break;
+    case net::FrameClass::kTcp:
+      ++stats_.tcp_packets;  // captured, not decoded (paper §2.2)
+      obs::inc(metrics_.tcp);
+      break;
+    case net::FrameClass::kOtherIp:
+      ++stats_.other_ip_packets;
+      obs::inc(metrics_.other_ip);
+      break;
+  }
+  ++stats_.frames;
+  obs::inc(metrics_.frames);
+  return true;
+}
+
 void FrameDecoder::push(const sim::TimedFrame& frame) {
+  if (settle(frame)) return;
   ++stats_.frames;
   obs::inc(metrics_.frames);
 
-  auto eth = net::decode_ethernet(frame.bytes);
-  if (!eth || eth->ether_type != net::kEtherTypeIpv4) {
-    ++stats_.non_ipv4_frames;
-    obs::inc(metrics_.non_ipv4);
-    return;
-  }
-
-  auto ip = net::decode_ipv4(eth->payload);
-  if (!ip) {
-    ++stats_.bad_ip_packets;
-    obs::inc(metrics_.bad_ip);
-    obs::record(flight_, obs::FlightEvent::kDecodeReject, frame.time, 0,
-                kRejectIp);
-    DTR_LOG_WARN(log_, "decode", frame.time,
-                 "bad IPv4 packet rejected (truncated or bad checksum)");
-    return;
-  }
-
-  if (ip->protocol == net::kProtocolUdp) {
-    ++stats_.udp_packets;
-    obs::inc(metrics_.udp_packets);
-    if (ip->is_fragment()) {
-      ++stats_.udp_fragments;
-      obs::inc(metrics_.udp_fragments);
-    }
-  } else if (ip->protocol == 6) {
-    ++stats_.tcp_packets;  // captured, not decoded (paper §2.2)
-    obs::inc(metrics_.tcp);
-    return;
-  } else {
-    ++stats_.other_ip_packets;
-    obs::inc(metrics_.other_ip);
-    return;
+  // settle() validated both headers, so this decode cannot fail; it reads
+  // the IPv4 packet in place, behind the ethernet header.
+  auto ip = net::decode_ipv4(
+      BytesView(frame.bytes).subspan(net::kEthernetHeaderSize));
+  ++stats_.udp_packets;
+  obs::inc(metrics_.udp_packets);
+  if (ip->is_fragment()) {
+    ++stats_.udp_fragments;
+    obs::inc(metrics_.udp_fragments);
   }
 
   auto whole = reassembler_.push(*ip, frame.time);

@@ -11,9 +11,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "net/classify.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
 #include "net/udp.hpp"
@@ -52,6 +54,8 @@ struct DecodeStats {
   std::uint64_t undecoded_structural = 0;
   std::uint64_t undecoded_effective = 0;
 
+  bool operator==(const DecodeStats&) const = default;
+
   [[nodiscard]] std::uint64_t undecoded() const {
     return undecoded_structural + undecoded_effective;
   }
@@ -67,6 +71,9 @@ struct DecodeStats {
   }
 };
 
+/// Every field as `name=value` (test diagnostics, log lines).
+std::ostream& operator<<(std::ostream& os, const DecodeStats& s);
+
 /// Streaming decoder: push frames in time order, receive messages through
 /// the sink.  Stateless across messages except for IP reassembly.
 class FrameDecoder {
@@ -77,6 +84,15 @@ class FrameDecoder {
                MessageSink sink);
 
   void push(const sim::TimedFrame& frame);
+
+  /// The header-only first step of push(): classify the frame
+  /// (net::classify_frame) and, unless it is UDP, count it — stats,
+  /// `decode.*` counters, and for a bad IP header the flight event and log
+  /// line — and return true: the frame is fully handled.  Returns false,
+  /// counting nothing, for a UDP frame, which push() then decodes.  The
+  /// parallel pipeline's feeder settles frames this way on its own decoder
+  /// so that only UDP frames travel to the workers.
+  bool settle(const sim::TimedFrame& frame);
 
   /// Decode one frame appending its messages to `out` instead of calling
   /// the sink — the batched pipelines decode whole frame runs into one
@@ -95,7 +111,8 @@ class FrameDecoder {
   /// rejection broken down by cause (`decode.malformed.<error>`).  Also
   /// binds the embedded reassembler's `net.reassembly.*` instruments.
   /// Several decoders may bind to the same registry (the parallel
-  /// pipeline's workers do): the striped counters merge their increments.
+  /// pipeline's feeder and workers do): the striped counters merge their
+  /// increments.
   void bind_metrics(obs::Registry& registry);
 
   /// Attach logging / flight-recorder channels (either may be null):

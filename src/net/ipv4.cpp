@@ -35,18 +35,23 @@ Bytes encode_ipv4(const Ipv4Packet& p) {
   return std::move(w).take();
 }
 
-std::optional<Ipv4Packet> decode_ipv4(BytesView data) {
+std::optional<Ipv4Extent> check_ipv4_header(BytesView data) {
   if (data.size() < kIpv4HeaderSize) return std::nullopt;
   if ((data[0] >> 4) != 4) return std::nullopt;
   const std::size_t ihl = static_cast<std::size_t>(data[0] & 0x0F) * 4;
   if (ihl < kIpv4HeaderSize || data.size() < ihl) return std::nullopt;
   if (internet_checksum(data.subspan(0, ihl)) != 0) return std::nullopt;
-
-  ByteReader r(data);
-  r.skip(2);
-  std::uint16_t total_length = r.u16be();
+  const std::size_t total_length =
+      static_cast<std::size_t>(data[2] << 8 | data[3]);
   if (total_length < ihl || total_length > data.size()) return std::nullopt;
+  return Ipv4Extent{ihl, total_length};
+}
 
+std::optional<Ipv4Packet> decode_ipv4(BytesView data) {
+  const auto extent = check_ipv4_header(data);
+  if (!extent) return std::nullopt;
+
+  ByteReader r(data.subspan(4, 16));
   Ipv4Packet p;
   p.identification = r.u16be();
   std::uint16_t flags_frag = r.u16be();
@@ -55,12 +60,12 @@ std::optional<Ipv4Packet> decode_ipv4(BytesView data) {
   p.fragment_offset = flags_frag & 0x1FFF;
   p.ttl = r.u8();
   p.protocol = r.u8();
-  r.skip(2 + 4 + 4);  // checksum already verified; re-read addresses below
-  ByteReader addr(data.subspan(12, 8));
-  p.src = addr.u32be();
-  p.dst = addr.u32be();
-  p.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(ihl),
-                   data.begin() + total_length);
+  r.skip(2);  // checksum already verified
+  p.src = r.u32be();
+  p.dst = r.u32be();
+  p.payload.assign(
+      data.begin() + static_cast<std::ptrdiff_t>(extent->header_length),
+      data.begin() + static_cast<std::ptrdiff_t>(extent->total_length));
   return p;
 }
 

@@ -19,6 +19,7 @@
 
 namespace dtr::net {
 
+constexpr std::uint8_t kProtocolTcp = 6;
 constexpr std::uint8_t kProtocolUdp = 17;
 constexpr std::size_t kIpv4HeaderSize = 20;  // no options in this traffic
 constexpr std::size_t kDefaultMtu = 1500;
@@ -45,8 +46,21 @@ std::uint16_t internet_checksum(BytesView data);
 /// Serialize one (possibly fragment) packet; computes the header checksum.
 Bytes encode_ipv4(const Ipv4Packet& p);
 
-/// Header-validating decode: returns nullopt on short input, bad version,
-/// bad header length or bad checksum.
+/// Where a header that passed check_ipv4_header() ends, and where its
+/// packet ends (`total_length`), both in bytes from the start of `data`.
+struct Ipv4Extent {
+  std::size_t header_length = 0;
+  std::size_t total_length = 0;
+};
+
+/// The one set of IPv4 acceptance rules, shared by decode_ipv4() and
+/// classify_frame(): a full header, version 4, IHL >= 5 within the
+/// buffer, a valid header checksum and header <= total_length <= buffer.
+/// Reads only the header bytes; returns nullopt when any rule fails.
+std::optional<Ipv4Extent> check_ipv4_header(BytesView data);
+
+/// Header-validating decode: returns nullopt when check_ipv4_header()
+/// rejects the header.
 std::optional<Ipv4Packet> decode_ipv4(BytesView data);
 
 /// Split an oversized packet into MTU-sized fragments (RFC 791 §3.2).

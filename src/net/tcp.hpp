@@ -23,10 +23,10 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "net/ipv4.hpp"  // kProtocolTcp
 
 namespace dtr::net {
 
-constexpr std::uint8_t kProtocolTcp = 6;
 constexpr std::size_t kTcpHeaderSize = 20;  // no options in this traffic
 
 struct TcpFlags {

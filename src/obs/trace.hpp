@@ -35,6 +35,9 @@ class SpanTimer {
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
 
+  /// Drop this span: nothing is observed when the scope ends.
+  void cancel() { hist_ = nullptr; }
+
   ~SpanTimer() {
     if (hist_ == nullptr) return;
     const std::chrono::duration<double> elapsed = Clock::now() - start_;

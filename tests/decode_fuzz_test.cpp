@@ -9,13 +9,16 @@
 // overlapping segments.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "decode/decoder.hpp"
 #include "decode/tcp_decoder.hpp"
+#include "net/classify.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
 #include "net/tcp.hpp"
@@ -351,6 +354,74 @@ TEST(DecodeFuzz, TransportLevelRejectsAreCountedNotCrashed) {
   EXPECT_EQ(snap.counter("decode.other_ip"), 1u);
   EXPECT_EQ(snap.counter("decode.udp.malformed"), 1u);
   expect_counters_reconcile(fuzz, snap);
+}
+
+/// The class the full decode assigns a frame: decode_ethernet, then
+/// decode_ipv4, then the protocol byte — the oracle classify_frame() must
+/// match without copying anything.
+net::FrameClass decoded_class(const Bytes& frame) {
+  const auto eth = net::decode_ethernet(frame);
+  if (!eth || eth->ether_type != net::kEtherTypeIpv4) {
+    return net::FrameClass::kNonIpv4;
+  }
+  const auto ip = net::decode_ipv4(eth->payload);
+  if (!ip) return net::FrameClass::kBadIp;
+  if (ip->protocol == net::kProtocolUdp) return net::FrameClass::kUdp;
+  if (ip->protocol == net::kProtocolTcp) return net::FrameClass::kTcp;
+  return net::FrameClass::kOtherIp;
+}
+
+TEST(DecodeFuzz, HeaderClassifierAgreesWithFullDecode) {
+  Rng rng(0xC1A55EED);
+  std::vector<Bytes> bases;
+  for (std::uint8_t protocol : {net::kProtocolUdp, net::kProtocolTcp,
+                                std::uint8_t{1}}) {
+    net::Ipv4Packet ip;
+    ip.src = 0x0A000001;
+    ip.dst = kServerIp;
+    ip.protocol = protocol;
+    ip.payload = Bytes(24, 0x5C);
+    net::EthernetFrame eth;
+    eth.payload = net::encode_ipv4(ip);
+    bases.push_back(net::encode_ethernet(eth));
+  }
+  net::EthernetFrame arp;
+  arp.ether_type = net::kEtherTypeArp;
+  arp.payload = Bytes(28, 0);
+  bases.push_back(net::encode_ethernet(arp));
+
+  std::array<std::uint64_t, 5> seen{};
+  for (int i = 0; i < 20'000; ++i) {
+    Bytes frame = bases[rng.below(bases.size())];
+    if (rng.chance(0.5)) {
+      frame = mutate(std::move(frame), rng);
+    } else {
+      // Aim at the header fields the classifier reads — ethertype,
+      // version/IHL, total length, protocol — then usually fix the header
+      // checksum, so the later rules are reached, not just the checksum.
+      const std::size_t fields[] = {12, 13, 14, 16, 17, 23};
+      const std::size_t at = fields[rng.below(std::size(fields))];
+      frame[at] = static_cast<std::uint8_t>(rng.below(256));
+      const std::size_t ihl = static_cast<std::size_t>(frame[14] & 0x0F) * 4;
+      if (rng.chance(0.8) && ihl >= net::kIpv4HeaderSize &&
+          frame.size() >= net::kEthernetHeaderSize + ihl) {
+        frame[24] = 0;
+        frame[25] = 0;
+        const std::uint16_t sum = net::internet_checksum(
+            BytesView(frame).subspan(net::kEthernetHeaderSize, ihl));
+        frame[24] = static_cast<std::uint8_t>(sum >> 8);
+        frame[25] = static_cast<std::uint8_t>(sum & 0xFF);
+      }
+    }
+    const net::FrameClass expect = decoded_class(frame);
+    ASSERT_EQ(static_cast<int>(net::classify_frame(frame)),
+              static_cast<int>(expect))
+        << "frame " << i << " of " << frame.size() << " bytes";
+    ++seen[static_cast<std::size_t>(expect)];
+  }
+  for (std::size_t c = 0; c < seen.size(); ++c) {
+    EXPECT_GT(seen[c], 0u) << "class " << c << " never produced";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "core/pipeline.hpp"
 #include "core/server_pool.hpp"
 #include "hash/md4.hpp"
+#include "hostile_frames.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/resource.hpp"
@@ -54,15 +55,15 @@ struct RunResult {
   std::uint64_t frames_pushed = 0;
 };
 
-RunResult run_serial(const sim::CampaignConfig& cfg, obs::Registry& registry) {
-  sim::CampaignSimulator simulator(cfg);
+RunResult run_serial(const sim::CampaignConfig& cfg, obs::Registry& registry,
+                     const std::vector<sim::TimedFrame>* corpus = nullptr) {
   PipelineConfig pc;
   pc.server_ip = cfg.server_ip;
   pc.server_port = cfg.server_port;
   pc.metrics = &registry;
   CapturePipeline pipeline(pc);
   RunResult run;
-  simulator.run([&](const sim::TimedFrame& f) {
+  testing_frames::feed(cfg, corpus, [&](const sim::TimedFrame& f) {
     pipeline.push(f);
     ++run.frames_pushed;
   });
@@ -78,8 +79,8 @@ RunResult run_serial(const sim::CampaignConfig& cfg, obs::Registry& registry) {
 }
 
 RunResult run_parallel(const sim::CampaignConfig& cfg, std::size_t workers,
-                 obs::Registry& registry) {
-  sim::CampaignSimulator simulator(cfg);
+                       obs::Registry& registry,
+                       const std::vector<sim::TimedFrame>* corpus = nullptr) {
   ParallelPipelineConfig pc;
   pc.server_ip = cfg.server_ip;
   pc.server_port = cfg.server_port;
@@ -87,7 +88,7 @@ RunResult run_parallel(const sim::CampaignConfig& cfg, std::size_t workers,
   pc.metrics = &registry;
   ParallelCapturePipeline pipeline(pc);
   RunResult run;
-  simulator.run([&](const sim::TimedFrame& f) {
+  testing_frames::feed(cfg, corpus, [&](const sim::TimedFrame& f) {
     pipeline.push(f);
     ++run.frames_pushed;
   });
@@ -195,14 +196,16 @@ TEST_P(Seeds, ParallelMetricsReconcileAcrossWorkerCounts) {
     RunResult run = run_parallel(campaign_config(GetParam()), workers, registry);
     expect_reconciled(run, "parallel");
     // Micro-batch accounting: one message-batch observation per frame
-    // batch, every frame in exactly one batch, every decoded message in
-    // exactly one batch.
+    // batch, every routed frame in exactly one batch, every decoded
+    // message in exactly one batch.  Only UDP frames are routed: the
+    // feeder settles every other frame without batching it.
     const obs::HistogramSnapshot& frames_hist =
         run.metrics.histograms.at("pipeline.batch.frames");
     const obs::HistogramSnapshot& messages_hist =
         run.metrics.histograms.at("pipeline.batch.messages");
     EXPECT_EQ(frames_hist.count, messages_hist.count);
-    EXPECT_EQ(frames_hist.sum, static_cast<double>(run.frames_pushed));
+    EXPECT_EQ(frames_hist.sum,
+              static_cast<double>(run.metrics.counter("decode.udp.packets")));
     EXPECT_EQ(messages_hist.sum,
               static_cast<double>(run.result.anonymised_events));
     // Pool accounting: exactly one frame-batch and one result-batch
@@ -217,22 +220,37 @@ TEST_P(Seeds, ParallelMetricsReconcileAcrossWorkerCounts) {
 }
 
 TEST_P(Seeds, SerialAndParallelRecordIdenticalCounters) {
-  sim::CampaignConfig cfg = campaign_config(GetParam());
-  obs::Registry serial_reg;
-  obs::Registry parallel_reg;
-  RunResult serial = run_serial(cfg, serial_reg);
-  RunResult parallel = run_parallel(cfg, 3, parallel_reg);
+  const sim::CampaignConfig cfg = campaign_config(GetParam());
+  // The plain campaign, then the same campaign under background TCP and
+  // crafted non-IPv4 / bad-IP / other-IP frames, which the parallel feeder
+  // settles on its own decoder: decode.tcp, decode.non_ipv4, decode.bad_ip
+  // and decode.other_ip must still match the serial decoder's.
+  const std::vector<sim::TimedFrame> hostile =
+      testing_frames::hostile_corpus(cfg);
+  for (const std::vector<sim::TimedFrame>* corpus :
+       {static_cast<const std::vector<sim::TimedFrame>*>(nullptr), &hostile}) {
+    SCOPED_TRACE(corpus == nullptr ? "campaign" : "campaign + hostile frames");
+    obs::Registry serial_reg;
+    obs::Registry parallel_reg;
+    RunResult serial = run_serial(cfg, serial_reg, corpus);
+    RunResult parallel = run_parallel(cfg, 3, parallel_reg, corpus);
+    expect_reconciled(parallel, "parallel");
 
-  // Every deterministic counter matches between the two pipelines (spans
-  // and queue gauges are timing-dependent and excluded by construction:
-  // counters are deterministic, gauges/histograms are not all).
-  for (const auto& [name, value] : serial.metrics.counters) {
-    if (name == "pipeline.frames") continue;  // identical anyway, checked next
-    EXPECT_EQ(parallel.metrics.counter(name), value) << name;
+    // Every deterministic counter matches between the two pipelines (spans
+    // and queue gauges are timing-dependent and excluded by construction:
+    // counters are deterministic, gauges/histograms are not all).
+    for (const auto& [name, value] : serial.metrics.counters) {
+      EXPECT_EQ(parallel.metrics.counter(name), value) << name;
+    }
+    EXPECT_EQ(serial.result.anonymised_events,
+              parallel.result.anonymised_events);
+    if (corpus != nullptr) {
+      for (const char* name : {"decode.tcp", "decode.non_ipv4",
+                               "decode.bad_ip", "decode.other_ip"}) {
+        EXPECT_GT(serial.metrics.counter(name), 0u) << name;
+      }
+    }
   }
-  EXPECT_EQ(parallel.metrics.counter("pipeline.frames"),
-            serial.metrics.counter("pipeline.frames"));
-  EXPECT_EQ(serial.result.anonymised_events, parallel.result.anonymised_events);
 }
 
 INSTANTIATE_TEST_SUITE_P(Campaigns, Seeds, ::testing::Values(11, 29, 47));

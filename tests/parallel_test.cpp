@@ -8,6 +8,7 @@
 
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
+#include "hostile_frames.hpp"
 #include "sim/campaign.hpp"
 
 namespace dtr::core {
@@ -34,15 +35,16 @@ struct RunOutput {
   std::uint64_t messages;
 };
 
-RunOutput run_serial(const sim::CampaignConfig& cfg) {
-  sim::CampaignSimulator simulator(cfg);
+RunOutput run_serial(const sim::CampaignConfig& cfg,
+                     const std::vector<sim::TimedFrame>* corpus = nullptr) {
   std::ostringstream xml;
   PipelineConfig pc;
   pc.server_ip = cfg.server_ip;
   pc.server_port = cfg.server_port;
   pc.xml_out = &xml;
   CapturePipeline pipeline(pc);
-  simulator.run([&](const sim::TimedFrame& f) { pipeline.push(f); });
+  testing_frames::feed(cfg, corpus,
+                       [&](const sim::TimedFrame& f) { pipeline.push(f); });
   RunOutput out;
   out.result = pipeline.finish();
   out.xml = xml.str();
@@ -52,8 +54,8 @@ RunOutput run_serial(const sim::CampaignConfig& cfg) {
   return out;
 }
 
-RunOutput run_parallel(const sim::CampaignConfig& cfg, std::size_t workers) {
-  sim::CampaignSimulator simulator(cfg);
+RunOutput run_parallel(const sim::CampaignConfig& cfg, std::size_t workers,
+                       const std::vector<sim::TimedFrame>* corpus = nullptr) {
   std::ostringstream xml;
   ParallelPipelineConfig pc;
   pc.server_ip = cfg.server_ip;
@@ -61,7 +63,8 @@ RunOutput run_parallel(const sim::CampaignConfig& cfg, std::size_t workers) {
   pc.workers = workers;
   pc.xml_out = &xml;
   ParallelCapturePipeline pipeline(pc);
-  simulator.run([&](const sim::TimedFrame& f) { pipeline.push(f); });
+  testing_frames::feed(cfg, corpus,
+                       [&](const sim::TimedFrame& f) { pipeline.push(f); });
   RunOutput out;
   out.result = pipeline.finish();
   out.xml = xml.str();
@@ -73,16 +76,9 @@ RunOutput run_parallel(const sim::CampaignConfig& cfg, std::size_t workers) {
 
 void expect_identical(const RunOutput& a, const RunOutput& b,
                       const char* label) {
-  EXPECT_EQ(a.result.decode.decoded, b.result.decode.decoded) << label;
-  EXPECT_EQ(a.result.decode.frames, b.result.decode.frames) << label;
-  EXPECT_EQ(a.result.decode.udp_fragments, b.result.decode.udp_fragments)
-      << label;
-  EXPECT_EQ(a.result.decode.undecoded_structural,
-            b.result.decode.undecoded_structural)
-      << label;
-  EXPECT_EQ(a.result.decode.undecoded_effective,
-            b.result.decode.undecoded_effective)
-      << label;
+  // Every DecodeStats field: frames settled on the parallel feeder and
+  // frames decoded by its workers must add up to the serial decoder's.
+  EXPECT_EQ(a.result.decode, b.result.decode) << label;
   EXPECT_EQ(a.result.distinct_clients, b.result.distinct_clients) << label;
   EXPECT_EQ(a.result.distinct_files, b.result.distinct_files) << label;
   EXPECT_EQ(a.result.anonymised_events, b.result.anonymised_events) << label;
@@ -107,6 +103,28 @@ TEST_P(WorkerCounts, ParallelMatchesSerialExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCounts,
                          ::testing::Values(1, 2, 3, 4, 7));
+
+// The feeder settles every non-UDP frame itself and routes only UDP: over a
+// stream of background TCP and crafted frames breaking each header rule,
+// its counts plus the workers' must equal the serial decoder's, field by
+// field, and the dataset must not move.
+TEST(Parallel, HostileFramesMatchSerialExactly) {
+  const sim::CampaignConfig cfg = campaign_config(54);
+  const std::vector<sim::TimedFrame> corpus =
+      testing_frames::hostile_corpus(cfg);
+  const RunOutput serial = run_serial(cfg, &corpus);
+  const decode::DecodeStats& d = serial.result.decode;
+  EXPECT_EQ(d.frames, corpus.size());
+  EXPECT_GT(d.non_ipv4_frames, 0u);
+  EXPECT_GT(d.bad_ip_packets, 0u);
+  EXPECT_GT(d.tcp_packets, 0u);
+  EXPECT_GT(d.other_ip_packets, 0u);
+  EXPECT_GT(d.udp_fragments, 0u);
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    expect_identical(serial, run_parallel(cfg, workers, &corpus), "hostile");
+  }
+}
 
 TEST(Parallel, RepeatedRunsAreDeterministic) {
   sim::CampaignConfig cfg = campaign_config(52);

@@ -79,7 +79,7 @@ TEST(ThreadProfile, NestedScopesRestoreTheOuterState) {
   });
   t.join();
 
-  const auto& s = profiler.thread_summaries().front();
+  const auto s = profiler.thread_summaries().front();
   const auto sec = [&](ThreadState state) {
     return s.seconds[static_cast<std::size_t>(state)];
   };

@@ -262,7 +262,8 @@ TEST(CheckpointFuzz, VersionBumpIsRejectedEvenWithValidChecksum) {
   // A snapshot from a hypothetical future build: correct magic, correct
   // digest, unknown version.  Must be refused by version, not checksum.
   Bytes data = sample_checkpoint();
-  data[sizeof(core::kCheckpointMagic)] = 2;  // version u32le low byte
+  data[sizeof(core::kCheckpointMagic)] =  // version u32le low byte
+      static_cast<std::uint8_t>(core::kCheckpointVersion + 1);
   const std::size_t body = data.size() - 16;
   const Digest128 digest = Md5::digest(BytesView(data.data(), body));
   std::copy(digest.bytes.begin(), digest.bytes.end(), data.begin() +
