@@ -500,6 +500,32 @@ bool ChunkedReader::next(std::string& out) {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// DecompressingIstream
+
+DecompressingIstream::DecompressingIstream(std::istream& source)
+    : std::istream(nullptr), reader_(source), buf_(reader_) {
+  rdbuf(&buf_);
+}
+
+DecompressingIstream::~DecompressingIstream() = default;
+
+DecompressingIstream::Buf::int_type DecompressingIstream::Buf::underflow() {
+  while (reader_.next(chunk_)) {
+    if (chunk_.empty()) continue;
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
+    return traits_type::to_int_type(chunk_.front());
+  }
+  return traits_type::eof();
+}
+
+bool DecompressingIstream::drain() {
+  std::string rest;
+  while (reader_.next(rest)) {
+  }
+  return reader_.finished() && reader_.ok();
+}
+
 std::optional<Bytes> chunked_decompress(BytesView data) {
   std::istringstream in(
       std::string(reinterpret_cast<const char*>(data.data()), data.size()));

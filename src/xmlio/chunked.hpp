@@ -38,7 +38,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <istream>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -196,8 +196,40 @@ class ChunkedReader {
   std::string error_;
 };
 
-/// Whole-buffer convenience (CLI decompress, tests): the concatenated
-/// chunks, or nullopt if the container is malformed in any way.
+/// std::istream face over a ChunkedReader, the mirror of CompressingOstream:
+/// readers that only know std::istream& (DatasetReader) stream the
+/// container one verified chunk at a time.  A malformed container reads as
+/// an early end of input; drain() tells that apart from a clean end.
+class DecompressingIstream final : public std::istream {
+ public:
+  explicit DecompressingIstream(std::istream& source);
+  ~DecompressingIstream() override;
+
+  /// Read and verify the rest of the container through its end frame,
+  /// discarding the bytes.  True when the whole container verified
+  /// (the reader's finished() && ok()): a container cut or corrupted after
+  /// the last byte a reader needed still fails here.
+  bool drain();
+
+ private:
+  class Buf final : public std::streambuf {
+   public:
+    explicit Buf(ChunkedReader& r) : reader_(r) {}
+
+   protected:
+    int_type underflow() override;
+
+   private:
+    ChunkedReader& reader_;
+    std::string chunk_;
+  };
+
+  ChunkedReader reader_;
+  Buf buf_;
+};
+
+/// Whole-buffer convenience: the concatenated chunks, or nullopt
+/// if the container is malformed in any way.
 std::optional<Bytes> chunked_decompress(BytesView data);
 
 }  // namespace dtr::xmlio

@@ -230,7 +230,7 @@ void DatasetWriter::resume(std::uint64_t events, std::uint64_t xml_elements) {
 namespace {
 
 std::optional<std::uint64_t> attr_u64(const XmlToken& t, std::string_view key) {
-  const std::string* raw = t.attr(key);
+  const std::string_view* raw = t.attr(key);
   if (raw == nullptr) return std::nullopt;
   std::uint64_t value = 0;
   auto [ptr, ec] =
@@ -242,7 +242,7 @@ std::optional<std::uint64_t> attr_u64(const XmlToken& t, std::string_view key) {
 
 std::optional<anon::StringToken> attr_hash(const XmlToken& t,
                                            std::string_view key) {
-  const std::string* raw = t.attr(key);
+  const std::string_view* raw = t.attr(key);
   if (raw == nullptr || raw->size() != 32) return std::nullopt;
   return Digest128::from_hex(*raw);
 }
@@ -276,14 +276,14 @@ std::optional<anon::AnonEvent> DatasetReader::next() {
       return std::nullopt;
     }
     if (token->name != "msg") {
-      fail("unexpected element <" + token->name + ">");
+      fail("unexpected element <" + std::string(token->name) + ">");
       return std::nullopt;
     }
 
     anon::AnonEvent ev;
     auto t = attr_u64(*token, "t");
     auto peer = attr_u64(*token, "peer");
-    const std::string* dir = token->attr("dir");
+    const std::string_view* dir = token->attr("dir");
     if (!t || !peer || dir == nullptr || (*dir != "q" && *dir != "a")) {
       fail("msg missing t/peer/dir");
       return std::nullopt;
@@ -300,40 +300,61 @@ std::optional<anon::AnonEvent> DatasetReader::next() {
 
 namespace {
 
+constexpr std::string_view kExprTags[] = {"kw", "meta", "num",
+                                          "and", "or", "andnot"};
+
+constexpr std::string_view kMsgKinds[] = {
+    "statreq", "statres", "descreq",  "descres", "getservers", "servers",
+    "search",  "results", "getsrc",   "foundsrc", "publish",   "puback"};
+
+/// The entry of `table` equal to `s`, or nullptr.  A token's views die at
+/// the parser's next step; the table's copy lives on.
+template <std::size_t N>
+const std::string_view* lookup(const std::string_view (&table)[N],
+                               std::string_view s) {
+  for (const std::string_view& entry : table) {
+    if (entry == s) return &entry;
+  }
+  return nullptr;
+}
+
 /// Recursive expression parse: `start` is the already-consumed start tag.
 anon::AnonSearchExprPtr parse_expr(XmlParser& parser, const XmlToken& start,
                                    bool& ok) {
   using Kind = proto::SearchExpr::Kind;
+  const std::string_view* tag = lookup(kExprTags, start.name);
+  if (tag == nullptr) {
+    ok = false;
+    return nullptr;
+  }
+  const std::string_view name = *tag;
   auto e = std::make_unique<anon::AnonSearchExpr>();
 
-  if (start.name == "kw") {
+  if (name == "kw") {
     e->kind = Kind::kKeyword;
     e->token = attr_hash(start, "h");
     if (!e->token) ok = false;
-  } else if (start.name == "meta") {
+  } else if (name == "meta") {
     e->kind = Kind::kMetaString;
     e->token = attr_hash(start, "h");
     e->tag_token = attr_hash(start, "tag");
     if (!e->token || !e->tag_token) ok = false;
-  } else if (start.name == "num") {
+  } else if (name == "num") {
     e->kind = Kind::kMetaNumeric;
     e->tag_token = attr_hash(start, "tag");
     auto v = attr_u64(start, "v");
-    const std::string* cmp = start.attr("cmp");
+    const std::string_view* cmp = start.attr("cmp");
     if (!e->tag_token || !v || cmp == nullptr || (*cmp != "min" && *cmp != "max")) {
       ok = false;
     } else {
       e->number = static_cast<std::uint32_t>(*v);
       e->cmp = *cmp == "min" ? proto::NumCmp::kMin : proto::NumCmp::kMax;
     }
-  } else if (start.name == "and" || start.name == "or" ||
-             start.name == "andnot") {
-    e->kind = Kind::kBool;
-    e->op = start.name == "and"  ? proto::BoolOp::kAnd
-            : start.name == "or" ? proto::BoolOp::kOr
-                                 : proto::BoolOp::kAndNot;
   } else {
-    ok = false;
+    e->kind = Kind::kBool;
+    e->op = name == "and"  ? proto::BoolOp::kAnd
+            : name == "or" ? proto::BoolOp::kOr
+                           : proto::BoolOp::kAndNot;
   }
   if (!ok) return nullptr;
 
@@ -347,7 +368,7 @@ anon::AnonSearchExprPtr parse_expr(XmlParser& parser, const XmlToken& start,
     }
     if (token->kind == XmlToken::Kind::kText) continue;
     if (token->kind == XmlToken::Kind::kEndElement) {
-      if (token->name != start.name) ok = false;
+      if (token->name != name) ok = false;
       break;
     }
     // Child element: only boolean nodes have children.
@@ -389,18 +410,24 @@ std::optional<anon::AnonFileEntry> parse_file_entry(const XmlToken& t) {
 
 std::optional<anon::AnonMessage> DatasetReader::parse_body(
     const XmlToken& msg_tag) {
-  const std::string* kind = msg_tag.attr("kind");
-  if (kind == nullptr) {
+  const std::string_view* kind_attr = msg_tag.attr("kind");
+  if (kind_attr == nullptr) {
     fail("msg missing kind");
     return std::nullopt;
   }
+  const std::string_view* known = lookup(kMsgKinds, *kind_attr);
+  if (known == nullptr) {
+    fail("unknown msg kind: " + std::string(*kind_attr));
+    return std::nullopt;
+  }
+  const std::string_view kind = *known;
 
   anon::AnonMessage out;
   bool want_children = false;
 
-  if (*kind == "statreq") {
+  if (kind == "statreq") {
     out = anon::AServStatReq{};
-  } else if (*kind == "statres") {
+  } else if (kind == "statres") {
     anon::AServStatRes m;
     auto users = attr_u64(msg_tag, "users");
     auto files = attr_u64(msg_tag, "files");
@@ -411,9 +438,9 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     m.users = static_cast<std::uint32_t>(*users);
     m.files = static_cast<std::uint32_t>(*files);
     out = m;
-  } else if (*kind == "descreq") {
+  } else if (kind == "descreq") {
     out = anon::AServerDescReq{};
-  } else if (*kind == "descres") {
+  } else if (kind == "descres") {
     anon::AServerDescRes m;
     auto name = attr_hash(msg_tag, "name");
     auto desc = attr_hash(msg_tag, "desc");
@@ -424,9 +451,9 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     m.name = *name;
     m.description = *desc;
     out = m;
-  } else if (*kind == "getservers") {
+  } else if (kind == "getservers") {
     out = anon::AGetServerList{};
-  } else if (*kind == "servers") {
+  } else if (kind == "servers") {
     anon::AServerList m;
     auto n = attr_u64(msg_tag, "n");
     if (!n) {
@@ -435,10 +462,10 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     }
     m.count = static_cast<std::uint32_t>(*n);
     out = m;
-  } else if (*kind == "search" || *kind == "results" || *kind == "getsrc" ||
-             *kind == "foundsrc" || *kind == "publish") {
+  } else if (kind == "search" || kind == "results" || kind == "getsrc" ||
+             kind == "foundsrc" || kind == "publish") {
     want_children = true;
-  } else if (*kind == "puback") {
+  } else {  // puback
     anon::APublishAck m;
     auto n = attr_u64(msg_tag, "n");
     if (!n) {
@@ -447,9 +474,6 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     }
     m.accepted = static_cast<std::uint32_t>(*n);
     out = m;
-  } else {
-    fail("unknown msg kind: " + *kind);
-    return std::nullopt;
   }
 
   if (!want_children) {
@@ -463,7 +487,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
       if (token->kind == XmlToken::Kind::kEndElement && token->name == "msg")
         break;
       if (token->kind == XmlToken::Kind::kStartElement) {
-        fail("unexpected child in <msg kind=\"" + *kind + "\">");
+        fail("unexpected child in <msg kind=\"" + std::string(kind) + "\">");
         return std::nullopt;
       }
     }
@@ -477,7 +501,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
   anon::AFoundSourcesRes foundsrc;
   anon::APublishReq publish;
 
-  if (*kind == "foundsrc") {
+  if (kind == "foundsrc") {
     auto file = attr_u64(msg_tag, "file");
     if (!file) {
       fail("foundsrc missing file");
@@ -495,18 +519,18 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     if (token->kind == XmlToken::Kind::kText) continue;
     if (token->kind == XmlToken::Kind::kEndElement) {
       if (token->name == "msg") break;
-      fail("mismatched end tag </" + token->name + ">");
+      fail("mismatched end tag </" + std::string(token->name) + ">");
       return std::nullopt;
     }
 
-    if (*kind == "search") {
+    if (kind == "search") {
       bool expr_ok = true;
       search.expr = parse_expr(parser_, *token, expr_ok);
       if (!expr_ok || search.expr == nullptr) {
         fail("malformed search expression");
         return std::nullopt;
       }
-    } else if (*kind == "results" || *kind == "publish") {
+    } else if (kind == "results" || kind == "publish") {
       if (token->name != "f") {
         fail("expected <f> entry");
         return std::nullopt;
@@ -516,7 +540,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
         fail("malformed <f> entry");
         return std::nullopt;
       }
-      (*kind == "results" ? results.results : publish.files)
+      (kind == "results" ? results.results : publish.files)
           .push_back(std::move(*entry));
       // Self-closing <f/> emits its end tag via the parser; consume it.
       if (!token->self_closing) {
@@ -528,7 +552,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
         fail("expected </f>");
         return std::nullopt;
       }
-    } else if (*kind == "getsrc") {
+    } else if (kind == "getsrc") {
       if (token->name != "f") {
         fail("expected <f> entry");
         return std::nullopt;
@@ -548,7 +572,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
         fail("expected </f>");
         return std::nullopt;
       }
-    } else if (*kind == "foundsrc") {
+    } else if (kind == "foundsrc") {
       if (token->name != "s") {
         fail("expected <s> source");
         return std::nullopt;
@@ -573,16 +597,16 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     }
   }
 
-  if (*kind == "search") {
+  if (kind == "search") {
     if (search.expr == nullptr) {
       fail("search without expression");
       return std::nullopt;
     }
     return anon::AnonMessage{std::move(search)};
   }
-  if (*kind == "results") return anon::AnonMessage{std::move(results)};
-  if (*kind == "getsrc") return anon::AnonMessage{std::move(getsrc)};
-  if (*kind == "foundsrc") return anon::AnonMessage{std::move(foundsrc)};
+  if (kind == "results") return anon::AnonMessage{std::move(results)};
+  if (kind == "getsrc") return anon::AnonMessage{std::move(getsrc)};
+  if (kind == "foundsrc") return anon::AnonMessage{std::move(foundsrc)};
   return anon::AnonMessage{std::move(publish)};
 }
 

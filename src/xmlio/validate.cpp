@@ -14,26 +14,29 @@ void DatasetValidator::add(const char* rule, std::string message) {
   }
 }
 
+// Tokens are handed out in order of appearance, so the tokens a valid
+// dataset has shown so far are exactly [0, next): a token past `next`
+// skipped the ones before it.  It is reported and not recorded, so the
+// check keeps no per-token state and a hostile token value sizes nothing.
+
 void DatasetValidator::check_client_token(anon::AnonClientId token) {
-  if (token < seen_clients_.size() && seen_clients_[token]) return;
-  if (token != next_client_) {
-    add("V2", "client token " + std::to_string(token) +
-                  " appeared before token " + std::to_string(next_client_));
+  if (token < next_client_) return;
+  if (token == next_client_) {
+    ++next_client_;
+    return;
   }
-  if (seen_clients_.size() <= token) seen_clients_.resize(token + 1, false);
-  seen_clients_[token] = true;
-  if (token >= next_client_) next_client_ = token + 1;
+  add("V2", "client token " + std::to_string(token) +
+                " appeared before token " + std::to_string(next_client_));
 }
 
 void DatasetValidator::check_file_token(anon::AnonFileId token) {
-  if (token < seen_files_.size() && seen_files_[token]) return;
-  if (token != next_file_) {
-    add("V3", "file token " + std::to_string(token) +
-                  " appeared before token " + std::to_string(next_file_));
+  if (token < next_file_) return;
+  if (token == next_file_) {
+    ++next_file_;
+    return;
   }
-  if (seen_files_.size() <= token) seen_files_.resize(token + 1, false);
-  seen_files_[token] = true;
-  if (token >= next_file_) next_file_ = token + 1;
+  add("V3", "file token " + std::to_string(token) +
+                " appeared before token " + std::to_string(next_file_));
 }
 
 namespace {
@@ -112,17 +115,18 @@ void DatasetValidator::consume(const anon::AnonEvent& event) {
   ++index_;
 }
 
+std::vector<Violation> DatasetValidator::findings(
+    const DatasetReader& reader) const {
+  std::vector<Violation> out = violations_;
+  if (!reader.ok()) out.push_back(Violation{index_, "parse", reader.error()});
+  return out;
+}
 
 std::vector<Violation> DatasetValidator::validate_document(std::istream& in) {
   DatasetReader reader(in);
   DatasetValidator validator;
   while (auto ev = reader.next()) validator.consume(*ev);
-  auto violations = validator.violations_;
-  if (!reader.ok()) {
-    violations.push_back(
-        Violation{validator.events(), "parse", reader.error()});
-  }
-  return violations;
+  return validator.findings(reader);
 }
 
 }  // namespace dtr::xmlio

@@ -27,6 +27,8 @@
 
 namespace dtr::xmlio {
 
+class DatasetReader;
+
 struct Violation {
   std::uint64_t event_index = 0;
   std::string rule;     // "V1".."V5"
@@ -44,6 +46,12 @@ class DatasetValidator {
   [[nodiscard]] bool valid() const { return violations_.empty(); }
   [[nodiscard]] std::uint64_t events() const { return index_; }
 
+  /// The verdict on everything `reader` produced, fed here in order: the
+  /// violations plus, if the reader stopped on a parse error, that error
+  /// as one final "parse" violation.
+  [[nodiscard]] std::vector<Violation> findings(
+      const DatasetReader& reader) const;
+
   /// Validate a whole document; returns the violations (empty = valid).
   /// Parse errors are reported as a single "parse" violation.
   static std::vector<Violation> validate_document(std::istream& in);
@@ -59,8 +67,6 @@ class DatasetValidator {
   SimTime last_time_ = 0;
   std::uint64_t next_client_ = 0;  // V2: next expected fresh client token
   std::uint64_t next_file_ = 0;    // V3
-  std::vector<bool> seen_clients_;
-  std::vector<bool> seen_files_;
   std::vector<Violation> violations_;
 };
 

@@ -285,6 +285,82 @@ endif()
 if(NOT out_zanalyze MATCHES "distinct clients")
   message(FATAL_ERROR "chunked analyze output missing summary table")
 endif()
+# The same campaign as plain XML and as whole-file DTZ1 must analyze to the
+# very same report: the input form never reaches the statistics.
+execute_process(
+  COMMAND ${DONKEYTRACE} compress smoke_ck.xml
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_dtz1)
+if(NOT rc_dtz1 EQUAL 0)
+  message(FATAL_ERROR "whole-file compress failed: ${rc_dtz1}")
+endif()
+foreach(form smoke_ck.xml smoke_ck.xml.dtz)
+  execute_process(
+    COMMAND ${DONKEYTRACE} analyze ${form}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_form
+    OUTPUT_VARIABLE out_form)
+  if(NOT rc_form EQUAL 0)
+    message(FATAL_ERROR "analyze of ${form} failed: ${rc_form}")
+  endif()
+  if(NOT out_form STREQUAL out_zanalyze)
+    message(FATAL_ERROR "analyze of ${form} differs from the chunked "
+                        "container's report")
+  endif()
+endforeach()
+# A truncated container fails without a report, whether the cut falls
+# mid-dataset or after </capture> (inside the end frame): analyze drains
+# the container to its end frame before it prints anything.
+file(SIZE ${WORKDIR}/smoke_z.xml.dtz z_size)
+math(EXPR z_mid "${z_size} / 2")
+math(EXPR z_tail "${z_size} - 4")
+foreach(cut ${z_mid} ${z_tail})
+  execute_process(
+    COMMAND head -c ${cut} smoke_z.xml.dtz
+    WORKING_DIRECTORY ${WORKDIR}
+    OUTPUT_FILE ${WORKDIR}/smoke_cut.xml.dtz)
+  execute_process(
+    COMMAND ${DONKEYTRACE} analyze smoke_cut.xml.dtz
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_cut
+    OUTPUT_VARIABLE out_cut
+    ERROR_VARIABLE err_cut)
+  if(rc_cut EQUAL 0 OR out_cut MATCHES "distinct clients")
+    message(FATAL_ERROR "analyze accepted a container cut at ${cut} bytes")
+  endif()
+  if(NOT err_cut MATCHES "cannot load")
+    message(FATAL_ERROR "truncated container not reported: ${err_cut}")
+  endif()
+  execute_process(
+    COMMAND ${DONKEYTRACE} decompress smoke_cut.xml.dtz
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_cut_decompress)
+  if(rc_cut_decompress EQUAL 0 OR EXISTS ${WORKDIR}/smoke_cut.xml)
+    message(FATAL_ERROR "decompress accepted a container cut at ${cut} bytes")
+  endif()
+endforeach()
+# Token values at the edges of their types are specification findings, not
+# crashes: a file token one short of wrapping, one too large to size a
+# table by, and the largest client token.
+set(hostile_0 "<msg t=\"1\" peer=\"0\" dir=\"q\" kind=\"getsrc\"><f id=\"18446744073709551615\"/></msg>")
+set(hostile_1 "<msg t=\"1\" peer=\"0\" dir=\"q\" kind=\"getsrc\"><f id=\"9000000000000000000\"/></msg>")
+set(hostile_2 "<msg t=\"1\" peer=\"4294967295\" dir=\"q\" kind=\"statreq\"></msg>")
+foreach(i 0 1 2)
+  file(WRITE ${WORKDIR}/smoke_hostile.xml "<capture>${hostile_${i}}</capture>")
+  execute_process(
+    COMMAND ${DONKEYTRACE} analyze smoke_hostile.xml
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_hostile
+    OUTPUT_VARIABLE out_hostile
+    ERROR_VARIABLE err_hostile)
+  if(NOT rc_hostile EQUAL 1 OR out_hostile MATCHES "distinct clients")
+    message(FATAL_ERROR "hostile token ${i}: exit ${rc_hostile}, expected 1 "
+                        "and no report")
+  endif()
+  if(NOT err_hostile MATCHES "violates the specification")
+    message(FATAL_ERROR "hostile token ${i} not reported: ${err_hostile}")
+  endif()
+endforeach()
 
 # Flat clientID table (paper §2.4's 16 GB array, bounded to a 2^20 span for
 # the smoke): the paging mode must never change the dataset bytes.

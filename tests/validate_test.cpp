@@ -120,6 +120,38 @@ TEST(Validator, DocumentEntryPointReportsParseErrors) {
   EXPECT_EQ(violations.back().rule, "parse");
 }
 
+TEST(Validator, HostileTokenValuesAreFindingsNotAllocations) {
+  // Token values at the edges of their types: one past the largest would
+  // wrap, and a bitmap sized by them could not be allocated.  Each is a
+  // token that skipped every token before it.
+  struct Case {
+    const char* msg;
+    const char* rule;
+  };
+  for (const Case& c : {
+           Case{R"(<msg t="1" peer="0" dir="q" kind="getsrc"><f id="18446744073709551615"/></msg>)", "V3"},
+           Case{R"(<msg t="1" peer="0" dir="q" kind="getsrc"><f id="9000000000000000000"/></msg>)", "V3"},
+           Case{R"(<msg t="1" peer="4294967295" dir="q" kind="statreq"></msg>)", "V2"},
+       }) {
+    std::istringstream in(std::string("<capture>") + c.msg + "</capture>");
+    const auto violations = DatasetValidator::validate_document(in);
+    ASSERT_EQ(violations.size(), 1u) << c.msg;
+    EXPECT_EQ(violations[0].rule, c.rule) << c.msg;
+  }
+}
+
+TEST(Validator, SkippedTokensStayInOrderAfterAFinding) {
+  DatasetValidator v;
+  v.consume(query(0, 0));
+  v.consume(query(1, 3));  // skipped 1 and 2
+  v.consume(query(2, 1));
+  v.consume(query(3, 2));
+  v.consume(query(4, 3));  // now in order
+  ASSERT_EQ(v.violations().size(), 1u);
+  EXPECT_EQ(v.violations()[0].rule, "V2");
+  EXPECT_EQ(v.violations()[0].event_index, 1u);
+}
+
 TEST(Validator, PipelineOutputAlwaysValidates) {
   core::RunnerConfig cfg = core::RunnerConfig::tiny(61);
   cfg.buffer.capacity = 1 << 20;

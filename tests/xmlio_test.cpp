@@ -10,6 +10,7 @@
 #include "xmlio/parser.hpp"
 #include "xmlio/schema.hpp"
 #include "xmlio/writer.hpp"
+#include "reference_xml_parser.hpp"
 
 namespace dtr::xmlio {
 namespace {
@@ -94,11 +95,11 @@ TEST(Writer, DeclarationAndElementCount) {
 // Parser
 // ---------------------------------------------------------------------------
 
-std::vector<XmlToken> parse_all(const std::string& xml) {
+std::vector<OwnedXmlToken> parse_all(const std::string& xml) {
   std::istringstream in(xml);
   XmlParser p(in);
-  std::vector<XmlToken> tokens;
-  while (auto t = p.next()) tokens.push_back(*t);
+  std::vector<OwnedXmlToken> tokens;
+  while (auto t = p.next()) tokens.push_back(owned(*t));
   EXPECT_TRUE(p.ok()) << p.error();
   return tokens;
 }
@@ -151,7 +152,7 @@ TEST(Parser, MalformedInputsFlagError) {
     std::istringstream in(bad);
     XmlParser p(in);
     bool saw_error = false;
-    while (auto t = p.next()) {
+    while (p.next()) {
     }
     saw_error = !p.ok();
     if (std::string(bad) == "<a></b>") {
@@ -159,6 +160,31 @@ TEST(Parser, MalformedInputsFlagError) {
     } else {
       EXPECT_TRUE(saw_error) << "input: " << bad;
     }
+  }
+}
+
+TEST(Parser, TokenUpToTheCapParsesAndALongerOneIsRejected) {
+  // A start tag of exactly kMaxTokenBytes bytes, cut by every refill of
+  // the block that holds it, still parses.
+  const std::string head = "<a v=\"";
+  const std::string tail = "\"/>";
+  const std::string fits(XmlParser::kMaxTokenBytes - head.size() - tail.size(), 'x');
+  auto tokens = parse_all("<r>" + head + fits + tail + "</r>");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[1].attr("v")->size(), fits.size());
+
+  for (const std::string& doc :
+       {"<r>" + head + fits + "x" + tail + "</r>",               // a tag
+        "<r>" + std::string(XmlParser::kMaxTokenBytes + 1, 't') + "</r>",  // text
+        "<r><!--" + std::string(XmlParser::kMaxTokenBytes, '-') + "--></r>"}) {
+    std::istringstream in(doc);
+    XmlParser p(in);
+    while (p.next()) {
+    }
+    EXPECT_FALSE(p.ok());
+    EXPECT_EQ(p.error(), "token longer than " +
+                             std::to_string(XmlParser::kMaxTokenBytes) +
+                             " bytes");
   }
 }
 

@@ -11,9 +11,12 @@
 // `decode` replays a pcap capture offline; `analyze` recomputes the §3
 // statistics from a released dataset.  Files ending in .dtz are LZSS-
 // compressed (footnote 3 of the paper).
+#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "analysis/campaign_stats.hpp"
 #include "analysis/powerlaw.hpp"
@@ -139,23 +142,62 @@ std::optional<Bytes> read_file(const std::string& path) {
   return data;
 }
 
-/// Load a dataset file, transparently decompressing either container (the
-/// chunked campaign stream is detected by magic, whole-file LZSS by .dtz).
-std::optional<std::string> load_dataset(const std::string& path) {
-  auto raw = read_file(path);
-  if (!raw) return std::nullopt;
-  if (xmlio::is_chunked_container(*raw)) {
-    auto expanded = xmlio::chunked_decompress(*raw);
-    if (!expanded) return std::nullopt;
-    return std::string(expanded->begin(), expanded->end());
+/// A dataset file opened for one streaming read.  The chunked campaign
+/// container (detected by magic) is decompressed chunk by chunk as it is
+/// read; anything else is whole-file DTZ1 when `dtz1` is set (the one
+/// format still expanded in memory) or plain XML read straight from the
+/// file.
+class DatasetInput {
+ public:
+  /// False when the file cannot be opened.
+  bool open(const std::string& path, bool dtz1) {
+    file_.open(path, std::ios::binary);
+    if (!file_) return false;
+    char magic[sizeof xmlio::kChunkedMagic] = {};
+    file_.read(magic, sizeof magic);
+    const bool chunked = xmlio::is_chunked_container(
+        BytesView(reinterpret_cast<const std::uint8_t*>(magic),
+                  static_cast<std::size_t>(file_.gcount())));
+    file_.clear();
+    file_.seekg(0);
+    if (chunked) {
+      chunked_ = std::make_unique<xmlio::DecompressingIstream>(file_);
+      stream_ = chunked_.get();
+    } else if (dtz1) {
+      const Bytes raw((std::istreambuf_iterator<char>(file_)),
+                      std::istreambuf_iterator<char>());
+      auto expanded = xmlio::lz_decompress(raw);
+      expanded_ok_ = expanded.has_value();
+      if (expanded) expanded_ = std::move(*expanded);
+      auto* p = reinterpret_cast<char*>(expanded_.data());
+      expanded_buf_.view(p, p + expanded_.size());
+      stream_ = &expanded_stream_;
+    }
+    return true;
   }
-  if (ends_with(path, ".dtz")) {
-    auto expanded = xmlio::lz_decompress(*raw);
-    if (!expanded) return std::nullopt;
-    return std::string(expanded->begin(), expanded->end());
-  }
-  return std::string(raw->begin(), raw->end());
-}
+
+  /// The dataset's bytes: empty when the file does not decompress, and
+  /// ending early when a chunked container breaks off.
+  std::istream& stream() { return *stream_; }
+
+  /// After the read: true when the file decompressed whole — for a chunked
+  /// container, every frame through the end frame verified, including
+  /// those past the last byte the read consumed.
+  bool finish() { return chunked_ ? chunked_->drain() : expanded_ok_; }
+
+ private:
+  struct ViewBuf final : std::streambuf {
+    void view(char* begin, char* end) { setg(begin, begin, end); }
+  };
+
+  std::ifstream file_;
+  std::istream* stream_ = &file_;
+  std::unique_ptr<xmlio::DecompressingIstream> chunked_;
+  Bytes expanded_;
+  bool expanded_ok_ = true;
+  ViewBuf expanded_buf_;
+  std::istream expanded_stream_{&expanded_buf_};
+};
 
 /// Store XML text to `path`, compressing when it ends in .dtz.
 bool store_dataset(const std::string& path, const std::string& xml) {
@@ -666,31 +708,35 @@ int cmd_analyze(const cli::Args& args) {
     std::cerr << "analyze: dataset path required\n";
     return 2;
   }
-  auto xml = load_dataset(path);
-  if (!xml) {
+  DatasetInput input;
+  if (!input.open(path, ends_with(path, ".dtz"))) {
     std::cerr << "cannot load " << path << "\n";
     return 1;
   }
-  // Validate against the formal spec (docs/DATASET_SPEC.md) first; a
-  // dataset that violates its invariants yields meaningless statistics.
-  {
-    std::istringstream in(*xml);
-    auto violations = xmlio::DatasetValidator::validate_document(in);
-    if (!violations.empty()) {
-      std::cerr << "dataset violates the specification ("
-                << violations.size() << " finding(s)); first: ["
-                << violations.front().rule << "] "
-                << violations.front().message << " at event "
-                << violations.front().event_index << "\n";
-      if (!args.has("force")) return 1;
-      std::cerr << "--force given: analyzing anyway\n";
-    }
-  }
-
-  std::istringstream in(*xml);
-  xmlio::DatasetReader reader(in);
+  // One pass: the validator checks the formal spec (docs/DATASET_SPEC.md)
+  // on the same events the statistics consume.  Its verdict applies once
+  // the file has read back whole: a dataset that violates its invariants
+  // yields meaningless statistics.
+  xmlio::DatasetReader reader(input.stream());
+  xmlio::DatasetValidator validator;
   analysis::CampaignStats stats;
-  while (auto ev = reader.next()) stats.consume(*ev);
+  while (auto ev = reader.next()) {
+    validator.consume(*ev);
+    stats.consume(*ev);
+  }
+  if (!input.finish()) {
+    std::cerr << "cannot load " << path << "\n";
+    return 1;
+  }
+  const auto violations = validator.findings(reader);
+  if (!violations.empty()) {
+    std::cerr << "dataset violates the specification (" << violations.size()
+              << " finding(s)); first: [" << violations.front().rule << "] "
+              << violations.front().message << " at event "
+              << violations.front().event_index << "\n";
+    if (!args.has("force")) return 1;
+    std::cerr << "--force given: analyzing anyway\n";
+  }
   if (!reader.ok()) {
     std::cerr << "malformed dataset: " << reader.error() << "\n";
     return 1;
@@ -700,40 +746,65 @@ int cmd_analyze(const cli::Args& args) {
   return 0;
 }
 
+/// Expand `path` next to itself, streaming a chunked container one chunk at
+/// a time.  The output appears under its final name only once the input
+/// has verified whole.
+int decompress_file(const std::string& path) {
+  DatasetInput input;
+  if (!input.open(path, /*dtz1=*/true)) {
+    std::cerr << "cannot read " << path << "\n";
+    return 1;
+  }
+  const std::string out_path = ends_with(path, ".dtz")
+                                   ? path.substr(0, path.size() - 4)
+                                   : path + ".out";
+  const std::string part_path = out_path + ".part";
+  std::uint64_t bytes = 0;
+  bool written = false;
+  {
+    std::ofstream out(part_path, std::ios::binary);
+    std::vector<char> block(64 * 1024);
+    std::streambuf* in = input.stream().rdbuf();
+    for (std::streamsize n; (n = in->sgetn(block.data(),
+                                           static_cast<std::streamsize>(
+                                               block.size()))) > 0;) {
+      out.write(block.data(), n);
+      bytes += static_cast<std::uint64_t>(n);
+    }
+    out.close();
+    written = static_cast<bool>(out);
+  }
+  if (!input.finish()) {
+    std::remove(part_path.c_str());
+    std::cerr << path << " is not a valid compressed file\n";
+    return 1;
+  }
+  if (!written || std::rename(part_path.c_str(), out_path.c_str()) != 0) {
+    std::remove(part_path.c_str());
+    return 1;
+  }
+  std::printf("%s -> %s (%s bytes)\n", path.c_str(), out_path.c_str(),
+              with_thousands(bytes).c_str());
+  return 0;
+}
+
 int cmd_compress(const cli::Args& args, bool compress) {
   if (args.positional().empty()) {
     std::cerr << (compress ? "compress" : "decompress") << ": path required\n";
     return 2;
   }
   const std::string& path = args.positional().front();
+  if (!compress) return decompress_file(path);
   auto data = read_file(path);
   if (!data) {
     std::cerr << "cannot read " << path << "\n";
     return 1;
   }
-  if (compress) {
-    Bytes out = xmlio::lz_compress(*data);
-    std::string out_path = path + ".dtz";
-    if (!write_file(out_path, out)) return 1;
-    std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
-                100.0 * xmlio::lz_ratio(*data, out));
-  } else {
-    // The chunked campaign container announces itself by magic; anything
-    // else is treated as the whole-file DTZ1 format.
-    auto out = xmlio::is_chunked_container(*data)
-                   ? xmlio::chunked_decompress(*data)
-                   : xmlio::lz_decompress(*data);
-    if (!out) {
-      std::cerr << path << " is not a valid compressed file\n";
-      return 1;
-    }
-    std::string out_path =
-        ends_with(path, ".dtz") ? path.substr(0, path.size() - 4)
-                                : path + ".out";
-    if (!write_file(out_path, *out)) return 1;
-    std::printf("%s -> %s (%s bytes)\n", path.c_str(), out_path.c_str(),
-                with_thousands(out->size()).c_str());
-  }
+  Bytes out = xmlio::lz_compress(*data);
+  std::string out_path = path + ".dtz";
+  if (!write_file(out_path, out)) return 1;
+  std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
+              100.0 * xmlio::lz_ratio(*data, out));
   return 0;
 }
 
