@@ -171,4 +171,8 @@ std::string to_hex(BytesView data);
 /// Parse a hex string produced by to_hex(); returns empty on malformed input.
 Bytes from_hex(std::string_view hex);
 
+/// Parse exactly 2 * out.size() hex digits (either case) into `out` without
+/// allocating.  False, with `out` partly written, on any other input.
+bool from_hex(std::string_view hex, std::span<std::uint8_t> out);
+
 }  // namespace dtr

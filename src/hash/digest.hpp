@@ -19,18 +19,6 @@ namespace dtr {
 struct Digest128 {
   std::array<std::uint8_t, 16> bytes{};
 
-  /// Hex digit values (either case); -1 for any other byte.
-  static constexpr std::array<std::int8_t, 256> kHexValue = [] {
-    std::array<std::int8_t, 256> v{};
-    for (int c = 0; c < 256; ++c) {
-      v[c] = c >= '0' && c <= '9'   ? static_cast<std::int8_t>(c - '0')
-             : c >= 'a' && c <= 'f' ? static_cast<std::int8_t>(c - 'a' + 10)
-             : c >= 'A' && c <= 'F' ? static_cast<std::int8_t>(c - 'A' + 10)
-                                    : std::int8_t{-1};
-    }
-    return v;
-  }();
-
   auto operator<=>(const Digest128&) const = default;
 
   [[nodiscard]] std::string hex() const { return to_hex(bytes); }
@@ -38,13 +26,7 @@ struct Digest128 {
   /// Parse 32 hex digits; anything else yields the all-zero digest.
   static Digest128 from_hex(std::string_view h) {
     Digest128 d;
-    if (h.size() != 32) return d;
-    for (std::size_t i = 0; i < 16; ++i) {
-      const int hi = kHexValue[static_cast<unsigned char>(h[2 * i])];
-      const int lo = kHexValue[static_cast<unsigned char>(h[2 * i + 1])];
-      if ((hi | lo) < 0) return Digest128{};
-      d.bytes[i] = static_cast<std::uint8_t>(hi << 4 | lo);
-    }
+    if (!dtr::from_hex(h, d.bytes)) return Digest128{};
     return d;
   }
 

@@ -8,67 +8,13 @@
 // a library would silently hijack allocation in every linking binary,
 // including sanitizer builds that interpose their own allocator.
 //
-// The donkeytrace CLI and donkeybench opt in; tests do not, except where
-// a test bounds memory: defining DTR_ALLOC_COUNTING_LIVE before the include
-// also tracks the bytes live right now and their peak (below).  That costs
-// a malloc_usable_size and an atomic update on every free as well, which
-// is why the CLI and donkeybench leave it off.
+// The donkeytrace CLI and donkeybench opt in; tests do not.
 #pragma once
 
 #include <cstdlib>
 #include <new>
 
 #include "obs/resource.hpp"
-
-#if defined(DTR_ALLOC_COUNTING_LIVE)
-#include <malloc.h>
-
-#include <cstdint>
-
-namespace dtr::obs::detail {
-
-inline std::atomic<std::int64_t> g_live_bytes{0};
-inline std::atomic<std::int64_t> g_peak_live_bytes{0};
-
-inline void note_alloc(void* p) {
-  const auto n = static_cast<std::int64_t>(malloc_usable_size(p));
-  const std::int64_t live =
-      g_live_bytes.fetch_add(n, std::memory_order_relaxed) + n;
-  std::int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
-  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-}
-
-inline void note_free(void* p) {
-  if (p == nullptr) return;
-  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-}
-
-}  // namespace dtr::obs::detail
-
-namespace dtr::obs {
-
-/// Bytes allocated through operator new and not yet freed, as
-/// malloc_usable_size counts them.
-inline std::int64_t live_allocation_bytes() {
-  return detail::g_live_bytes.load(std::memory_order_relaxed);
-}
-
-/// The largest live_allocation_bytes() since the last reset (or start).
-inline std::int64_t peak_live_allocation_bytes() {
-  return detail::g_peak_live_bytes.load(std::memory_order_relaxed);
-}
-
-/// Restart the peak from the bytes live now.
-inline void reset_peak_live_allocation_bytes() {
-  detail::g_peak_live_bytes.store(live_allocation_bytes(),
-                                  std::memory_order_relaxed);
-}
-
-}  // namespace dtr::obs
-#endif
 
 namespace dtr::obs::detail {
 
@@ -77,9 +23,6 @@ inline void* counted_alloc(std::size_t n) {
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
-#if defined(DTR_ALLOC_COUNTING_LIVE)
-  note_alloc(p);
-#endif
   return p;
 }
 
@@ -91,17 +34,7 @@ inline void* counted_alloc_aligned(std::size_t n, std::size_t align) {
                      n == 0 ? 1 : n) != 0) {
     throw std::bad_alloc();
   }
-#if defined(DTR_ALLOC_COUNTING_LIVE)
-  note_alloc(p);
-#endif
   return p;
-}
-
-inline void counted_free(void* p) {
-#if defined(DTR_ALLOC_COUNTING_LIVE)
-  note_free(p);
-#endif
-  std::free(p);
 }
 
 }  // namespace dtr::obs::detail
@@ -118,15 +51,15 @@ void* operator new[](std::size_t n, std::align_val_t a) {
   return ::dtr::obs::detail::counted_alloc_aligned(n,
                                                    static_cast<std::size_t>(a));
 }
-void operator delete(void* p) noexcept { ::dtr::obs::detail::counted_free(p); }
-void operator delete[](void* p) noexcept { ::dtr::obs::detail::counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { ::dtr::obs::detail::counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::dtr::obs::detail::counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::dtr::obs::detail::counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::dtr::obs::detail::counted_free(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::dtr::obs::detail::counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::dtr::obs::detail::counted_free(p);
+  std::free(p);
 }

@@ -300,34 +300,13 @@ std::optional<anon::AnonEvent> DatasetReader::next() {
 
 namespace {
 
-constexpr std::string_view kExprTags[] = {"kw", "meta", "num",
-                                          "and", "or", "andnot"};
-
-constexpr std::string_view kMsgKinds[] = {
-    "statreq", "statres", "descreq",  "descres", "getservers", "servers",
-    "search",  "results", "getsrc",   "foundsrc", "publish",   "puback"};
-
-/// The entry of `table` equal to `s`, or nullptr.  A token's views die at
-/// the parser's next step; the table's copy lives on.
-template <std::size_t N>
-const std::string_view* lookup(const std::string_view (&table)[N],
-                               std::string_view s) {
-  for (const std::string_view& entry : table) {
-    if (entry == s) return &entry;
-  }
-  return nullptr;
-}
-
 /// Recursive expression parse: `start` is the already-consumed start tag.
 anon::AnonSearchExprPtr parse_expr(XmlParser& parser, const XmlToken& start,
                                    bool& ok) {
   using Kind = proto::SearchExpr::Kind;
-  const std::string_view* tag = lookup(kExprTags, start.name);
-  if (tag == nullptr) {
-    ok = false;
-    return nullptr;
-  }
-  const std::string_view name = *tag;
+  // The start tag's views die at the parser's next step; keep the name.
+  const std::string name_copy(start.name);
+  const std::string_view name = name_copy;
   auto e = std::make_unique<anon::AnonSearchExpr>();
 
   if (name == "kw") {
@@ -350,11 +329,13 @@ anon::AnonSearchExprPtr parse_expr(XmlParser& parser, const XmlToken& start,
       e->number = static_cast<std::uint32_t>(*v);
       e->cmp = *cmp == "min" ? proto::NumCmp::kMin : proto::NumCmp::kMax;
     }
-  } else {
+  } else if (name == "and" || name == "or" || name == "andnot") {
     e->kind = Kind::kBool;
     e->op = name == "and"  ? proto::BoolOp::kAnd
             : name == "or" ? proto::BoolOp::kOr
                            : proto::BoolOp::kAndNot;
+  } else {
+    ok = false;
   }
   if (!ok) return nullptr;
 
@@ -415,12 +396,9 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     fail("msg missing kind");
     return std::nullopt;
   }
-  const std::string_view* known = lookup(kMsgKinds, *kind_attr);
-  if (known == nullptr) {
-    fail("unknown msg kind: " + std::string(*kind_attr));
-    return std::nullopt;
-  }
-  const std::string_view kind = *known;
+  // The tag's views die at the parser's next step; keep the kind.
+  const std::string kind_copy(*kind_attr);
+  const std::string_view kind = kind_copy;
 
   anon::AnonMessage out;
   bool want_children = false;
@@ -465,7 +443,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
   } else if (kind == "search" || kind == "results" || kind == "getsrc" ||
              kind == "foundsrc" || kind == "publish") {
     want_children = true;
-  } else {  // puback
+  } else if (kind == "puback") {
     anon::APublishAck m;
     auto n = attr_u64(msg_tag, "n");
     if (!n) {
@@ -474,6 +452,9 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
     }
     m.accepted = static_cast<std::uint32_t>(*n);
     out = m;
+  } else {
+    fail("unknown msg kind: " + kind_copy);
+    return std::nullopt;
   }
 
   if (!want_children) {
@@ -487,7 +468,7 @@ std::optional<anon::AnonMessage> DatasetReader::parse_body(
       if (token->kind == XmlToken::Kind::kEndElement && token->name == "msg")
         break;
       if (token->kind == XmlToken::Kind::kStartElement) {
-        fail("unexpected child in <msg kind=\"" + std::string(kind) + "\">");
+        fail("unexpected child in <msg kind=\"" + kind_copy + "\">");
         return std::nullopt;
       }
     }

@@ -2,6 +2,8 @@
 // histograms and log-binning, string utilities.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <cmath>
 #include <map>
 #include <set>
@@ -123,6 +125,15 @@ TEST(Bytes, HexMalformed) {
   EXPECT_TRUE(from_hex("abc").empty());   // odd length
   EXPECT_TRUE(from_hex("zz").empty());    // bad digit
   EXPECT_TRUE(from_hex("").empty());
+}
+
+TEST(Bytes, HexIntoFixedBuffer) {
+  std::array<std::uint8_t, 2> out{};
+  EXPECT_TRUE(from_hex("aBf0", out));
+  EXPECT_EQ(out, (std::array<std::uint8_t, 2>{0xAB, 0xF0}));
+  EXPECT_FALSE(from_hex("abf", out));     // too short
+  EXPECT_FALSE(from_hex("abf0f0", out));  // too long
+  EXPECT_FALSE(from_hex("abfg", out));    // bad digit
 }
 
 TEST(Bytes, RawAndSkip) {

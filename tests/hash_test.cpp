@@ -138,6 +138,9 @@ TEST(Digest, HexRoundtrip) {
 TEST(Digest, FromHexRejectsBadInput) {
   EXPECT_EQ(Digest128::from_hex("xyz"), Digest128{});
   EXPECT_EQ(Digest128::from_hex("ab"), Digest128{});  // too short
+  // A bad last digit must not leave the digits before it behind.
+  EXPECT_EQ(Digest128::from_hex("000102030405060708090a0b0c0d0e0g"),
+            Digest128{});
 }
 
 TEST(Digest, OrderingIsLexicographic) {

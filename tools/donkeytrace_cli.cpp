@@ -166,12 +166,12 @@ class DatasetInput {
     } else if (dtz1) {
       const Bytes raw((std::istreambuf_iterator<char>(file_)),
                       std::istreambuf_iterator<char>());
-      auto expanded = xmlio::lz_decompress(raw);
+      const auto expanded = xmlio::lz_decompress(raw);
       expanded_ok_ = expanded.has_value();
-      if (expanded) expanded_ = std::move(*expanded);
-      auto* p = reinterpret_cast<char*>(expanded_.data());
-      expanded_buf_.view(p, p + expanded_.size());
-      stream_ = &expanded_stream_;
+      if (expanded) {
+        expanded_.str(std::string(expanded->begin(), expanded->end()));
+      }
+      stream_ = &expanded_;
     }
     return true;
   }
@@ -186,17 +186,11 @@ class DatasetInput {
   bool finish() { return chunked_ ? chunked_->drain() : expanded_ok_; }
 
  private:
-  struct ViewBuf final : std::streambuf {
-    void view(char* begin, char* end) { setg(begin, begin, end); }
-  };
-
   std::ifstream file_;
   std::istream* stream_ = &file_;
   std::unique_ptr<xmlio::DecompressingIstream> chunked_;
-  Bytes expanded_;
+  std::istringstream expanded_;
   bool expanded_ok_ = true;
-  ViewBuf expanded_buf_;
-  std::istream expanded_stream_{&expanded_buf_};
 };
 
 /// Store XML text to `path`, compressing when it ends in .dtz.
