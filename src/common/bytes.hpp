@@ -30,18 +30,9 @@ class ByteWriter {
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u16le(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32le(std::uint32_t v) {
-    u16le(static_cast<std::uint16_t>(v));
-    u16le(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64le(std::uint64_t v) {
-    u32le(static_cast<std::uint32_t>(v));
-    u32le(static_cast<std::uint32_t>(v >> 32));
-  }
+  void u16le(std::uint16_t v) { put_le<2>(v); }
+  void u32le(std::uint32_t v) { put_le<4>(v); }
+  void u64le(std::uint64_t v) { put_le<8>(v); }
 
   void u16be(std::uint16_t v) {
     buf_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -80,6 +71,18 @@ class ByteWriter {
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
 
  private:
+  /// One resize, then the N low bytes of `v` least significant first,
+  /// whatever the host's byte order.
+  template <std::size_t N>
+  void put_le(std::uint64_t v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + N);
+    std::uint8_t* p = buf_.data() + at;
+    for (std::size_t i = 0; i < N; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   Bytes buf_;
 };
 

@@ -1,16 +1,38 @@
 #include "common/strings.hpp"
 
 #include <array>
-#include <cctype>
 #include <cstdio>
 
 namespace dtr {
 
+namespace {
+
+// ASCII-only on purpose: keywords, and with them search answers, must not
+// depend on the process locale.
+bool is_keyword_char(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return (u >= '0' && u <= '9') || (u >= 'a' && u <= 'z') ||
+         (u >= 'A' && u <= 'Z');
+}
+
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
+
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
+}
+
+bool equals_ignore_case(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  }
+  return true;
 }
 
 std::vector<std::string> tokenize_keywords(std::string_view s,
@@ -21,16 +43,36 @@ std::vector<std::string> tokenize_keywords(std::string_view s,
     if (current.size() >= min_len) tokens.push_back(current);
     current.clear();
   };
-  for (char raw : s) {
-    auto c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+  for (char c : s) {
+    if (is_keyword_char(c)) {
+      current.push_back(ascii_lower(c));
     } else {
       flush();
     }
   }
   flush();
   return tokens;
+}
+
+bool has_keyword(std::string_view name, std::string_view word) {
+  // A token equals the lowered word only if the word has the token's
+  // length; a word holding a separator never equals a token, because
+  // ascii_lower keeps separators and letters/digits apart.
+  if (word.size() < kMinKeywordLength) return false;
+  std::size_t i = 0;
+  while (i < name.size()) {
+    if (!is_keyword_char(name[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < name.size() && is_keyword_char(name[i])) ++i;
+    if (i - start == word.size() &&
+        equals_ignore_case(name.substr(start, i - start), word)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string with_thousands(std::uint64_t v) {

@@ -9,14 +9,25 @@
 
 namespace dtr {
 
+/// Shortest token tokenize_keywords() keeps by default.
+inline constexpr std::size_t kMinKeywordLength = 3;
+
 /// Lowercase ASCII copy (eDonkey keyword matching is case-insensitive).
+/// Only 'A'-'Z' change; every other byte, >= 0x80 included, is kept.
 std::string to_lower(std::string_view s);
 
+/// to_lower(a) == to_lower(b), without allocating.
+bool equals_ignore_case(std::string_view a, std::string_view b);
+
 /// Split a filename into search keywords the way eDonkey servers do:
-/// non-alphanumeric characters separate tokens; tokens shorter than
-/// `min_len` are dropped.
-std::vector<std::string> tokenize_keywords(std::string_view s,
-                                           std::size_t min_len = 3);
+/// anything but an ASCII letter or digit separates tokens; tokens are
+/// lowercased and those shorter than `min_len` are dropped.
+std::vector<std::string> tokenize_keywords(
+    std::string_view s, std::size_t min_len = kMinKeywordLength);
+
+/// Whether to_lower(word) is one of tokenize_keywords(name), without
+/// allocating: the server's per-candidate keyword test.
+bool has_keyword(std::string_view name, std::string_view word);
 
 /// Thousands-separated decimal rendering, e.g. 8867052380 -> "8 867 052 380"
 /// (the paper's typography). Used by report tables.

@@ -514,8 +514,12 @@ CampaignReport CampaignRunner::run() {
       builder.add("series", std::move(w).take());
     }
     if (xml_interposed) {
-      const std::string prefix = xml_buffer.str();
-      builder.add("xml", Bytes(prefix.begin(), prefix.end()));
+      // Borrowed, not copied: nothing writes to the buffer before the
+      // snapshot is on disk.
+      const std::string_view prefix = xml_buffer.view();
+      builder.add_borrowed(
+          "xml", BytesView(reinterpret_cast<const std::uint8_t*>(prefix.data()),
+                           prefix.size()));
     }
     if (compressor) {
       // quiesce() ran: the prefix above ends at a container frame
@@ -677,7 +681,7 @@ CampaignReport CampaignRunner::run() {
   report.buffer_high_water = engine.buffer_high_water();
   report.loss_series = engine.loss_series();
   if (pcap_) pcap_->flush();
-  if (xml_interposed) *config_.xml_out << xml_buffer.str();
+  if (xml_interposed) *config_.xml_out << xml_buffer.view();
   return report;
 }
 

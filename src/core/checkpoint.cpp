@@ -25,30 +25,40 @@ void CheckpointBuilder::add(std::string name, Bytes payload) {
   sections_.emplace_back(std::move(name), std::move(payload));
 }
 
-Bytes CheckpointBuilder::encode() const {
-  ByteWriter out;
-  out.raw(kCheckpointMagic, sizeof(kCheckpointMagic));
-  out.u32le(kCheckpointVersion);
-  out.u32le(static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    out.u32le(static_cast<std::uint32_t>(name.size()));
-    out.raw(name.data(), name.size());
-    out.u64le(payload.size());
-    out.raw(payload);
-  }
-  const Digest128 digest = Md5::digest(out.view());
-  out.raw(digest.bytes.data(), digest.bytes.size());
-  return std::move(out).take();
+void CheckpointBuilder::add_borrowed(std::string name, BytesView payload) {
+  sections_.emplace_back(std::move(name), payload);
 }
 
 std::string CheckpointBuilder::write_file(const std::string& path) const {
-  const Bytes data = encode();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return "cannot open " + tmp + " for writing";
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
+    // One pass: each byte is hashed as it is written.
+    Md5 md5;
+    const auto emit = [&](BytesView bytes) {
+      md5.update(bytes);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    };
+    ByteWriter header;
+    header.raw(kCheckpointMagic, sizeof(kCheckpointMagic));
+    header.u32le(kCheckpointVersion);
+    header.u32le(static_cast<std::uint32_t>(sections_.size()));
+    emit(header.view());
+    for (const auto& [name, stored] : sections_) {
+      const BytesView payload =
+          std::visit([](const auto& p) { return BytesView(p); }, stored);
+      ByteWriter entry;
+      entry.u32le(static_cast<std::uint32_t>(name.size()));
+      entry.raw(name.data(), name.size());
+      entry.u64le(payload.size());
+      emit(entry.view());
+      emit(payload);
+    }
+    const Digest128 digest = md5.finish();
+    out.write(reinterpret_cast<const char*>(digest.bytes.data()),
+              static_cast<std::streamsize>(digest.bytes.size()));
     out.flush();
     if (!out) {
       std::error_code ec;

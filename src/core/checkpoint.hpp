@@ -19,8 +19,9 @@
 // The trailing digest makes every single-bit corruption detectable, so the
 // loader's contract is binary: a snapshot either restores completely or is
 // rejected before any subsystem state is touched.  Writers go through
-// write_file(), which stages to a temporary and renames into place — a
-// crash mid-checkpoint leaves the previous snapshot valid.
+// write_file(), which streams the sections to a temporary — hashing as it
+// writes, so no encoded copy of the snapshot is built — and renames it
+// into place: a crash mid-checkpoint leaves the previous snapshot valid.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -40,24 +44,28 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr char kCheckpointMagic[8] = {'D', 'T', 'R', 'C',
                                              'K', 'P', 'T', '1'};
 
-/// Accumulates named sections and encodes/writes the snapshot file.
+/// Accumulates named sections and writes the snapshot file.
 class CheckpointBuilder {
  public:
   /// Add a section; later sections with the same name are rejected by the
   /// reader, so callers must keep names unique.
   void add(std::string name, Bytes payload);
 
-  [[nodiscard]] Bytes encode() const;
+  /// Add a section that borrows `payload` instead of owning a copy: the
+  /// bytes must stay valid and unchanged until write_file() returns.
+  void add_borrowed(std::string name, BytesView payload);
 
-  /// Atomically write the snapshot: encode to `path + ".tmp"`, then rename
-  /// over `path`.  Returns an empty string on success, else a description
-  /// of the failure (the previous file at `path`, if any, is untouched).
+  /// Atomically write the snapshot: stream it to `path + ".tmp"`, then
+  /// rename over `path`.  Returns an empty string on success, else a
+  /// description of the failure (the previous file at `path`, if any, is
+  /// untouched).
   [[nodiscard]] std::string write_file(const std::string& path) const;
 
   [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
 
  private:
-  std::vector<std::pair<std::string, Bytes>> sections_;
+  std::vector<std::pair<std::string, std::variant<Bytes, BytesView>>>
+      sections_;
 };
 
 /// A parsed, checksum-verified snapshot.  Parsing validates the whole

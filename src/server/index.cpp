@@ -158,16 +158,20 @@ std::size_t FileIndex::publish_batch(
   return new_pairs;
 }
 
-void FileIndex::unindex_file_locked(Shard& shard, const FileId& id,
-                                    const FileRecord& record) {
+void FileIndex::unindex_file_locked(Shard& shard, const FileRecord& record) {
+  // Posting lists are seq-ascending, so the file's postings in a list (one
+  // per occurrence of the keyword in its name) are the run at record.seq.
+  const auto by_seq = [](const Posting& a, const Posting& b) {
+    return a.seq < b.seq;
+  };
+  const Posting key{record.seq, FileId{}};
   for (const std::string& kw : tokenize_keywords(record.name)) {
     auto it = shard.keywords.find(kw);
-    if (it == shard.keywords.end()) continue;
+    if (it == shard.keywords.end()) continue;  // a repeat, already erased
     auto& postings = it->second;
-    postings.erase(
-        std::remove_if(postings.begin(), postings.end(),
-                       [&](const Posting& p) { return p.id == id; }),
-        postings.end());
+    const auto [first, last] =
+        std::equal_range(postings.begin(), postings.end(), key, by_seq);
+    postings.erase(first, last);
     if (postings.empty()) shard.keywords.erase(it);
   }
   shard.by_seq.erase(record.seq);
@@ -195,7 +199,7 @@ void FileIndex::retract_client(proto::ClientId client) {
           mutated = true;
         }
         if (sources.empty()) {
-          unindex_file_locked(shard, id, fit->second);
+          unindex_file_locked(shard, fit->second);
           shard.files.erase(fit);
           shard.file_count.fetch_sub(1, std::memory_order_relaxed);
         }
@@ -246,18 +250,13 @@ bool FileIndex::matches(const proto::SearchExpr& expr,
       }
       return false;
     }
-    case Kind::kKeyword: {
-      std::string lowered = to_lower(expr.text);
-      for (const std::string& kw : tokenize_keywords(record.name)) {
-        if (kw == lowered) return true;
-      }
-      return false;
-    }
+    case Kind::kKeyword:
+      return has_keyword(record.name, expr.text);
     case Kind::kMetaString: {
       if (expr.tag_name.size() == 1 &&
           static_cast<std::uint8_t>(expr.tag_name[0]) ==
               static_cast<std::uint8_t>(proto::TagName::kFileType)) {
-        return to_lower(record.type) == to_lower(expr.text);
+        return equals_ignore_case(record.type, expr.text);
       }
       return false;  // other string metadata are not indexed
     }

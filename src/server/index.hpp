@@ -223,8 +223,7 @@ class FileIndex {
   /// the file is new.  Returns true for a new (file, provider) pair.
   bool publish_locked(Shard& shard, const proto::FileEntry& entry,
                       std::uint64_t seq);
-  void unindex_file_locked(Shard& shard, const FileId& id,
-                           const FileRecord& record);
+  void unindex_file_locked(Shard& shard, const FileRecord& record);
 
   /// First `limit` matches of one shard in canonical (seq) order; the
   /// caller holds the shard's lock.  `chosen` is the posting list to scan

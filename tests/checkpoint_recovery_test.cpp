@@ -23,6 +23,7 @@
 #include "hash/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "reference_checkpoint_encoder.hpp"
 #include "workload/idstream.hpp"
 
 namespace dtr {
@@ -422,6 +423,51 @@ TEST(CheckpointRecovery, ContainerFileRoundtrip) {
   EXPECT_TRUE(view->section("beta")->empty());
   EXPECT_EQ(view->section("gamma"), nullptr);
   EXPECT_FALSE(view->reader("gamma").ok());
+}
+
+// write_file() streams the snapshot and hashes it as it goes: its bytes
+// must be the in-memory reference encoder's, whether a section owns its
+// payload, borrows it or is empty.
+TEST(CheckpointRecovery, StreamedFileEqualsReferenceEncoding) {
+  const fs::path dir = scratch_dir("streamed");
+  Bytes big(1'300'007);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31 + (i >> 9));
+  }
+  const Bytes small{9, 8, 7};
+  const BytesView borrowed = BytesView(big).subspan(5, 700'001);
+
+  core::CheckpointBuilder builder;
+  builder.add("meta", small);
+  builder.add_borrowed("xml", borrowed);
+  builder.add("empty", Bytes{});
+  builder.add_borrowed("nothing", BytesView{});
+  builder.add("sim", big);
+  const std::string path = (dir / "streamed.ckpt").string();
+  ASSERT_EQ(builder.write_file(path), "");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+  const Bytes expected = core::reference_checkpoint_encode({{"meta", small},
+                                                            {"xml", borrowed},
+                                                            {"empty", {}},
+                                                            {"nothing", {}},
+                                                            {"sim", big}});
+  const Bytes written = read_all(path);
+  ASSERT_EQ(written.size(), expected.size());
+  EXPECT_TRUE(written == expected) << "streamed snapshot differs";
+
+  std::string error;
+  const auto view = core::CheckpointView::load(path, error);
+  ASSERT_TRUE(view.has_value()) << error;
+  ASSERT_NE(view->section("xml"), nullptr);
+  EXPECT_TRUE(std::equal(borrowed.begin(), borrowed.end(),
+                         view->section("xml")->begin(),
+                         view->section("xml")->end()));
+
+  // No sections at all is still a valid, reference-identical file.
+  const std::string empty_path = (dir / "none.ckpt").string();
+  ASSERT_EQ(core::CheckpointBuilder{}.write_file(empty_path), "");
+  EXPECT_EQ(read_all(empty_path), core::reference_checkpoint_encode({}));
 }
 
 TEST(CheckpointRecovery, IdStreamsResumeMidStream) {

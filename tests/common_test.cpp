@@ -61,6 +61,36 @@ TEST(Bytes, LittleEndianWireOrder) {
   EXPECT_EQ(w.view()[1], 0x01);
 }
 
+TEST(Bytes, FixedWidthWritesAppendExactLittleEndianBytes) {
+  ByteWriter w;
+  w.u8(0xAA);
+  w.u16le(0x0102);
+  w.u32le(0x03040506u);
+  w.u64le(0x0708090A0B0C0D0Eull);
+  w.u16le(0xFFEE);
+  EXPECT_EQ(w.bytes(),
+            (Bytes{0xAA, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D, 0x0C,
+                   0x0B, 0x0A, 0x09, 0x08, 0x07, 0xEE, 0xFF}));
+
+  // Many writes grow the buffer past several reallocations; every value
+  // still lands at its own offset.
+  ByteWriter grown;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    grown.u32le(i * 0x01010101u);
+    grown.u64le(~std::uint64_t{i});
+  }
+  ASSERT_EQ(grown.size(), 12u * 256);
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    const std::uint8_t* p = grown.bytes().data() + 12 * i;
+    const auto b = static_cast<std::uint8_t>(i);
+    EXPECT_EQ(Bytes(p, p + 4), (Bytes{b, b, b, b})) << i;
+    const auto nb = static_cast<std::uint8_t>(~b);
+    EXPECT_EQ(Bytes(p + 4, p + 12), (Bytes{nb, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                           0xFF, 0xFF}))
+        << i;
+  }
+}
+
 TEST(Bytes, Str16Roundtrip) {
   ByteWriter w;
   w.str16("hello world");
@@ -397,7 +427,9 @@ TEST(LogBin, EdgesAreMultiplicative) {
   auto bins = log_bin(h, 2.0);
   for (std::size_t i = 0; i < bins.size(); ++i) {
     EXPECT_LT(bins[i].lo, bins[i].hi);
-    if (i > 0) EXPECT_EQ(bins[i].lo, bins[i - 1].hi);
+    if (i > 0) {
+      EXPECT_EQ(bins[i].lo, bins[i - 1].hi);
+    }
   }
 }
 
@@ -435,6 +467,26 @@ TEST(Strings, TokenizeDropsShortTokens) {
 TEST(Strings, TokenizeMinLenParameter) {
   auto tokens = tokenize_keywords("a bb ccc", 1);
   EXPECT_EQ(tokens, (std::vector<std::string>{"a", "bb", "ccc"}));
+}
+
+TEST(Strings, EqualsIgnoreCase) {
+  EXPECT_TRUE(equals_ignore_case("Audio", "aUDIO"));
+  EXPECT_TRUE(equals_ignore_case("", ""));
+  EXPECT_FALSE(equals_ignore_case("audio", "audi"));
+  EXPECT_FALSE(equals_ignore_case("a-b", "a_b"));
+  // Only ASCII letters fold; other bytes must match exactly.
+  EXPECT_FALSE(equals_ignore_case("\xC9t\xE9", "\xE9t\xE9"));
+}
+
+TEST(Strings, HasKeyword) {
+  const std::string name = "Some_Artist - Great Song (live).MP3";
+  EXPECT_TRUE(has_keyword(name, "artist"));
+  EXPECT_TRUE(has_keyword(name, "SONG"));
+  EXPECT_TRUE(has_keyword(name, "mp3"));
+  EXPECT_FALSE(has_keyword(name, "art"));     // a prefix of a token
+  EXPECT_FALSE(has_keyword(name, "some_artist"));  // holds a separator
+  EXPECT_FALSE(has_keyword("a bb ccc", "bb"));     // shorter than 3
+  EXPECT_FALSE(has_keyword(name, ""));
 }
 
 TEST(Strings, WithThousands) {

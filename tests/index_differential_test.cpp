@@ -423,6 +423,71 @@ TEST(IndexDifferential, TinyCacheEvictsAndStaysCorrect) {
   EXPECT_GT(index.cache_stats().evictions, 0u);
 }
 
+// A name that repeats a keyword gives its file one posting per occurrence.
+// Retracting the file must drop them all: a posting left behind would
+// resurface as an extra answer once the same file is published again.
+TEST(IndexDifferential, RetractOfRepeatedKeywordsMatchesReference) {
+  const auto publish = [](const std::string& name, proto::ClientId client) {
+    Op op;
+    op.kind = Op::Kind::kPublish;
+    proto::FileEntry e;
+    e.file_id = Md4::digest(name);
+    e.client_id = client;
+    e.port = 4662;
+    e.tags = {proto::Tag::str(proto::TagName::kFileName, name),
+              proto::Tag::u32(proto::TagName::kFileSize, 1000),
+              proto::Tag::str(proto::TagName::kFileType, "audio")};
+    op.entries.push_back(std::move(e));
+    return op;
+  };
+  const auto retract = [](proto::ClientId client) {
+    Op op;
+    op.kind = Op::Kind::kRetract;
+    op.client = client;
+    return op;
+  };
+  const auto search = [](proto::SearchExprPtr expr) {
+    Op op;
+    op.kind = Op::Kind::kSearch;
+    op.expr = std::move(expr);
+    op.limit = 201;
+    return op;
+  };
+  const auto keyword = [](const char* word) {
+    return proto::SearchExpr::keyword(word);
+  };
+
+  std::vector<Op> ops;
+  ops.push_back(publish("song song.mp3", 1));
+  ops.push_back(publish("Echo song ECHO echo.avi", 2));
+  ops.push_back(publish("other song.mp3", 3));
+  ops.push_back(search(keyword("song")));
+  ops.push_back(retract(1));
+  ops.push_back(search(keyword("song")));
+  ops.push_back(publish("song song.mp3", 4));
+  ops.push_back(search(keyword("song")));
+  ops.push_back(retract(2));
+  ops.push_back(search(keyword("echo")));
+  ops.push_back(publish("Echo song ECHO echo.avi", 5));
+  ops.push_back(search(keyword("echo")));
+  ops.push_back(search(proto::SearchExpr::keywords({"echo", "song"})));
+  ops.push_back(retract(4));
+  ops.push_back(retract(5));
+  ops.push_back(search(keyword("song")));
+  ops.push_back(search(keyword("mp3")));
+
+  ReferenceIndex reference;
+  const std::vector<std::string> expected = run_reference(reference, ops);
+  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
+    FileIndexConfig cfg;
+    cfg.shards = shards;
+    FileIndex index(cfg);
+    const std::string label = "shards=" + std::to_string(shards);
+    EXPECT_EQ(run_sharded(index, ops), expected) << label;
+    expect_same_end_state(reference, index, label);
+  }
+}
+
 TEST(IndexDifferential, ShardCountIsRoundedAndClamped) {
   EXPECT_EQ(FileIndex(FileIndexConfig{0, 0}).shard_count(), 1u);
   EXPECT_EQ(FileIndex(FileIndexConfig{3, 0}).shard_count(), 4u);

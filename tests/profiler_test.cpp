@@ -98,6 +98,9 @@ TEST(ThreadProfile, TotalsAreMonotoneWhileLive) {
     ThreadLease lease(&profiler, "stage", "live");
     while (!stop.load()) spin_sleep(milliseconds(1));
   });
+  // On a loaded host the thread may not have registered after a fixed
+  // sleep, and front() of no summaries is undefined: wait for it.
+  while (profiler.thread_summaries().empty()) std::this_thread::yield();
   spin_sleep(milliseconds(5));
   const auto first = profiler.thread_summaries().front();
   EXPECT_FALSE(first.finished);

@@ -24,6 +24,7 @@
 #include "net/udp.hpp"
 #include "proto/codec.hpp"
 #include "proto/tcp_codec.hpp"
+#include "reference_checkpoint_encoder.hpp"
 #include "xmlio/chunked.hpp"
 #include "xmlio/parser.hpp"
 #include "xmlio/schema.hpp"
@@ -212,12 +213,11 @@ TEST_P(FuzzSeeds, PcapReaderNeverCrashes) {
 
 /// A plausible multi-section snapshot to mutate.
 Bytes sample_checkpoint() {
-  core::CheckpointBuilder builder;
-  builder.add("meta", Bytes{1, 2, 3, 4, 5, 6, 7, 8});
-  builder.add("sim", Bytes(512, 0x5A));
-  builder.add("pipeline", Bytes(128, 0xC3));
-  builder.add("empty", Bytes{});
-  return builder.encode();
+  const Bytes meta{1, 2, 3, 4, 5, 6, 7, 8};
+  const Bytes sim(512, 0x5A);
+  const Bytes pipeline(128, 0xC3);
+  return core::reference_checkpoint_encode(
+      {{"meta", meta}, {"sim", sim}, {"pipeline", pipeline}, {"empty", {}}});
 }
 
 /// Parse must reject with a non-empty reason (and never crash).
@@ -410,12 +410,11 @@ Bytes storm_snapshot(const std::filesystem::path& dir,
 /// container itself stays valid (sections intact, checksum recomputed):
 /// the rejection under test is the *scenario/meta* layer, not the MD5.
 Bytes with_meta_section(const core::CheckpointView& view, const Bytes& meta) {
-  core::CheckpointBuilder builder;
-  builder.add("meta", meta);
+  core::ReferenceSections sections{{"meta", meta}};
   for (const std::string& name : view.section_names()) {
-    if (name != "meta") builder.add(name, *view.section(name));
+    if (name != "meta") sections.emplace_back(name, *view.section(name));
   }
-  return builder.encode();
+  return core::reference_checkpoint_encode(sections);
 }
 
 TEST(ScenarioFuzz, TruncatedOrGarbledSnapshotMetaIsRejectedCleanly) {

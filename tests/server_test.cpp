@@ -1,6 +1,11 @@
 // Directory-server tests: the file/keyword index and the query handling.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string_view>
+
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "hash/md4.hpp"
 #include "proto/codec.hpp"
 #include "server/index.hpp"
@@ -172,6 +177,175 @@ TEST(FileIndex, AvailabilityConstraint) {
                                          proto::TagName::kAvailability);
   EXPECT_TRUE(FileIndex::matches(*expr, rec));
   EXPECT_FALSE(FileIndex::matches(*expr, *index.find(fid("rare song.mp3"))));
+}
+
+TEST(FileIndex, RetractOfRepeatedKeywordLeavesNoPosting) {
+  // "song" occurs twice in the name: the file has two postings under it.
+  FileIndex index;
+  index.publish(entry("song song.mp3", 5, "audio", 1));
+  index.publish(entry("other song.mp3", 6, "audio", 2));
+  index.retract_client(1);
+  auto song = proto::SearchExpr::keyword("song");
+  EXPECT_EQ(index.search(*song, 10),
+            (std::vector<FileId>{fid("other song.mp3")}));
+
+  // A posting left behind would resurface once the file is published
+  // again: the index must answer like one that never saw the first copy.
+  index.publish(entry("song song.mp3", 5, "audio", 3));
+  FileIndex fresh;
+  fresh.publish(entry("other song.mp3", 6, "audio", 2));
+  fresh.publish(entry("song song.mp3", 5, "audio", 3));
+  EXPECT_EQ(index.search(*song, 10), fresh.search(*song, 10));
+  auto mp3 = proto::SearchExpr::keyword("mp3");
+  EXPECT_EQ(index.search(*mp3, 10), fresh.search(*mp3, 10));
+}
+
+// ---------------------------------------------------------------------------
+// matches() against the tokenize-and-compare it replaces
+// ---------------------------------------------------------------------------
+
+// The keyword test as the index used to run it: lowercase the query, split
+// the name into owned lowercase tokens with the C library's classification
+// (the program never leaves the "C" locale) and compare strings.
+std::vector<std::string> reference_tokens(std::string_view name) {
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&] {
+    if (current.size() >= 3) tokens.push_back(current);
+    current.clear();
+  };
+  for (char raw : name) {
+    const auto c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      current.push_back(static_cast<char>(std::tolower(c)));
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return tokens;
+}
+
+std::string reference_lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+bool reference_keyword_match(std::string_view name, std::string_view word) {
+  const std::string lowered = reference_lower(word);
+  for (const std::string& token : reference_tokens(name)) {
+    if (token == lowered) return true;
+  }
+  return false;
+}
+
+// Names mix case, digits, punctuation and bytes >= 0x80.
+std::string random_name(Rng& r) {
+  static constexpr std::string_view kPunct = " ._-()[]!'&+,";
+  std::string name;
+  const std::size_t n = r.below(40);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (r.below(6)) {
+      case 0:
+      case 1:
+        name += static_cast<char>('a' + r.below(6));
+        break;
+      case 2:
+        name += static_cast<char>('A' + r.below(6));
+        break;
+      case 3:
+        name += static_cast<char>('0' + r.below(10));
+        break;
+      case 4:
+        name += kPunct[r.below(kPunct.size())];
+        break;
+      default:
+        name += static_cast<char>(0x80 + r.below(0x80));
+        break;
+    }
+  }
+  return name;
+}
+
+// Query words: tokens of the name with their case flipped at random, cut
+// short, lengthened by a separator or a high byte, and unrelated words,
+// including ones shorter than 3 characters.
+std::string random_word(Rng& r, const std::string& name,
+                        const std::string& other_name) {
+  const std::vector<std::string> own = reference_tokens(name);
+  const std::vector<std::string> other = reference_tokens(other_name);
+  std::string word;
+  const std::uint64_t pick = r.below(8);
+  if (pick < 3 && !own.empty()) {
+    word = own[r.below(own.size())];
+  } else if (pick == 3 && !other.empty()) {
+    word = other[r.below(other.size())];
+  } else {
+    word = random_name(r).substr(0, r.below(6));
+  }
+  for (char& c : word) {
+    if (r.chance(0.3)) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+  }
+  switch (r.below(6)) {
+    case 0:
+      if (!word.empty()) word.pop_back();
+      break;
+    case 1:
+      word.insert(r.below(word.size() + 1), 1, "-. _"[r.below(4)]);
+      break;
+    case 2:
+      word += static_cast<char>(0xC3);
+      break;
+    default:
+      break;
+  }
+  return word;
+}
+
+TEST(FileIndexMatches, KeywordAndTypeAgreeWithTokenizeReference) {
+  Rng r(20261017);
+  std::size_t keyword_hits = 0;
+  std::size_t type_hits = 0;
+  std::string previous = "Previous NAME 123 (x).mp3";
+  for (int i = 0; i < 20'000; ++i) {
+    FileRecord record;
+    record.name = random_name(r);
+    record.type = r.chance(0.5) ? "Audio" : random_name(r).substr(0, 6);
+    // The index stores tokenize_keywords' tokens: they must be the
+    // reference's too.
+    ASSERT_EQ(tokenize_keywords(record.name), reference_tokens(record.name))
+        << record.name;
+
+    const std::string word = random_word(r, record.name, previous);
+    const bool want = reference_keyword_match(record.name, word);
+    ASSERT_EQ(FileIndex::matches(*proto::SearchExpr::keyword(word), record),
+              want)
+        << "name '" << record.name << "' word '" << word << "'";
+    keyword_hits += want ? 1 : 0;
+
+    const std::string type =
+        r.chance(0.5) ? (r.chance(0.5) ? "aUDIO" : record.type)
+                      : random_name(r).substr(0, 6);
+    const bool type_want =
+        reference_lower(record.type) == reference_lower(type);
+    ASSERT_EQ(FileIndex::matches(*proto::SearchExpr::meta_string(
+                                     type, proto::TagName::kFileType),
+                                 record),
+              type_want)
+        << "type '" << record.type << "' query '" << type << "'";
+    type_hits += type_want ? 1 : 0;
+    previous = record.name;
+  }
+  // Both answers occur often enough for the comparison to mean something.
+  EXPECT_GT(keyword_hits, 2'000u);
+  EXPECT_LT(keyword_hits, 18'000u);
+  EXPECT_GT(type_hits, 2'000u);
+  EXPECT_LT(type_hits, 18'000u);
 }
 
 // ---------------------------------------------------------------------------

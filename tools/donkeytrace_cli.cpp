@@ -1,6 +1,6 @@
 // donkeytrace — the command-line face of the library.
 //
-//   donkeytrace campaign  --seed 1 --clients 2000 --files 20000 \
+//   donkeytrace campaign  --seed 1 --clients 2000 --files 20000
 //                         --hours 48 --xml out.xml.dtz --pcap out.pcap
 //   donkeytrace decode    --pcap out.pcap --xml replay.xml
 //   donkeytrace analyze   --xml out.xml.dtz
@@ -194,7 +194,7 @@ class DatasetInput {
 };
 
 /// Store XML text to `path`, compressing when it ends in .dtz.
-bool store_dataset(const std::string& path, const std::string& xml) {
+bool store_dataset(const std::string& path, std::string_view xml) {
   if (ends_with(path, ".dtz")) {
     Bytes data(xml.begin(), xml.end());
     Bytes compressed = xmlio::lz_compress(data);
@@ -529,7 +529,7 @@ int cmd_campaign(const cli::Args& args) {
     if (cfg.compress) {
       // The buffer already holds the chunked container; write it verbatim
       // (store_dataset would wrap the binary stream in a second codec).
-      const std::string container = xml.str();
+      const std::string_view container = xml.view();
       if (!write_file(xml_path,
                       BytesView(reinterpret_cast<const std::uint8_t*>(
                                     container.data()),
@@ -540,7 +540,7 @@ int cmd_campaign(const cli::Args& args) {
       std::cout << "wrote " << xml_path << " ("
                 << with_thousands(container.size())
                 << " bytes, chunked-compressed)\n";
-    } else if (!store_dataset(xml_path, xml.str())) {
+    } else if (!store_dataset(xml_path, xml.view())) {
       std::cerr << "cannot write " << xml_path << "\n";
       return 1;
     }
@@ -674,7 +674,7 @@ int cmd_decode(const cli::Args& args) {
           {"undecoded", with_thousands(d.undecoded())},
       });
   print_dataset_summary(stats);
-  if (!xml_path.empty() && !store_dataset(xml_path, xml.str())) {
+  if (!xml_path.empty() && !store_dataset(xml_path, xml.view())) {
     std::cerr << "cannot write " << xml_path << "\n";
     return 1;
   }
