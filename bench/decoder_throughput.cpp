@@ -17,7 +17,6 @@
 #include "anon/client_table.hpp"
 #include "anon/fileid_store.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "decode/decoder.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
@@ -222,11 +221,11 @@ void BM_TcpReassemblyAndExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpReassemblyAndExtraction);
 
-// --- parallel vs serial pipeline ---------------------------------------------
+// --- capture pipeline ---------------------------------------------------------
 
 void BM_PipelineEndToEnd(benchmark::State& state) {
   // Pre-generate a frame batch once; pump it through the full pipeline
-  // (decode -> anonymise -> stats).  range(0) = worker count (0 = serial).
+  // (decode -> anonymise -> stats).  range(0) = worker count.
   static const std::vector<Bytes>* frames = [] {
     auto* out = new std::vector<Bytes>(frame_mix());
     // Repeat to a meaningful batch.
@@ -237,37 +236,23 @@ void BM_PipelineEndToEnd(benchmark::State& state) {
     return out;
   }();
 
-  const auto workers = static_cast<std::size_t>(state.range(0));
+  core::ParallelPipelineConfig cfg;
+  cfg.server_ip = kServerIp;
+  cfg.server_port = kServerPort;
+  cfg.workers = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    if (workers == 0) {
-      core::PipelineConfig cfg;
-      cfg.server_ip = kServerIp;
-      cfg.server_port = kServerPort;
-      core::CapturePipeline pipeline(cfg);
-      std::uint64_t i = 0;
-      for (const Bytes& f : *frames) {
-        pipeline.push(sim::TimedFrame{static_cast<SimTime>(i++), f});
-      }
-      auto result = pipeline.finish();
-      state.counters["decoded"] = static_cast<double>(result.decode.decoded);
-    } else {
-      core::ParallelPipelineConfig cfg;
-      cfg.server_ip = kServerIp;
-      cfg.server_port = kServerPort;
-      cfg.workers = workers;
-      core::ParallelCapturePipeline pipeline(cfg);
-      std::uint64_t i = 0;
-      for (const Bytes& f : *frames) {
-        pipeline.push(sim::TimedFrame{static_cast<SimTime>(i++), f});
-      }
-      auto result = pipeline.finish();
-      state.counters["decoded"] = static_cast<double>(result.decode.decoded);
+    core::ParallelCapturePipeline pipeline(cfg);
+    std::uint64_t i = 0;
+    for (const Bytes& f : *frames) {
+      pipeline.push(sim::TimedFrame{static_cast<SimTime>(i++), f});
     }
+    auto result = pipeline.finish();
+    state.counters["decoded"] = static_cast<double>(result.decode.decoded);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(frames->size()));
 }
-BENCHMARK(BM_PipelineEndToEnd)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_PipelineEndToEnd)->Arg(1)->Arg(2)->Arg(4);
 
 // --- dataset compression -----------------------------------------------------
 

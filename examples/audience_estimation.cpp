@@ -23,17 +23,13 @@ int main(int argc, char** argv) {
   std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
   core::RunnerConfig cfg = core::RunnerConfig::tiny(seed);
   cfg.campaign.population.client_count = 400;  // a bit more signal
-  cfg.keep_events = true;
-  core::CampaignRunner runner(cfg);
-  runner.run();
 
-  // Re-derive per-file audiences from the anonymised event stream — exactly
-  // what a user of the released dataset can do.
+  // Derive per-file audiences from the anonymised event stream as it flows
+  // — exactly what a user of the released dataset can do.
   using ClientSet = std::unordered_set<anon::AnonClientId>;
   std::unordered_map<anon::AnonFileId, ClientSet> audience;     // askers
   std::unordered_map<anon::AnonFileId, ClientSet> penetration;  // providers
-
-  for (const auto& ev : runner.pipeline().events()) {
+  cfg.extra_sink = [&](const anon::AnonEvent& ev) {
     if (const auto* ask = std::get_if<anon::AGetSourcesReq>(&ev.message)) {
       for (auto file : ask->files) audience[file].insert(ev.peer);
     } else if (const auto* found =
@@ -43,7 +39,9 @@ int main(int argc, char** argv) {
     } else if (const auto* pub = std::get_if<anon::APublishReq>(&ev.message)) {
       for (const auto& f : pub->files) penetration[f.file].insert(f.provider);
     }
-  }
+  };
+  core::CampaignRunner runner(cfg);
+  const core::CampaignReport report = runner.run();
 
   struct Row {
     anon::AnonFileId file;
@@ -60,7 +58,8 @@ int main(int argc, char** argv) {
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.askers > b.askers; });
 
-  std::cout << "Top 20 files by audience (distinct asking clients):\n";
+  std::cout << "Top 20 files by audience (distinct asking clients, of "
+            << report.pipeline.distinct_clients << " seen):\n";
   std::cout << "  file-token  askers  providers  demand/supply\n";
   for (std::size_t i = 0; i < std::min<std::size_t>(20, rows.size()); ++i) {
     const Row& r = rows[i];

@@ -221,6 +221,12 @@ AnonFileId ShardedFileIdStore::lookup(const FileId& id) const {
   return kFileNotSeen;
 }
 
+std::size_t ShardedFileIdStore::bucket_size(std::size_t bucket) const {
+  std::shared_lock<std::shared_mutex> lock(
+      shards_[shard_of_bucket(bucket)].mutex);
+  return buckets_[bucket].size();
+}
+
 std::uint64_t ShardedFileIdStore::memory_bytes() const {
   std::uint64_t total = kBucketCount * sizeof(std::vector<Entry>);
   for (const auto& bucket : buckets_)

@@ -132,6 +132,10 @@ class ShardedFileIdStore final : public FileIdAnonymiser {
   }
   [[nodiscard]] unsigned index_byte_0() const { return b0_; }
   [[nodiscard]] unsigned index_byte_1() const { return b1_; }
+  /// Entries in bucket `bucket` (< kBucketCount), as
+  /// BucketedFileIdStore::bucket_size — the quantity Figure 3 plots.
+  /// Safe from any thread; takes the shard's shared lock.
+  [[nodiscard]] std::size_t bucket_size(std::size_t bucket) const;
 
   static constexpr std::size_t kBucketCount =
       BucketedFileIdStore::kBucketCount;

@@ -41,7 +41,7 @@ struct CheckpointMeta {
   std::uint64_t duration = 0;
   std::uint64_t clients = 0;
   std::uint64_t files = 0;
-  std::uint64_t workers = 0;  // normalised: serial pipeline = 1
+  std::uint64_t workers = 0;  // normalised: 0 and 1 both mean one worker
   std::uint64_t buffer_capacity = 0;
   std::uint8_t has_background = 0;
   std::uint64_t background_seed = 0;
@@ -202,11 +202,7 @@ CampaignReport CampaignRunner::run() {
   auto fail_run = [&](const std::string& what) {
     DTR_LOG_ERROR(config_.log, "checkpoint", 0, what);
     CampaignReport report;
-    if (parallel_) {
-      report.pipeline = parallel_->finish();
-    } else if (pipeline_) {
-      report.pipeline = pipeline_->finish();
-    }
+    if (pipeline_) report.pipeline = pipeline_->finish();
     report.pipeline.error = "checkpoint: " + what;
     return report;
   };
@@ -264,7 +260,7 @@ CampaignReport CampaignRunner::run() {
   // scenario.* instruments: which wave (if any) the campaign is in and the
   // intensity multipliers it applies.  Pure functions of simulated time, so
   // unlike the operational checkpoint.* family they ARE sampled into the
-  // time series (byte-reproducible across serial/parallel/resume).
+  // time series (byte-reproducible across worker counts and resume).
   const sim::Scenario* scenario = simulator_.scenario();
   obs::Gauge* sc_phase = nullptr;
   obs::Gauge* sc_arrival = nullptr;
@@ -307,9 +303,9 @@ CampaignReport CampaignRunner::run() {
 
   // Compressed streaming: the pipeline writes plain XML into the chunked
   // compressor, which emits the container to whatever sink the rules above
-  // chose.  The compressor's appender is the pipeline's writer (or
-  // anonymise) thread; barrier/save/restore run on this thread only after
-  // a quiesce, which orders them after every append of the pushed prefix.
+  // chose.  The compressor's appender is the pipeline's writer thread;
+  // barrier/save/restore run on this thread only after a quiesce, which
+  // orders them after every append of the pushed prefix.
   std::unique_ptr<xmlio::CompressingOstream> compressor;
   if (config_.compress && config_.xml_out != nullptr) {
     xmlio::ChunkedWriterConfig zcfg;
@@ -320,53 +316,28 @@ CampaignReport CampaignRunner::run() {
     xml_sink = compressor.get();
   }
 
-  if (config_.workers > 1) {
-    ParallelPipelineConfig parallel_config;
-    parallel_config.server_ip = config_.campaign.server_ip;
-    parallel_config.server_port = config_.campaign.server_port;
-    parallel_config.workers = config_.workers;
-    parallel_config.xml_out = xml_sink;
-    parallel_config.extra_sink = config_.extra_sink;
-    parallel_config.metrics = config_.metrics;
-    parallel_config.log = config_.log;
-    parallel_config.flight = config_.flight;
-    parallel_config.anon_shards = config_.anon_shards;
-    parallel_config.profiler = config_.profiler;
-    if (config_.client_table_flat) {
-      parallel_config.client_table_mode =
-          anon::DirectClientTable::PageMode::kFlat;
-      parallel_config.client_table_space_bits = config_.client_table_space_bits;
-    }
-    parallel_ = std::make_unique<ParallelCapturePipeline>(parallel_config);
-    engine.set_sink(
-        [this](const sim::TimedFrame& frame) { parallel_->push(frame); });
-  } else {
-    PipelineConfig pipeline_config;
-    pipeline_config.server_ip = config_.campaign.server_ip;
-    pipeline_config.server_port = config_.campaign.server_port;
-    pipeline_config.xml_out = xml_sink;
-    pipeline_config.keep_events = config_.keep_events;
-    pipeline_config.extra_sink = config_.extra_sink;
-    pipeline_config.metrics = config_.metrics;
-    pipeline_config.log = config_.log;
-    pipeline_config.flight = config_.flight;
-    pipeline_config.profiler = config_.profiler;
-    if (config_.client_table_flat) {
-      pipeline_config.client_table_mode =
-          anon::DirectClientTable::PageMode::kFlat;
-      pipeline_config.client_table_space_bits = config_.client_table_space_bits;
-    }
-    pipeline_ = std::make_unique<CapturePipeline>(pipeline_config);
-    engine.set_sink(
-        [this](const sim::TimedFrame& frame) { pipeline_->push(frame); });
+  ParallelPipelineConfig pipeline_config;
+  pipeline_config.server_ip = config_.campaign.server_ip;
+  pipeline_config.server_port = config_.campaign.server_port;
+  pipeline_config.workers = config_.workers;
+  pipeline_config.xml_out = xml_sink;
+  pipeline_config.extra_sink = config_.extra_sink;
+  pipeline_config.metrics = config_.metrics;
+  pipeline_config.log = config_.log;
+  pipeline_config.flight = config_.flight;
+  pipeline_config.anon_shards = config_.anon_shards;
+  pipeline_config.profiler = config_.profiler;
+  if (config_.client_table_flat) {
+    pipeline_config.client_table_mode =
+        anon::DirectClientTable::PageMode::kFlat;
+    pipeline_config.client_table_space_bits = config_.client_table_space_bits;
   }
+  pipeline_ = std::make_unique<ParallelCapturePipeline>(pipeline_config);
+  engine.set_sink(
+      [this](const sim::TimedFrame& frame) { pipeline_->push(frame); });
 
   auto quiesce = [&] {
-    if (parallel_) {
-      parallel_->flush();
-    } else {
-      pipeline_->flush();
-    }
+    pipeline_->flush();
     // The appending thread is idle now; drain the compressor pool so the
     // container prefix on the sink ends at a frame boundary.
     if (compressor) compressor->writer().barrier();
@@ -432,9 +403,9 @@ CampaignReport CampaignRunner::run() {
     }
     {
       ByteReader r = view->reader("pipeline");
-      const bool restored = parallel_ ? parallel_->restore_state(r)
-                                      : pipeline_->restore_state(r);
-      if (!restored) return fail_run("snapshot pipeline section rejected");
+      if (!pipeline_->restore_state(r)) {
+        return fail_run("snapshot pipeline section rejected");
+      }
     }
     if (config_.series != nullptr) {
       ByteReader r = view->reader("series");
@@ -496,11 +467,7 @@ CampaignReport CampaignRunner::run() {
     }
     {
       ByteWriter w;
-      if (parallel_) {
-        parallel_->save_state(w);
-      } else {
-        pipeline_->save_state(w);
-      }
+      pipeline_->save_state(w);
       builder.add("pipeline", std::move(w).take());
     }
     if (config_.metrics != nullptr) {
@@ -658,7 +625,7 @@ CampaignReport CampaignRunner::run() {
   }
 
   CampaignReport report;
-  report.pipeline = parallel_ ? parallel_->finish() : pipeline_->finish();
+  report.pipeline = pipeline_->finish();
   // The pipeline closed its writers (the XML epilogue is appended); flush
   // the final partial chunk and the container end frame behind it.
   if (compressor) compressor->writer().finish();

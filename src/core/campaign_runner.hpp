@@ -14,7 +14,6 @@
 #include "analysis/report.hpp"
 #include "capture/engine.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/background.hpp"
 #include "sim/campaign.hpp"
@@ -47,11 +46,12 @@ struct RunnerConfig {
   /// field joins the fingerprint — snapshots resume across modes.
   bool client_table_flat = false;
   std::uint32_t client_table_space_bits = 32;
-  bool keep_events = false;
-  /// Extra streaming consumer of the anonymised events (see PipelineConfig).
+  /// Extra streaming consumer of the anonymised events, called on the
+  /// merge thread in event order (see ParallelPipelineConfig::extra_sink).
   std::function<void(const anon::AnonEvent&)> extra_sink;
-  /// Decode worker threads: 0 or 1 = serial CapturePipeline, >1 = the
-  /// order-preserving ParallelCapturePipeline (same output, more cores).
+  /// Decode worker threads of the ParallelCapturePipeline; 0 and 1 both
+  /// mean one.  The output is the same for every count; the checkpoint is
+  /// not (a snapshot resumes only at the worker count that wrote it).
   std::size_t workers = 0;
   /// Anonymisation table shards (clamped to a power of two in [1, 64]).
   /// Dense IDs are assigned by the merge thread in sequence order, so the
@@ -81,8 +81,8 @@ struct RunnerConfig {
   obs::TimeSeriesRecorder* series = nullptr;
   /// Quiesce the pipeline before every series sample so interval counters
   /// are exact and independent of thread scheduling (byte-reproducible
-  /// output, serial == parallel).  Disable only for coarse "roughly now"
-  /// sampling where stalling the intake is not worth it.
+  /// output, the same at every worker count).  Disable only for coarse
+  /// "roughly now" sampling where stalling the intake is not worth it.
   bool series_flush = true;
   /// Checkpoint/resume — the crash-safe long-campaign story (the paper's
   /// horizon is ten weeks).  When `checkpoint_dir` is non-empty the runner
@@ -143,11 +143,8 @@ class CampaignRunner {
 
   /// Valid after run().
   [[nodiscard]] const analysis::CampaignStats& stats() const {
-    return parallel_ ? parallel_->stats() : pipeline_->stats();
+    return pipeline_->stats();
   }
-  /// The serial pipeline (valid after run() with workers <= 1 only; the
-  /// parallel pipeline does not expose retained events or tables).
-  [[nodiscard]] const CapturePipeline& pipeline() const { return *pipeline_; }
   [[nodiscard]] const sim::CampaignSimulator& simulator() const {
     return simulator_;
   }
@@ -156,8 +153,7 @@ class CampaignRunner {
   RunnerConfig config_;
   sim::CampaignSimulator simulator_;
   std::unique_ptr<net::PcapWriter> pcap_;
-  std::unique_ptr<CapturePipeline> pipeline_;
-  std::unique_ptr<ParallelCapturePipeline> parallel_;
+  std::unique_ptr<ParallelCapturePipeline> pipeline_;
 };
 
 }  // namespace dtr::core

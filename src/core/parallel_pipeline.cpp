@@ -101,12 +101,10 @@ ParallelCapturePipeline::ParallelCapturePipeline(
   }
   anonymiser_.bind_telemetry(config_.log);
   DTR_LOG_INFO(config_.log, "pipeline", 0,
-               "parallel pipeline up (" << n << " workers, "
-                                        << clients_.shard_count()
-                                        << " anon shards, batch "
-                                        << kBatchFrames << " frames, queue "
-                                        << kRingBatches
-                                        << " batches per worker)");
+               "pipeline up (" << n << " workers, " << clients_.shard_count()
+                               << " anon shards, batch " << kBatchFrames
+                               << " frames, queue " << kRingBatches
+                               << " batches per worker)");
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
   }
@@ -263,7 +261,7 @@ void ParallelCapturePipeline::optimistic_pass(ResultBatch& result) {
       result.events[i] = std::move(*event);
       result.prepared[i] = 1;
       // Commit instrumentation only for completed fast-path messages, so
-      // the anon.* totals stay exactly equal to a serial run's (deferred
+      // the anon.* totals stay exactly equal to a one-thread run's (deferred
       // messages are counted by the merge-side Anonymiser instead).  The
       // span is measured by hand because SpanTimer observes even when the
       // attempt abandons.
@@ -631,7 +629,8 @@ PipelineResult ParallelCapturePipeline::finish() {
     for (auto& worker : workers_) worker->in->close();
     for (auto& worker : workers_) worker->thread.join();
     // Flush reassembly timeouts against the last pushed frame's time, as
-    // the serial decoder does (a worker's own last frame may be older).
+    // one decoder fed every frame would (a worker's own last frame may be
+    // older).
     for (auto& worker : workers_) {
       if (!worker->failed) worker->decoder->finish(last_time_);
     }
@@ -652,8 +651,8 @@ PipelineResult ParallelCapturePipeline::finish() {
       accumulate(total_decode_, worker->decoder->stats());
     }
     DTR_LOG_INFO(config_.log, "pipeline", 0,
-                 "parallel pipeline drained ("
-                     << anonymised_events_.load() << " events anonymised)");
+                 "pipeline drained (" << anonymised_events_.load()
+                                      << " events anonymised)");
   }
   PipelineResult result;
   result.decode = total_decode_;

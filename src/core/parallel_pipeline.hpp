@@ -1,10 +1,10 @@
-// Order-preserving parallel decode pipeline.
+// The capture pipeline (paper Figure 1: capture -> decode -> anonymise),
+// order-preserving at any worker count.
 //
-// The serial pipeline (core/pipeline.hpp) decodes on one thread.  Decoding
-// is independent per frame — except IP reassembly, which is stateful per
-// (src, dst, id) — and anonymisation must see messages in capture order
-// (order-of-appearance tokens).  The classic HPC recipe applies, to the
-// UDP frames only:
+// Decoding is independent per frame — except IP reassembly, which is
+// stateful per (src, dst, id) — and anonymisation must see messages in
+// capture order (order-of-appearance tokens).  The classic HPC recipe
+// applies, to the UDP frames only:
 //
 //   * SETTLE: at the capture point ~95% of the frames are not eDonkey at
 //     all (background TCP, §2.2).  The pushing thread classifies every
@@ -26,6 +26,10 @@
 //     order-sensitive stage.  It publishes its progress once per drain
 //     cycle, not once per frame.
 //
+// One worker is the default (`--workers 0` and `1` both mean it): the
+// same data plane with a single lane, so the pushing thread still settles
+// the background frames and hands UDP frames off in batches.
+//
 // Anonymisation itself is parallel (the change that broke the merge-thread
 // bottleneck): workers optimistically anonymise each decoded message with
 // read-only lookups against the sharded tables (anon/sharded.hpp) and
@@ -42,8 +46,9 @@
 // Dense IDs therefore depend only on publish order — never on shard count,
 // worker count or interleaving — and the merger shrinks to ID assignment
 // for first-sighted messages, ledger bookkeeping and splicing pre-rendered
-// chunks.  Output bytes are pinned identical to serial by the differential
-// tests.
+// chunks.  Output bytes are pinned by the differential tests against a
+// single-threaded reference (tests/reference_pipeline.hpp) at several
+// worker counts.
 //
 // Three throughput devices keep synchronisation and allocation off the
 // per-frame path while leaving the output bytes untouched:
@@ -72,7 +77,7 @@
 //     XML stream byte-complete — which is what keeps checkpoint/resume
 //     byte-identical.
 //
-// The output is bit-identical to the serial pipeline for any worker count,
+// The output is bit-identical to that reference for any worker count,
 // shard count and thread interleaving — asserted by tests, not just
 // claimed.
 #pragma once
@@ -80,60 +85,84 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/campaign_stats.hpp"
 #include "anon/anonymiser.hpp"
+#include "anon/client_table.hpp"
 #include "anon/sharded.hpp"
 #include "core/pipeline.hpp"
 #include "core/pool.hpp"
 #include "core/spsc_ring.hpp"
 #include "decode/decoder.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "sim/frames.hpp"
+#include "xmlio/schema.hpp"
 
 namespace dtr::core {
+
+class ServerWorkerPool;
 
 struct ParallelPipelineConfig {
   std::uint32_t server_ip = 0xC0A80001;
   std::uint16_t server_port = 4665;
-  std::size_t workers = 2;
+  /// Decode workers; 0 means 1.  Never changes the output bytes, but it
+  /// shapes the checkpoint (see save_state()).
+  std::size_t workers = 1;
+  /// fileID anonymisation index bytes (paper §2.4: (0,1) is pathological
+  /// under forged IDs; the default is the fixed choice).
   unsigned fileid_index_byte_0 = 5;
   unsigned fileid_index_byte_1 = 11;
   /// Shards for the anonymisation tables (clamped to a power of two in
   /// [1, 64]).  Purely a concurrency/observability knob: dense IDs, output
   /// bytes and checkpoint bytes are identical for every value.
   std::size_t anon_shards = 8;
-  /// clientID table paging (see PipelineConfig): flat pre-allocates the
-  /// span below 2^client_table_space_bits before any worker starts.  Never
-  /// changes assigned IDs, output bytes or checkpoint bytes.
+  /// clientID table paging (paper §2.4): kPaged materialises 4 KiB pages
+  /// on first touch; kFlat pre-allocates the span below
+  /// 2^client_table_space_bits before any worker starts (32 = the paper's
+  /// full 16 GB array).  Purely a space/latency trade: assigned IDs,
+  /// output bytes and checkpoint bytes are identical across modes, so a
+  /// snapshot from one mode resumes under the other.
   anon::DirectClientTable::PageMode client_table_mode =
       anon::DirectClientTable::PageMode::kPaged;
   std::uint32_t client_table_space_bits = 32;
-  std::ostream* xml_out = nullptr;
+  std::ostream* xml_out = nullptr;  ///< optional dataset destination
+  /// Optional extra consumer of the anonymised stream: runs on the merge
+  /// thread, in event order — e.g. an ActivityTracker or FileSpreadTracker.
   std::function<void(const anon::AnonEvent&)> extra_sink;
-  /// Optional metrics registry (see PipelineConfig::metrics).  The feeder
+  /// Optional metrics registry.  When set, every stage registers its
+  /// instruments there (decode.*, anon.*, analysis.*, pipeline.*, span.*)
+  /// and records during the run; it must outlive the pipeline.  The feeder
   /// and every worker bind their decoders to the same registry: the
   /// striped counters merge concurrent increments, so `decode.*` still
   /// totals across threads.
   obs::Registry* metrics = nullptr;
   /// Optional structured logger shared by every stage (may be null).
   obs::Logger* log = nullptr;
-  /// Optional flight recorder; the feeder and each worker record into
-  /// their own per-thread rings (may be null).
+  /// Optional flight recorder; the feeder and each worker record
+  /// drop/reject/stall/error events into their own per-thread rings (may
+  /// be null).
   obs::FlightRecorder* flight = nullptr;
-  /// Optional shadow-serving pool (see PipelineConfig::replay): decoded
-  /// client->server queries are resubmitted, in merge order, to a live
-  /// reference EdonkeyServer.  flush()/finish() drain it.
+  /// Optional shadow-serving pool: decoded client->server queries are
+  /// resubmitted, in merge order, to a live reference EdonkeyServer, so a
+  /// captured trace can be replayed against the sharded index at full
+  /// concurrency.  flush()/finish() drain it (must outlive the pipeline).
   ServerWorkerPool* replay = nullptr;
-  /// Optional pipeline profiler (see PipelineConfig::profiler): the pushing
-  /// (capture feeder) thread, every worker, the merger and the writer
-  /// register and attribute their time.  Pure wall-clock observation —
-  /// never part of the metrics registry, the series or the checkpoint
-  /// fingerprint, so output bytes are identical with or without it.
+  /// Optional pipeline profiler: the pushing (capture feeder) thread, every
+  /// worker, the merger and the writer register and attribute their time.
+  /// Pure wall-clock observation — never part of the metrics registry, the
+  /// series or the checkpoint fingerprint, so output bytes are identical
+  /// with or without it.
   obs::Profiler* profiler = nullptr;
 };
 
@@ -156,24 +185,36 @@ class ParallelCapturePipeline {
   /// inside push().)  Workers emit exactly one result per routed frame and
   /// the merger publishes its progress and flushes its open chunk at the
   /// end of every drain cycle, so the two waits together mean the XML
-  /// stream holds the complete pushed prefix.  Call only between pushes
-  /// (same contract as CapturePipeline::flush()).
+  /// stream holds the complete pushed prefix, and the metrics registry
+  /// reflects exactly that prefix — the hook the TimeSeriesRecorder needs
+  /// for deterministic interval samples.  Call only between pushes.
   void flush();
 
+  /// Statistics accumulator (valid after finish()).
   [[nodiscard]] const analysis::CampaignStats& stats() const { return stats_; }
+  /// The fileID table (valid after finish(); exposed for the Figure 3
+  /// bucket inspection).
+  [[nodiscard]] const anon::ShardedFileIdStore& fileid_store() const {
+    return files_;
+  }
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
   [[nodiscard]] std::size_t anon_shards() const {
     return clients_.shard_count();
   }
 
-  /// Checkpoint codec (same contract as CapturePipeline's).  The snapshot
-  /// carries the feeder decoder's counters next to the workers'.  The
+  /// Checkpoint codec.  save_state may only run while the pipeline is
+  /// quiesced (immediately after flush(), before the next push);
+  /// restore_state must run before the first push after construction.
+  /// When an XML sink is attached, the owner must restore the stream's
+  /// contents to the checkpointed prefix itself (DatasetWriter::resume
+  /// realigns the writer's cursor here).  The snapshot carries the feeder
+  /// decoder's counters next to the workers'.  The
   /// worker count is part of the snapshot: in-flight IP fragments live in the
   /// per-worker reassemblers frames are routed to by flow hash modulo the
   /// worker count, so restoring into a pipeline with a different worker
   /// count is rejected.  The anonymiser shard count is NOT part of the
   /// snapshot — it doesn't affect the output bytes (the sharded tables
-  /// serialise exactly like the serial pipeline's unsharded ones).
+  /// serialise exactly like the paper's unsharded ones).
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -330,7 +371,7 @@ class ParallelCapturePipeline {
   decode::FrameDecoder feeder_decoder_;
   /// Pushing-thread-only: time of the last pushed frame.  Workers see only
   /// UDP frames, so their reassemblers expire against this clock at
-  /// finish(), as the serial decoder's does.
+  /// finish(), as one decoder fed every frame would.
   SimTime last_time_ = 0;
   RingSignal merge_signal_;  // fans in every worker's out ring
   std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // iff xml_
@@ -366,5 +407,10 @@ class ParallelCapturePipeline {
   bool finished_ = false;
   decode::DecodeStats total_decode_;
 };
+
+/// Former names of the one pipeline and its config, still spelled by
+/// donkeybench/workloads.cpp.  A default PipelineConfig runs one worker.
+using CapturePipeline = ParallelCapturePipeline;
+using PipelineConfig = ParallelPipelineConfig;
 
 }  // namespace dtr::core

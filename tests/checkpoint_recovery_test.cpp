@@ -76,10 +76,48 @@ struct RunOptions {
 struct RunArtifacts {
   std::string xml;
   std::string series_jsonl;
+  /// The same series with the pipeline.batch.* histograms left out.
+  std::string series_jsonl_without_batch;
   std::string series_csv;
   Bytes pcap;
   core::CampaignReport report;
 };
+
+/// The JSONL `series` would have written had it also excluded `prefix`:
+/// its stored samples minus that prefix's instruments, restored into a
+/// second recorder through the recorder's own codec (boundary cursor, last
+/// stored snapshot, samples) and rendered there.
+std::string series_jsonl_without(const obs::TimeSeriesRecorder& series,
+                                 const std::string& prefix) {
+  auto strip = [&](obs::Snapshot snap) {
+    auto drop = [&](auto& instruments) {
+      std::erase_if(instruments, [&](const auto& entry) {
+        return entry.first.rfind(prefix, 0) == 0;
+      });
+    };
+    drop(snap.counters);
+    drop(snap.gauges);
+    drop(snap.histograms);
+    return snap;
+  };
+  const auto& samples = series.samples();
+  ByteWriter w;
+  w.u64le(series.next_sample_time());
+  strip(samples.empty() ? obs::Snapshot{} : samples.back().snapshot)
+      .save_state(w);
+  w.u64le(samples.size());
+  for (const auto& sample : samples) {
+    w.u64le(sample.time);
+    strip(sample.snapshot).save_state(w);
+  }
+  obs::Registry unused;
+  obs::TimeSeriesRecorder stripped(unused, series.options());
+  ByteReader r(w.view());
+  EXPECT_TRUE(stripped.restore_state(r));
+  std::ostringstream out;
+  stripped.write_jsonl(out);
+  return out.str();
+}
 
 RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
   core::RunnerConfig cfg = small_config(seed);
@@ -115,6 +153,8 @@ RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
     series.write_jsonl(out);
     art.series_jsonl = out.str();
   }
+  art.series_jsonl_without_batch =
+      series_jsonl_without(series, "pipeline.batch.");
   {
     std::ostringstream out;
     series.write_csv(out);
@@ -155,8 +195,8 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b) {
 // The core oracle: plain run == checkpointed run == run resumed from EVERY
 // snapshot the checkpointed run wrote (resuming from boundary k is exactly
 // "the process was killed at k").
-TEST(CheckpointRecovery, SerialResumeIsByteIdentical) {
-  const fs::path dir = scratch_dir("serial");
+TEST(CheckpointRecovery, OneWorkerResumeIsByteIdentical) {
+  const fs::path dir = scratch_dir("one_worker");
   RunOptions plain;
   plain.pcap_path = (dir / "plain.pcap").string();
   const RunArtifacts baseline = run_campaign(11, plain);
@@ -515,6 +555,11 @@ TEST(CheckpointRecovery, GoldenEndToEndPins) {
   EXPECT_EQ(Sha256::digest(art.xml).hex(),
             "cae9a34ca1820e6bbc3ca96dbae1931a818fcf66661fdb530f121c16d378a4c3");
   EXPECT_EQ(Sha256::digest(art.series_jsonl).hex(),
+            "aa713b257351742ee16e1c6bd036fc3beef73de60ba060746c6246f61512bff8");
+  // The series the serial pipeline recorded before --workers 0/1 moved to
+  // the one-worker data plane: identical but for the pipeline.batch.*
+  // histograms, which that pipeline did not have.
+  EXPECT_EQ(Sha256::digest(art.series_jsonl_without_batch).hex(),
             "bffda09a5b6f841e677a2d96f04daece6f3704c7a0cc2b5797df631c65aefbc2");
   EXPECT_EQ(Sha256::digest(BytesView(art.pcap)).hex(),
             "c1169f26fb2be62861054e9f3f7aa90ed581ddb30ab4834ed8c14119c8585a61");

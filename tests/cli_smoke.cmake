@@ -141,6 +141,61 @@ if(NOT rc_ckseries_cmp EQUAL 0)
   message(FATAL_ERROR "resumed series differs from the uninterrupted run")
 endif()
 
+# --workers 0 and --workers 1 both run the one-worker pipeline: the same
+# dataset and series bytes (and the same dataset as the two-worker runs
+# above), and a snapshot taken at --workers 0 resumes at --workers 1 to
+# those bytes.
+file(REMOVE_RECURSE ${WORKDIR}/smoke_w0_ckpt)
+foreach(workers 0 1)
+  set(ckpt_args)
+  if(workers EQUAL 0)
+    set(ckpt_args --checkpoint-dir smoke_w0_ckpt --checkpoint-interval-hours 1)
+  endif()
+  execute_process(
+    COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
+            --hours 3 --workers ${workers} --xml smoke_w${workers}.xml
+            --series-out smoke_w${workers}_series.jsonl ${ckpt_args}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_workers)
+  if(NOT rc_workers EQUAL 0)
+    message(FATAL_ERROR "--workers ${workers} campaign failed: ${rc_workers}")
+  endif()
+endforeach()
+file(GLOB w0_snapshots ${WORKDIR}/smoke_w0_ckpt/checkpoint-*.ckpt)
+list(LENGTH w0_snapshots w0_snapshot_count)
+if(w0_snapshot_count LESS 1)
+  message(FATAL_ERROR "--workers 0 campaign wrote no snapshots")
+endif()
+list(SORT w0_snapshots)
+list(GET w0_snapshots 0 w0_snapshot)
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
+          --hours 3 --workers 1 --xml smoke_w1_resumed.xml
+          --series-out smoke_w1_resumed_series.jsonl
+          --resume-from ${w0_snapshot}
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_w1_resume)
+if(NOT rc_w1_resume EQUAL 0)
+  message(FATAL_ERROR "--workers 1 resume of a --workers 0 snapshot failed: "
+                      "${rc_w1_resume}")
+endif()
+foreach(pair
+    "smoke_w0.xml;smoke_w1.xml"
+    "smoke_w0_series.jsonl;smoke_w1_series.jsonl"
+    "smoke_w0.xml;smoke_w1_resumed.xml"
+    "smoke_w0_series.jsonl;smoke_w1_resumed_series.jsonl"
+    "smoke_w0.xml;smoke_ck.xml")
+  list(GET pair 0 left)
+  list(GET pair 1 right)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/${left} ${WORKDIR}/${right}
+    RESULT_VARIABLE rc_workers_cmp)
+  if(NOT rc_workers_cmp EQUAL 0)
+    message(FATAL_ERROR "${left} and ${right} differ")
+  endif()
+endforeach()
+
 # Resume from a file that does not exist: clean nonzero exit.
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500

@@ -274,8 +274,8 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-// The acceptance differential: container bytes identical across serial vs
-// parallel pipelines and pool sizes {1, 2, 4} (and inline), and the
+// The acceptance differential: container bytes identical across one and
+// several pipeline workers and pool sizes {1, 2, 4} (and inline), and the
 // container decompresses to exactly the uncompressed run's bytes.
 TEST(CompressedCampaign, ContainerIsByteIdenticalAcrossParallelism) {
   const std::uint64_t seed = 41;
@@ -372,10 +372,10 @@ TEST(CompressedCampaign, ResumeFromSnapshotIsByteIdentical) {
 // this invariant.
 TEST(CompressedCampaign, CompressionOffIsStrictNoop) {
   const std::uint64_t seed = 47;
-  CampaignOptions serial;
+  CampaignOptions one_worker;
   CampaignOptions parallel;
   parallel.workers = 2;
-  const std::string a = run_campaign_xml(seed, serial);
+  const std::string a = run_campaign_xml(seed, one_worker);
   EXPECT_EQ(a, run_campaign_xml(seed, parallel));
   EXPECT_FALSE(xmlio::is_chunked_container(view_of(a)));
 }
@@ -384,7 +384,7 @@ TEST(CompressedCampaign, CompressionOffIsStrictNoop) {
 // Flat client-table mode.
 // ---------------------------------------------------------------------------
 
-// Paging mode never affects the output bytes — serial or parallel.
+// Paging mode never affects the output bytes — at one worker or two.
 TEST(FlatClientTable, OutputMatchesPagedMode) {
   const std::uint64_t seed = 51;
   CampaignOptions paged;

@@ -3,7 +3,8 @@
 // layer that drifts from the numbers it claims to mirror is worse than no
 // metrics at all — so every counter here is equality-checked against the
 // authoritative accumulator (DecodeStats / CampaignStats / CaptureEngine),
-// across several seeds and worker counts, for both pipelines.
+// across several seeds and worker counts, and the pipeline records exactly
+// the counters of the single-threaded reference (reference_pipeline.hpp).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +16,6 @@
 #include "common/rng.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "core/server_pool.hpp"
 #include "hash/md4.hpp"
 #include "hostile_frames.hpp"
@@ -24,6 +24,7 @@
 #include "obs/resource.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/timeseries.hpp"
+#include "reference_pipeline.hpp"
 #include "server/server.hpp"
 #include "sim/campaign.hpp"
 
@@ -55,13 +56,15 @@ struct RunResult {
   std::uint64_t frames_pushed = 0;
 };
 
-RunResult run_serial(const sim::CampaignConfig& cfg, obs::Registry& registry,
-                     const std::vector<sim::TimedFrame>* corpus = nullptr) {
-  PipelineConfig pc;
-  pc.server_ip = cfg.server_ip;
-  pc.server_port = cfg.server_port;
-  pc.metrics = &registry;
-  CapturePipeline pipeline(pc);
+/// One worker (the default), powers of two, and odd counts whose flow hash
+/// spreads unevenly.
+constexpr std::size_t kWorkerCounts[] = {1, 2, 3, 4, 7};
+
+RunResult run_reference(const sim::CampaignConfig& cfg,
+                        obs::Registry& registry,
+                        const std::vector<sim::TimedFrame>* corpus = nullptr) {
+  ReferencePipeline pipeline(cfg.server_ip, cfg.server_port, nullptr,
+                             &registry);
   RunResult run;
   testing_frames::feed(cfg, corpus, [&](const sim::TimedFrame& f) {
     pipeline.push(f);
@@ -184,71 +187,74 @@ void expect_reconciled(const RunResult& run, const char* label) {
 
 class Seeds : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(Seeds, SerialMetricsReconcile) {
+// The oracle's own instruments must hold to its accumulators first.
+TEST_P(Seeds, ReferenceMetricsReconcile) {
   obs::Registry registry;
-  RunResult run = run_serial(campaign_config(GetParam()), registry);
-  expect_reconciled(run, "serial");
+  RunResult run = run_reference(campaign_config(GetParam()), registry);
+  expect_reconciled(run, "reference");
 }
 
-TEST_P(Seeds, ParallelMetricsReconcileAcrossWorkerCounts) {
-  for (std::size_t workers : {2u, 3u, 4u}) {
-    obs::Registry registry;
-    RunResult run = run_parallel(campaign_config(GetParam()), workers, registry);
-    expect_reconciled(run, "parallel");
-    // Micro-batch accounting: one message-batch observation per frame
-    // batch, every routed frame in exactly one batch, every decoded
-    // message in exactly one batch.  Only UDP frames are routed: the
-    // feeder settles every other frame without batching it.
-    const obs::HistogramSnapshot& frames_hist =
-        run.metrics.histograms.at("pipeline.batch.frames");
-    const obs::HistogramSnapshot& messages_hist =
-        run.metrics.histograms.at("pipeline.batch.messages");
-    EXPECT_EQ(frames_hist.count, messages_hist.count);
-    EXPECT_EQ(frames_hist.sum,
-              static_cast<double>(run.metrics.counter("decode.udp.packets")));
-    EXPECT_EQ(messages_hist.sum,
-              static_cast<double>(run.result.anonymised_events));
-    // Pool accounting: exactly one frame-batch and one result-batch
-    // acquisition per batch (the hit/miss *split* is scheduling-dependent,
-    // the total is not; no XML sink here, so the chunk pool stays idle).
-    EXPECT_EQ(run.metrics.counter("pipeline.pool.hits") +
-                  run.metrics.counter("pipeline.pool.misses"),
-              2 * frames_hist.count);
-    // A clean run never pushes into a closed queue.
-    EXPECT_EQ(run.metrics.counter("pipeline.dropped_on_close"), 0u);
-  }
+/// The pipeline's own data-plane accounting, which the reference has no
+/// counterpart for.
+void expect_batches_reconciled(const RunResult& run) {
+  // Micro-batch accounting: one message-batch observation per frame
+  // batch, every routed frame in exactly one batch, every decoded
+  // message in exactly one batch.  Only UDP frames are routed: the
+  // feeder settles every other frame without batching it.
+  const obs::HistogramSnapshot& frames_hist =
+      run.metrics.histograms.at("pipeline.batch.frames");
+  const obs::HistogramSnapshot& messages_hist =
+      run.metrics.histograms.at("pipeline.batch.messages");
+  EXPECT_EQ(frames_hist.count, messages_hist.count);
+  EXPECT_EQ(frames_hist.sum,
+            static_cast<double>(run.metrics.counter("decode.udp.packets")));
+  EXPECT_EQ(messages_hist.sum,
+            static_cast<double>(run.result.anonymised_events));
+  // Pool accounting: exactly one frame-batch and one result-batch
+  // acquisition per batch (the hit/miss *split* is scheduling-dependent,
+  // the total is not; no XML sink here, so the chunk pool stays idle).
+  EXPECT_EQ(run.metrics.counter("pipeline.pool.hits") +
+                run.metrics.counter("pipeline.pool.misses"),
+            2 * frames_hist.count);
+  // A clean run never pushes into a closed queue.
+  EXPECT_EQ(run.metrics.counter("pipeline.dropped_on_close"), 0u);
 }
 
-TEST_P(Seeds, SerialAndParallelRecordIdenticalCounters) {
+TEST_P(Seeds, PipelineRecordsTheReferenceCounters) {
   const sim::CampaignConfig cfg = campaign_config(GetParam());
   // The plain campaign, then the same campaign under background TCP and
-  // crafted non-IPv4 / bad-IP / other-IP frames, which the parallel feeder
-  // settles on its own decoder: decode.tcp, decode.non_ipv4, decode.bad_ip
-  // and decode.other_ip must still match the serial decoder's.
+  // crafted non-IPv4 / bad-IP / other-IP frames, which the pipeline's
+  // feeder settles on its own decoder: decode.tcp, decode.non_ipv4,
+  // decode.bad_ip and decode.other_ip must still match the reference
+  // decoder's.
   const std::vector<sim::TimedFrame> hostile =
       testing_frames::hostile_corpus(cfg);
   for (const std::vector<sim::TimedFrame>* corpus :
        {static_cast<const std::vector<sim::TimedFrame>*>(nullptr), &hostile}) {
     SCOPED_TRACE(corpus == nullptr ? "campaign" : "campaign + hostile frames");
-    obs::Registry serial_reg;
-    obs::Registry parallel_reg;
-    RunResult serial = run_serial(cfg, serial_reg, corpus);
-    RunResult parallel = run_parallel(cfg, 3, parallel_reg, corpus);
-    expect_reconciled(parallel, "parallel");
-
-    // Every deterministic counter matches between the two pipelines (spans
-    // and queue gauges are timing-dependent and excluded by construction:
-    // counters are deterministic, gauges/histograms are not all).
-    for (const auto& [name, value] : serial.metrics.counters) {
-      EXPECT_EQ(parallel.metrics.counter(name), value) << name;
-    }
-    EXPECT_EQ(serial.result.anonymised_events,
-              parallel.result.anonymised_events);
+    obs::Registry reference_reg;
+    const RunResult reference = run_reference(cfg, reference_reg, corpus);
     if (corpus != nullptr) {
       for (const char* name : {"decode.tcp", "decode.non_ipv4",
                                "decode.bad_ip", "decode.other_ip"}) {
-        EXPECT_GT(serial.metrics.counter(name), 0u) << name;
+        EXPECT_GT(reference.metrics.counter(name), 0u) << name;
       }
+    }
+    for (std::size_t workers : kWorkerCounts) {
+      SCOPED_TRACE(::testing::Message() << workers << " workers");
+      obs::Registry parallel_reg;
+      const RunResult parallel =
+          run_parallel(cfg, workers, parallel_reg, corpus);
+      expect_reconciled(parallel, "parallel");
+      expect_batches_reconciled(parallel);
+      // Every counter the reference records, the pipeline records with the
+      // same value.  (Its own data-plane counters — pools, rings, writer,
+      // shard split — have no reference counterpart.)
+      for (const auto& [name, value] : reference.metrics.counters) {
+        EXPECT_EQ(parallel.metrics.counter(name), value) << name;
+      }
+      EXPECT_EQ(reference.result.anonymised_events,
+                parallel.result.anonymised_events);
     }
   }
 }
@@ -322,8 +328,8 @@ TEST(RunnerMetrics, JsonSnapshotCarriesTheAcceptanceCounters) {
 //
 // The recorder samples the registry at interval boundaries with the
 // pipeline flushed to the intake boundary, so the *series* — not just the
-// end-of-run totals — must be identical between the serial and parallel
-// pipelines and byte-identical between same-seed runs.
+// end-of-run totals — must be identical at every worker count and
+// byte-identical between same-seed runs.
 
 struct SeriesRun {
   std::vector<obs::TimeSeriesRecorder::Sample> samples;
@@ -381,30 +387,30 @@ SeriesRun run_with_series(std::uint64_t seed, std::size_t workers,
   return run;
 }
 
-TEST(SeriesReconcile, SerialAndParallelProduceIdenticalCounterSeries) {
-  SeriesRun serial = run_with_series(31, 0);
+TEST(SeriesReconcile, WorkerCountsProduceIdenticalCounterSeries) {
+  SeriesRun one = run_with_series(31, 0);
   SeriesRun parallel = run_with_series(31, 3);
 
   // 3h campaign, 30min interval: at least 6 boundaries (sessions started
   // near the end emit frames past the nominal duration, so there can be
   // more), every one interval-aligned.
-  ASSERT_GE(serial.samples.size(), 6u);
-  ASSERT_EQ(parallel.samples.size(), serial.samples.size());
-  for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-    EXPECT_EQ(serial.samples[i].time, parallel.samples[i].time);
-    EXPECT_EQ(serial.samples[i].time % (30 * kMinute), 0u);
-    // The counter *series* agrees sample by sample — flush() quiesces both
-    // pipelines to the same intake boundary, so this holds regardless of
-    // worker scheduling.  (Histograms differ by construction: the batch
-    // histogram only exists in the parallel pipeline.)
-    EXPECT_EQ(serial.samples[i].snapshot.counters,
+  ASSERT_GE(one.samples.size(), 6u);
+  ASSERT_EQ(parallel.samples.size(), one.samples.size());
+  for (std::size_t i = 0; i < one.samples.size(); ++i) {
+    EXPECT_EQ(one.samples[i].time, parallel.samples[i].time);
+    EXPECT_EQ(one.samples[i].time % (30 * kMinute), 0u);
+    // The counter *series* agrees sample by sample — flush() quiesces the
+    // pipeline to the same intake boundary at any worker count, so this
+    // holds regardless of worker scheduling.  (Histograms differ by
+    // construction: batch shapes depend on how frames route to workers.)
+    EXPECT_EQ(one.samples[i].snapshot.counters,
               parallel.samples[i].snapshot.counters)
-        << "sample " << i << " at t=" << serial.samples[i].time;
+        << "sample " << i << " at t=" << one.samples[i].time;
   }
   // The series must actually move between samples, or the test is vacuous.
-  EXPECT_GT(serial.samples.front().snapshot.counter("decode.frames"), 0u);
-  EXPECT_GT(serial.samples.back().snapshot.counter("decode.frames"),
-            serial.samples.front().snapshot.counter("decode.frames"));
+  EXPECT_GT(one.samples.front().snapshot.counter("decode.frames"), 0u);
+  EXPECT_GT(one.samples.back().snapshot.counter("decode.frames"),
+            one.samples.front().snapshot.counter("decode.frames"));
 }
 
 TEST(SeriesReconcile, SameSeedRunsAreByteIdentical) {
@@ -422,11 +428,11 @@ TEST(SeriesReconcile, SameSeedRunsAreByteIdentical) {
 }
 
 // The pipeline profiler observes wall time only — it must never feed the
-// registry, the series, or the XML writer.  An unprofiled serial reference
-// against a profiled parallel run (with a live resource sampler publishing
-// proc.* gauges into the same registry) is the strongest version of that
-// claim: XML byte for byte, counter series sample by sample, and the
-// profiler itself must have real attribution to show for it.
+// registry, the series, or the XML writer.  An unprofiled one-worker run
+// against a profiled three-worker run (with a live resource sampler
+// publishing proc.* gauges into the same registry) is the strongest version
+// of that claim: XML byte for byte, counter series sample by sample, and
+// the profiler itself must have real attribution to show for it.
 TEST(SeriesReconcile, ProfilerPresenceNeverChangesTheBytes) {
   const SeriesRun reference = run_with_series(36, 0);
   ASSERT_FALSE(reference.xml.empty());
@@ -461,21 +467,22 @@ TEST(SeriesReconcile, ProfilerPresenceNeverChangesTheBytes) {
 // The anonymiser shard count spreads the workers' lock-free lookup tables;
 // dense IDs are still assigned by the merge thread in strict sequence
 // order, so the shard count must never reach the output: XML byte for
-// byte, counter series sample by sample, against the serial reference.
+// byte, counter series sample by sample, against a one-worker run at the
+// default shard count.
 TEST(SeriesReconcile, AnonShardCountNeverChangesTheBytes) {
-  const SeriesRun serial = run_with_series(34, 0);
-  ASSERT_FALSE(serial.xml.empty());
+  const SeriesRun one = run_with_series(34, 0);
+  ASSERT_FALSE(one.xml.empty());
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
     SCOPED_TRACE(::testing::Message() << "anon_shards=" << shards);
     DataPlaneTuning tuning;
     tuning.anon_shards = shards;
     SeriesRun parallel = run_with_series(34, 3, tuning);
-    EXPECT_EQ(parallel.xml, serial.xml);
-    ASSERT_EQ(parallel.samples.size(), serial.samples.size());
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
+    EXPECT_EQ(parallel.xml, one.xml);
+    ASSERT_EQ(parallel.samples.size(), one.samples.size());
+    for (std::size_t i = 0; i < one.samples.size(); ++i) {
       EXPECT_EQ(parallel.samples[i].snapshot.counters,
-                serial.samples[i].snapshot.counters)
+                one.samples[i].snapshot.counters)
           << "sample " << i;
     }
   }

@@ -1,14 +1,15 @@
-// The parallel decode pipeline must be *observationally identical* to the
-// serial one: same anonymised tokens, same statistics, same XML — for any
-// worker count and thread interleaving.  That is the whole point of the
-// partition / sequence / merge construction.
+// The capture pipeline must be *observationally identical* to the
+// single-threaded reference (reference_pipeline.hpp): same anonymised
+// tokens, same statistics, same XML — for any worker count and thread
+// interleaving.  That is the whole point of the partition / sequence /
+// merge construction.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "hostile_frames.hpp"
+#include "reference_pipeline.hpp"
 #include "sim/campaign.hpp"
 
 namespace dtr::core {
@@ -35,14 +36,14 @@ struct RunOutput {
   std::uint64_t messages;
 };
 
-RunOutput run_serial(const sim::CampaignConfig& cfg,
-                     const std::vector<sim::TimedFrame>* corpus = nullptr) {
+/// The worker counts every differential runs: one (the default), powers
+/// of two, and odd counts whose flow hash spreads unevenly.
+constexpr std::size_t kWorkerCounts[] = {1, 2, 3, 4, 7};
+
+RunOutput run_reference(const sim::CampaignConfig& cfg,
+                        const std::vector<sim::TimedFrame>* corpus = nullptr) {
   std::ostringstream xml;
-  PipelineConfig pc;
-  pc.server_ip = cfg.server_ip;
-  pc.server_port = cfg.server_port;
-  pc.xml_out = &xml;
-  CapturePipeline pipeline(pc);
+  ReferencePipeline pipeline(cfg.server_ip, cfg.server_port, &xml);
   testing_frames::feed(cfg, corpus,
                        [&](const sim::TimedFrame& f) { pipeline.push(f); });
   RunOutput out;
@@ -76,8 +77,8 @@ RunOutput run_parallel(const sim::CampaignConfig& cfg, std::size_t workers,
 
 void expect_identical(const RunOutput& a, const RunOutput& b,
                       const char* label) {
-  // Every DecodeStats field: frames settled on the parallel feeder and
-  // frames decoded by its workers must add up to the serial decoder's.
+  // Every DecodeStats field: frames settled on the pipeline's feeder and
+  // frames decoded by its workers must add up to the reference decoder's.
   EXPECT_EQ(a.result.decode, b.result.decode) << label;
   EXPECT_EQ(a.result.distinct_clients, b.result.distinct_clients) << label;
   EXPECT_EQ(a.result.distinct_files, b.result.distinct_files) << label;
@@ -92,37 +93,38 @@ void expect_identical(const RunOutput& a, const RunOutput& b,
 
 class WorkerCounts : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(WorkerCounts, ParallelMatchesSerialExactly) {
+TEST_P(WorkerCounts, PipelineMatchesReferenceExactly) {
   sim::CampaignConfig cfg = campaign_config(51);
-  RunOutput serial = run_serial(cfg);
+  RunOutput reference = run_reference(cfg);
   RunOutput parallel = run_parallel(cfg, GetParam());
-  expect_identical(serial, parallel, "workers");
-  EXPECT_GT(serial.result.decode.udp_fragments, 0u)
+  expect_identical(reference, parallel, "workers");
+  EXPECT_GT(reference.result.decode.udp_fragments, 0u)
       << "this test must exercise the partitioned reassembly path";
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCounts,
-                         ::testing::Values(1, 2, 3, 4, 7));
+                         ::testing::ValuesIn(kWorkerCounts));
 
 // The feeder settles every non-UDP frame itself and routes only UDP: over a
 // stream of background TCP and crafted frames breaking each header rule,
-// its counts plus the workers' must equal the serial decoder's, field by
-// field, and the dataset must not move.
-TEST(Parallel, HostileFramesMatchSerialExactly) {
+// its counts plus the workers' must equal the reference decoder's, field
+// by field, and the dataset must not move.
+TEST(Parallel, HostileFramesMatchReferenceExactly) {
   const sim::CampaignConfig cfg = campaign_config(54);
   const std::vector<sim::TimedFrame> corpus =
       testing_frames::hostile_corpus(cfg);
-  const RunOutput serial = run_serial(cfg, &corpus);
-  const decode::DecodeStats& d = serial.result.decode;
+  const RunOutput reference = run_reference(cfg, &corpus);
+  const decode::DecodeStats& d = reference.result.decode;
   EXPECT_EQ(d.frames, corpus.size());
   EXPECT_GT(d.non_ipv4_frames, 0u);
   EXPECT_GT(d.bad_ip_packets, 0u);
   EXPECT_GT(d.tcp_packets, 0u);
   EXPECT_GT(d.other_ip_packets, 0u);
   EXPECT_GT(d.udp_fragments, 0u);
-  for (std::size_t workers = 1; workers <= 4; ++workers) {
+  for (std::size_t workers : kWorkerCounts) {
     SCOPED_TRACE(::testing::Message() << workers << " workers");
-    expect_identical(serial, run_parallel(cfg, workers, &corpus), "hostile");
+    expect_identical(reference, run_parallel(cfg, workers, &corpus),
+                     "hostile");
   }
 }
 
@@ -157,6 +159,7 @@ TEST(Parallel, ExtraSinkSeesEventsInOrder) {
 
 TEST(Parallel, ZeroWorkersClampsToOne) {
   ParallelPipelineConfig pc;
+  EXPECT_EQ(pc.workers, 1u) << "the default config runs one worker";
   pc.workers = 0;
   ParallelCapturePipeline pipeline(pc);
   EXPECT_EQ(pipeline.workers(), 1u);

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "core/campaign_runner.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/queue.hpp"
 #include "xmlio/schema.hpp"
 
@@ -222,16 +222,17 @@ TEST_F(EndToEnd, XmlDatasetRoundtripsToIdenticalStats) {
 
 TEST_F(EndToEnd, AnonymisationIsConsistentAcrossTheDataset) {
   RunnerConfig cfg = config();
-  cfg.keep_events = true;
+  std::vector<anon::AnonClientId> peers;  // one per event, in event order
+  cfg.extra_sink = [&](const anon::AnonEvent& ev) { peers.push_back(ev.peer); };
   CampaignRunner runner(cfg);
-  runner.run();
+  const CampaignReport report = runner.run();
 
   // Peers are dense 0..N-1.
-  const auto& events = runner.pipeline().events();
-  ASSERT_FALSE(events.empty());
-  std::uint64_t n = runner.pipeline().client_table().distinct();
-  for (const auto& ev : events) {
-    EXPECT_LT(ev.peer, n);
+  ASSERT_FALSE(peers.empty());
+  EXPECT_EQ(peers.size(), report.pipeline.anonymised_events);
+  const std::uint64_t n = report.pipeline.distinct_clients;
+  for (const anon::AnonClientId peer : peers) {
+    EXPECT_LT(peer, n);
   }
 }
 
@@ -310,19 +311,20 @@ TEST_F(EndToEnd, PcapDumpReplaysThroughOfflineDecoder) {
 
 TEST(PipelineFileStore, PollutersSkewNaiveBucketsEndToEnd) {
   // Run the same campaign through two pipelines differing only in the
-  // fileID index byte pair; the naive one must develop hot buckets 0/256.
+  // fileID index byte pair; the naive one must develop hot buckets 0/256
+  // in the pipeline's own (sharded) fileID table.
   sim::CampaignConfig sim_cfg = RunnerConfig::tiny(33).campaign;
   sim_cfg.population.polluter_fraction = 0.10;  // amplify for a tiny run
   sim_cfg.population.casual_fraction = 0.70;
 
   auto run_with = [&](unsigned b0, unsigned b1) {
     sim::CampaignSimulator simulator(sim_cfg);
-    PipelineConfig cfg;
+    ParallelPipelineConfig cfg;
     cfg.server_ip = sim_cfg.server_ip;
     cfg.server_port = sim_cfg.server_port;
     cfg.fileid_index_byte_0 = b0;
     cfg.fileid_index_byte_1 = b1;
-    CapturePipeline pipeline(cfg);
+    ParallelCapturePipeline pipeline(cfg);
     simulator.run(
         [&](const sim::TimedFrame& f) { pipeline.push(f); });
     pipeline.finish();

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "obs/resource.hpp"
@@ -247,7 +246,7 @@ TEST(ResourceSampler, StopAlwaysRecordsAFinalSample) {
   EXPECT_GE(sampler.samples().size(), 1u);
 }
 
-// --- Integration: the parallel pipeline registers its real threads ------
+// --- Integration: the pipeline registers its real threads ---------------
 
 sim::CampaignConfig tiny_campaign(std::uint64_t seed) {
   sim::CampaignConfig cfg;
@@ -299,28 +298,6 @@ TEST(ProfilerIntegration, ParallelPipelineAttributesItsThreads) {
   std::ostringstream json;
   report.render_json(json);
   EXPECT_TRUE(json_valid(json.str()));
-}
-
-TEST(ProfilerIntegration, SerialPipelineAttributesItsThreads) {
-  Profiler profiler;
-  core::PipelineConfig cfg;
-  cfg.profiler = &profiler;
-  core::CapturePipeline pipeline(cfg);
-  sim::CampaignSimulator simulator(tiny_campaign(92));
-  simulator.run([&](const sim::TimedFrame& f) { pipeline.push(f); });
-  const core::PipelineResult result = pipeline.finish();
-  ASSERT_TRUE(result.ok()) << result.error;
-
-  bool saw_decode = false, saw_anonymise = false, saw_capture = false;
-  for (const auto& thread : profiler.thread_summaries()) {
-    EXPECT_TRUE(thread.finished) << thread.name;
-    if (thread.stage == "decode") saw_decode = true;
-    if (thread.stage == "anonymise") saw_anonymise = true;
-    if (thread.stage == "capture") saw_capture = true;
-  }
-  EXPECT_TRUE(saw_decode);
-  EXPECT_TRUE(saw_anonymise);
-  EXPECT_TRUE(saw_capture);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Adversarial & churn scenario suite: differential regression tests.
 //
 // Every registered hostile-regime preset (sim/scenario.hpp) is locked
-// three ways: the serial and parallel pipelines produce byte-identical
+// three ways: one and three pipeline workers produce byte-identical
 // output under the scenario; a run killed at the storm peak and resumed
 // from the snapshot reproduces the uninterrupted run's dataset bytes
 // exactly (as does resuming from every other snapshot); and the XML plus
@@ -138,10 +138,10 @@ RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
 }
 
 /// Byte-compare two runs.  `compare_series` is off only for cross-worker-
-/// count comparisons: the parallel pipeline registers instruments the
-/// serial one does not (e.g. the pipeline.batch.frames histogram), so the
-/// series was never byte-comparable across worker counts — the dataset
-/// bytes (XML, pcap), the summary and every counter still are.
+/// count comparisons: batch shapes depend on how frames route to workers
+/// (the pipeline.batch.frames histogram), so the series is not
+/// byte-comparable across worker counts — the dataset bytes (XML, pcap),
+/// the summary and every counter still are.
 void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
                       bool compare_series = true) {
   EXPECT_TRUE(a.report.pipeline.ok()) << a.report.pipeline.error;
@@ -289,16 +289,16 @@ TEST(ScenarioRegistry, ValidateRejectsOutOfRangeConfigs) {
   EXPECT_TRUE(c.validate().empty());
 }
 
-// ---- differential: serial == parallel ----------------------------------
+// ---- differential: one worker == three workers ------------------------
 
-TEST(ScenarioDifferential, SerialEqualsParallelForEveryPreset) {
+TEST(ScenarioDifferential, OneWorkerEqualsThreeForEveryPreset) {
   for (const std::string& name : sim::scenario_names()) {
     SCOPED_TRACE(name);
-    RunOptions serial;
-    serial.scenario = sim::scenario_preset(name);
-    const RunArtifacts a = run_campaign(21, serial);
+    RunOptions one_worker;
+    one_worker.scenario = sim::scenario_preset(name);
+    const RunArtifacts a = run_campaign(21, one_worker);
 
-    RunOptions parallel = serial;
+    RunOptions parallel = one_worker;
     parallel.workers = 3;
     const RunArtifacts b = run_campaign(21, parallel);
     expect_identical(a, b, /*compare_series=*/false);

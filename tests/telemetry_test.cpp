@@ -392,7 +392,7 @@ core::RunnerConfig failing_config(std::size_t workers) {
   return cfg;
 }
 
-TEST(PipelineFailure, SerialSurfacesErrorAndFlightDump) {
+TEST(PipelineFailure, OneWorkerSurfacesErrorAndFlightDump) {
   core::RunnerConfig cfg = failing_config(0);
   obs::FlightRecorder flight(256);
   cfg.flight = &flight;

@@ -51,7 +51,9 @@ commands:
   campaign    simulate a capture campaign end to end
               --seed N --clients N --files N --hours H
               --xml PATH[.dtz] --pcap PATH --background
-              [--workers N] (N>1: parallel decode pipeline)
+              [--workers N] (decode worker threads; default 0 = 1;
+                                      never changes output, joins the
+                                      snapshot fingerprint)
               [--anon-shards N] (anonymiser table shards, power of two;
                                       default 8; never changes output)
               [--server-shards N] (index shards, power of two; default 4)
@@ -484,9 +486,7 @@ int cmd_campaign(const cli::Args& args) {
     opts.counters = {"pipeline.frames", "pipeline.messages", "anon.events"};
     opts.gauges = {{"capture.occupancy", "capture.buffer.occupancy"},
                    {"pipeline.queue.merge", ""},
-                   {"pipeline.queue.writer", ""},
-                   {"pipeline.queue.frames", ""},
-                   {"pipeline.queue.messages", ""}};
+                   {"pipeline.queue.writer", ""}};
     sampler = std::make_unique<obs::ResourceSampler>(&registry, opts);
   }
   if (telemetry.log_enabled && cfg.metrics != nullptr) {
