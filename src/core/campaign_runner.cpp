@@ -310,7 +310,7 @@ CampaignReport CampaignRunner::run() {
   if (config_.compress && config_.xml_out != nullptr) {
     xmlio::ChunkedWriterConfig zcfg;
     zcfg.chunk_bytes = config_.compress_chunk_bytes;
-    zcfg.threads = config_.compress_threads;
+    zcfg.threads = xmlio::kCompressThreads;
     zcfg.metrics = config_.metrics;
     compressor = std::make_unique<xmlio::CompressingOstream>(*xml_sink, zcfg);
     xml_sink = compressor.get();

@@ -30,15 +30,13 @@ struct RunnerConfig {
   std::ostream* xml_out = nullptr;
   /// Compress the dataset as it streams (the paper's footnote-3 economics
   /// at campaign scale): `xml_out` receives the chunked DTZCHNK1 container
-  /// instead of plain XML, produced by a parallel compressor pool that
-  /// reassembles frames in chunk order — the container bytes are identical
-  /// for any `compress_threads` (0 = compress inline on the writer
-  /// thread), and decompress to exactly the bytes an uncompressed run
-  /// writes.  `compress_chunk_bytes` fixes the chunk grid, so it IS part
-  /// of the checkpoint fingerprint (a resumed run must keep cutting chunks
-  /// on the same grid); the thread count is not.
+  /// instead of plain XML, produced by a pool of xmlio::kCompressThreads
+  /// compressors that reassembles frames in chunk order — the container
+  /// bytes match an inline compressor's, and decompress to exactly the
+  /// bytes an uncompressed run writes.  `compress_chunk_bytes` fixes the
+  /// chunk grid, so it IS part of the checkpoint fingerprint (a resumed
+  /// run must keep cutting chunks on the same grid).
   bool compress = false;
-  std::size_t compress_threads = 2;
   std::size_t compress_chunk_bytes = xmlio::kDefaultChunkBytes;
   /// clientID table paging (paper §2.4): flat pre-allocates the span below
   /// 2^client_table_space_bits up front (32 = the full 16 GB array).

@@ -24,7 +24,6 @@
 #include "core/campaign_runner.hpp"      // IWYU pragma: export
 #include "core/parallel_pipeline.hpp"    // IWYU pragma: export
 #include "core/pipeline.hpp"             // IWYU pragma: export
-#include "core/server_pool.hpp"          // IWYU pragma: export
 #include "decode/decoder.hpp"            // IWYU pragma: export
 #include "decode/tcp_decoder.hpp"        // IWYU pragma: export
 #include "hash/md4.hpp"                  // IWYU pragma: export

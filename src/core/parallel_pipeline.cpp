@@ -5,7 +5,6 @@
 #include <deque>
 
 #include "common/rng.hpp"
-#include "core/server_pool.hpp"
 #include "xmlio/schema.hpp"
 
 namespace dtr::core {
@@ -203,7 +202,6 @@ void ParallelCapturePipeline::flush() {
       });
     }
   }
-  if (config_.replay != nullptr) config_.replay->drain();
 }
 
 void ParallelCapturePipeline::notify_quiesce() {
@@ -405,11 +403,6 @@ void ParallelCapturePipeline::merge_loop() {
             if (xml_) chunk_event(xmlio::render_event(event, chunk.bytes));
           }
           cur.xml_off += len;
-          if (config_.replay != nullptr && from_client) {
-            config_.replay->submit(ServerQuery{msg.src_ip, msg.src_port,
-                                               std::move(msg.message),
-                                               msg.time});
-          }
         }
       } catch (const std::exception& e) {
         failed = true;  // keep consuming results so flush() never hangs
@@ -644,7 +637,6 @@ PipelineResult ParallelCapturePipeline::finish() {
       writer_thread_.join();
     }
     feeder_lease_.reset();  // finish() runs on the pushing thread
-    if (config_.replay != nullptr) config_.replay->drain();
     if (xml_) xml_->finish();
     accumulate(total_decode_, feeder_decoder_.stats());
     for (auto& worker : workers_) {

@@ -111,8 +111,6 @@
 
 namespace dtr::core {
 
-class ServerWorkerPool;
-
 struct ParallelPipelineConfig {
   std::uint32_t server_ip = 0xC0A80001;
   std::uint16_t server_port = 4665;
@@ -153,11 +151,6 @@ struct ParallelPipelineConfig {
   /// drop/reject/stall/error events into their own per-thread rings (may
   /// be null).
   obs::FlightRecorder* flight = nullptr;
-  /// Optional shadow-serving pool: decoded client->server queries are
-  /// resubmitted, in merge order, to a live reference EdonkeyServer, so a
-  /// captured trace can be replayed against the sharded index at full
-  /// concurrency.  flush()/finish() drain it (must outlive the pipeline).
-  ServerWorkerPool* replay = nullptr;
   /// Optional pipeline profiler: the pushing (capture feeder) thread, every
   /// worker, the merger and the writer register and attribute their time.
   /// Pure wall-clock observation — never part of the metrics registry, the
@@ -386,15 +379,18 @@ class ParallelCapturePipeline {
   /// The pushing thread's profiler registration, taken lazily on the first
   /// push() and released in finish() (both run on the pushing thread).
   obs::ThreadLease feeder_lease_;
-  std::atomic<std::uint64_t> anonymised_events_{0};
+  /// The merger bumps this per message and the pusher next_seq_ per frame:
+  /// each starts a cache line, so neither bounces the other's line or the
+  /// read-mostly members before them.
+  alignas(64) std::atomic<std::uint64_t> anonymised_events_{0};
 
   std::thread merge_thread_;
   std::thread writer_thread_;
-  std::uint64_t next_seq_ = 0;  // routed (UDP) frames so far
+  alignas(64) std::uint64_t next_seq_ = 0;  // routed (UDP) frames so far
   /// Results fully processed by the merger (one per routed frame),
   /// published once per drain cycle; with next_seq_ it forms the first
   /// half of the flush() quiescence test.
-  std::atomic<std::uint64_t> results_merged_{0};
+  alignas(64) std::atomic<std::uint64_t> results_merged_{0};
   /// Events the writer thread has retired (second half of the quiescence
   /// test: the merger increments anonymised_events_ before handing the
   /// chunk off, the writer increments this after writing it).

@@ -1,9 +1,9 @@
 // Single-producer / single-consumer bounded ring for the pipeline hot path.
 //
-// Replaces the mutex-protected BoundedQueue on the pusher→worker,
-// worker→merge and merge→writer hand-offs.  The common case (ring neither
-// full nor empty) is two atomic loads and one atomic store per side; the
-// mutex + condition variable are only touched when a side has to park.
+// Carries the pusher→worker, worker→merge and merge→writer hand-offs.
+// The common case (ring neither full nor empty) is two atomic loads and
+// one atomic store per side; the mutex + condition variable are only
+// touched when a side has to park.
 //
 // Parking uses the classic store→fence→load (Dekker) protocol: the waiter
 // publishes a "waiting" flag, re-checks the ring, and only then sleeps; the
@@ -40,7 +40,10 @@ namespace dtr::core {
 ///
 /// Producers call notify() after publishing; the epoch bump makes a wait()
 /// that raced with the publish return immediately instead of sleeping.
-class RingSignal {
+/// Every producer bumps the epoch on each publish, so the signal takes a
+/// cache line of its own: it must not share one with a neighbour that
+/// another thread writes.
+class alignas(64) RingSignal {
  public:
   using Epoch = std::uint64_t;
 

@@ -2,10 +2,10 @@
 //
 // The paper keeps ten weeks of queries on disk as XML only because, "once
 // compressed, [it] does not have a prohibitive space cost" (footnote 3).
-// The single-stream LZSS container in compress.hpp needs the whole dataset
-// in memory and compresses on one core; a ten-week campaign needs neither
-// limitation.  This module frames the dataset as a sequence of fixed-size
-// uncompressed chunks, each compressed independently with lz_compress, so:
+// This container is the dataset's one compressed file format: every .dtz
+// file the tools write or read is DTZCHNK1.  It frames the dataset as a
+// sequence of fixed-size uncompressed chunks, each compressed independently
+// with lz_compress (compress.hpp, the per-chunk payload codec), so:
 //
 //   * compression streams — nothing but the current chunk is buffered;
 //   * compression parallelises — closed chunks go to a small compressor
@@ -24,7 +24,7 @@
 //   header:  8-byte magic "DTZCHNK1", u32 version, u32 chunk_bytes
 //   frame:   u64 chunk index, u32 original length, u32 compressed length,
 //            u64 FNV-1a checksum, then `compressed length` payload bytes
-//            (payload = lz_compress of the chunk, own DTZ1 container)
+//            (payload = lz_compress of the chunk, a DTZ1 payload)
 //   end:     a frame with original length == compressed length == 0,
 //            followed by u64 total uncompressed size
 //
@@ -53,6 +53,10 @@ namespace dtr::xmlio {
 inline constexpr char kChunkedMagic[8] = {'D', 'T', 'Z', 'C', 'H', 'N', 'K', '1'};
 inline constexpr std::uint32_t kChunkedVersion = 1;
 inline constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
+/// Compressor pool size of the campaign and CLI writers.  One thread of
+/// LZSS (32-48 MB/s) cannot keep up with a campaign's dataset writer; the
+/// bytes are the same for any pool size.
+inline constexpr std::size_t kCompressThreads = 2;
 /// Reader-side sanity bounds on the header's chunk size: a lying header
 /// must not be able to make the reader reserve gigabytes.
 inline constexpr std::size_t kMinChunkBytes = 64;

@@ -1,13 +1,15 @@
-// LZSS compression for released datasets.
+// LZSS codec for the chunks of a compressed dataset.
 //
 // The paper stores the dataset as XML because, "once compressed, [it] does
 // not have a prohibitive space cost" (footnote 3).  This module provides
 // the compression half of that story without external dependencies: a
 // classic LZSS (sliding-window dictionary) codec with a hash-chain matcher.
 // XML's repetitive structure compresses extremely well under it (typically
-// 4-8x on dataset files).
+// 4-8x on dataset files).  It is not a file format of its own: the chunked
+// container (chunked.hpp) compresses each chunk with it, and a .dtz file
+// is always that container.
 //
-// Container format ("DTZ1"): 4-byte magic, u64le original size, then token
+// Payload format ("DTZ1"): 4-byte magic, u64le original size, then token
 // groups — one flag byte per 8 tokens (bit set = match), literals are raw
 // bytes, matches are 3 bytes: u16le distance (1-based), u8 length-3.
 #pragma once

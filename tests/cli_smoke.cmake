@@ -307,7 +307,7 @@ endif()
 # above — checkpointing never changes output bytes).
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
-          --hours 3 --workers 2 --compress --compress-threads 3
+          --hours 3 --workers 2 --compress
           --compress-chunk 65536 --xml smoke_z.xml.dtz
   WORKING_DIRECTORY ${WORKDIR}
   RESULT_VARIABLE rc_zcampaign)
@@ -340,16 +340,25 @@ endif()
 if(NOT out_zanalyze MATCHES "distinct clients")
   message(FATAL_ERROR "chunked analyze output missing summary table")
 endif()
-# The same campaign as plain XML and as whole-file DTZ1 must analyze to the
-# very same report: the input form never reaches the statistics.
+# `compress` writes the same container format at the default chunk size:
+# the campaign as plain XML and as `compress` output must analyze to the
+# very same report (the input form never reaches the statistics), and
+# `decompress` restores the plain bytes.
+file(REMOVE ${WORKDIR}/smoke_c.xml.dtz)
+file(COPY_FILE ${WORKDIR}/smoke_ck.xml ${WORKDIR}/smoke_c.xml)
 execute_process(
-  COMMAND ${DONKEYTRACE} compress smoke_ck.xml
+  COMMAND ${DONKEYTRACE} compress smoke_c.xml
   WORKING_DIRECTORY ${WORKDIR}
-  RESULT_VARIABLE rc_dtz1)
-if(NOT rc_dtz1 EQUAL 0)
-  message(FATAL_ERROR "whole-file compress failed: ${rc_dtz1}")
+  RESULT_VARIABLE rc_compress)
+if(NOT rc_compress EQUAL 0)
+  message(FATAL_ERROR "compress failed: ${rc_compress}")
 endif()
-foreach(form smoke_ck.xml smoke_ck.xml.dtz)
+set(container_magic_hex 44545a43484e4b31)  # "DTZCHNK1"
+file(READ ${WORKDIR}/smoke_c.xml.dtz c_magic LIMIT 8 HEX)
+if(NOT c_magic STREQUAL container_magic_hex)
+  message(FATAL_ERROR "compress did not write a DTZCHNK1 container")
+endif()
+foreach(form smoke_ck.xml smoke_c.xml.dtz)
   execute_process(
     COMMAND ${DONKEYTRACE} analyze ${form}
     WORKING_DIRECTORY ${WORKDIR}
@@ -363,6 +372,72 @@ foreach(form smoke_ck.xml smoke_ck.xml.dtz)
                         "container's report")
   endif()
 endforeach()
+file(REMOVE ${WORKDIR}/smoke_c.xml)
+execute_process(
+  COMMAND ${DONKEYTRACE} decompress smoke_c.xml.dtz
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_c_decompress)
+if(NOT rc_c_decompress EQUAL 0)
+  message(FATAL_ERROR "decompress of compress output failed: ${rc_c_decompress}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORKDIR}/smoke_c.xml ${WORKDIR}/smoke_ck.xml
+  RESULT_VARIABLE rc_c_cmp)
+if(NOT rc_c_cmp EQUAL 0)
+  message(FATAL_ERROR "compress/decompress round-trip changed the bytes")
+endif()
+# decompress refuses anything but a container, and leaves no output file.
+file(COPY_FILE ${WORKDIR}/smoke_ck.xml ${WORKDIR}/smoke_plain.xml.dtz)
+file(REMOVE ${WORKDIR}/smoke_plain.xml ${WORKDIR}/smoke_plain.xml.part)
+execute_process(
+  COMMAND ${DONKEYTRACE} decompress smoke_plain.xml.dtz
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_plain_decompress
+  ERROR_VARIABLE err_plain_decompress)
+if(rc_plain_decompress EQUAL 0 OR EXISTS ${WORKDIR}/smoke_plain.xml OR
+   EXISTS ${WORKDIR}/smoke_plain.xml.part)
+  message(FATAL_ERROR "decompress accepted plain XML or left an output file")
+endif()
+if(NOT err_plain_decompress MATCHES "not a DTZCHNK1 container")
+  message(FATAL_ERROR "plain-XML decompress not reported: ${err_plain_decompress}")
+endif()
+
+# decode --xml x.dtz writes the container too, and it holds exactly the
+# plain XML a decode to x.xml writes.
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 20 --files 100
+          --hours 1 --pcap smoke_dec.pcap
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_dec_campaign)
+if(NOT rc_dec_campaign EQUAL 0)
+  message(FATAL_ERROR "pcap campaign failed: ${rc_dec_campaign}")
+endif()
+file(REMOVE ${WORKDIR}/smoke_dec.xml)
+foreach(out smoke_dec.xml.dtz smoke_dec_plain.xml)
+  execute_process(
+    COMMAND ${DONKEYTRACE} decode --pcap smoke_dec.pcap --xml ${out}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_decode)
+  if(NOT rc_decode EQUAL 0)
+    message(FATAL_ERROR "decode --xml ${out} failed: ${rc_decode}")
+  endif()
+endforeach()
+file(READ ${WORKDIR}/smoke_dec.xml.dtz dec_magic LIMIT 8 HEX)
+if(NOT dec_magic STREQUAL container_magic_hex)
+  message(FATAL_ERROR "decode --xml x.dtz did not write a DTZCHNK1 container")
+endif()
+execute_process(
+  COMMAND ${DONKEYTRACE} decompress smoke_dec.xml.dtz
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_dec_decompress)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORKDIR}/smoke_dec.xml ${WORKDIR}/smoke_dec_plain.xml
+  RESULT_VARIABLE rc_dec_cmp)
+if(NOT rc_dec_decompress EQUAL 0 OR NOT rc_dec_cmp EQUAL 0)
+  message(FATAL_ERROR "decode's container does not restore its plain XML")
+endif()
 # A truncated container fails without a report, whether the cut falls
 # mid-dataset or after </capture> (inside the end frame): analyze drains
 # the container to its end frame before it prints anything.
@@ -467,4 +542,25 @@ execute_process(
   RESULT_VARIABLE rc_decompress)
 if(NOT rc_decompress EQUAL 0)
   message(FATAL_ERROR "donkeytrace decompress failed: ${rc_decompress}")
+endif()
+
+# A file the CLI cannot finish writing is a failure: a full device takes
+# the buffered bytes and fails only the last flush, so neither writer may
+# exit 0 or claim to have written it.
+if(EXISTS /dev/full)
+  foreach(flag metrics-out profile-out)
+    execute_process(
+      COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 20 --files 100
+              --hours 1 --${flag} /dev/full
+      WORKING_DIRECTORY ${WORKDIR}
+      RESULT_VARIABLE rc_full
+      OUTPUT_VARIABLE out_full
+      ERROR_VARIABLE err_full)
+    if(rc_full EQUAL 0 OR out_full MATCHES "wrote")
+      message(FATAL_ERROR "--${flag} /dev/full exited ${rc_full}: ${out_full}")
+    endif()
+    if(NOT err_full MATCHES "cannot write /dev/full")
+      message(FATAL_ERROR "--${flag} /dev/full not reported: ${err_full}")
+    endif()
+  endforeach()
 endif()

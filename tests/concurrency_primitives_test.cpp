@@ -1,145 +1,24 @@
 // Concurrency property tests for the pipeline's hand-off primitives:
-// BoundedQueue bulk operations under producer/consumer races and
-// close-during-operation, ObjectPool retention, and the SPSC ring +
+// ObjectPool retention and the SPSC ring +
 // RingSignal fan-in protocol introduced by the sharded-anonymisation
 // pipeline.  Runs under the `concurrency` ctest label so the tsan preset
 // hammers every interleaving it can find; the assertions themselves are
 // scheduling-independent (conservation, ordering, termination).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/pool.hpp"
-#include "core/queue.hpp"
 #include "core/spsc_ring.hpp"
 
 namespace dtr::core {
 namespace {
-
-// ---------------------------------------------------------------------------
-// BoundedQueue bulk operations
-// ---------------------------------------------------------------------------
-
-TEST(BoundedQueueBulk, PopAllDrainsClosedNonEmptyQueue) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  q.close();
-  // Closing wakes waiters but pending items stay poppable, in order.
-  std::vector<int> out;
-  EXPECT_TRUE(q.pop_all(out));
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_FALSE(q.pop_all(out));  // now closed *and* drained
-  EXPECT_FALSE(q.push(99));      // and pushes are refused
-}
-
-TEST(BoundedQueueBulk, PushAllLargerThanCapacityGoesThroughInChunks) {
-  BoundedQueue<int> q(4);
-  std::vector<int> received;
-  std::thread consumer([&] {
-    std::vector<int> got;
-    while (q.pop_all(got)) {
-      received.insert(received.end(), got.begin(), got.end());
-      got.clear();
-    }
-  });
-  std::vector<int> items;
-  for (int i = 0; i < 1000; ++i) items.push_back(i);
-  EXPECT_EQ(q.push_all(items), 1000u);
-  EXPECT_TRUE(items.empty());
-  q.close();
-  consumer.join();
-  ASSERT_EQ(received.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(received[i], i);
-}
-
-TEST(BoundedQueueBulk, CloseDuringPushAllDropsOnlyTheRemainder) {
-  BoundedQueue<int> q(2);
-  std::vector<int> items(1000);
-  for (int i = 0; i < 1000; ++i) items[i] = i;
-
-  std::atomic<std::size_t> consumed{0};
-  std::thread closer([&] {
-    // Drain a little so the producer makes progress, then slam the door
-    // while push_all is (very likely) still blocked mid-vector.
-    std::vector<int> got;
-    for (int rounds = 0; rounds < 5 && q.pop_all(got); ++rounds) {
-      consumed += got.size();
-      got.clear();
-    }
-    q.close();
-    while (q.pop_all(got)) {  // drain whatever was admitted after our stop
-      consumed += got.size();
-      got.clear();
-    }
-  });
-  const std::size_t pushed = q.push_all(items);
-  closer.join();
-  EXPECT_TRUE(items.empty());  // the remainder was dropped, not leaked
-  EXPECT_LE(pushed, 1000u);
-  // Conservation: everything admitted was consumed, nothing duplicated.
-  EXPECT_EQ(consumed.load(), pushed);
-}
-
-TEST(BoundedQueueBulk, ManyProducersManyConsumersConserveEveryElement) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 5'000;
-  BoundedQueue<std::uint64_t> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      std::vector<std::uint64_t> batch;
-      for (int i = 0; i < kPerProducer; ++i) {
-        // Encode (producer, sequence) so consumers can check per-producer
-        // FIFO order — push_all admits each producer's chunk in order.
-        batch.push_back(static_cast<std::uint64_t>(p) << 32 |
-                        static_cast<std::uint32_t>(i));
-        if (batch.size() == 17 || i + 1 == kPerProducer) {
-          ASSERT_EQ(q.push_all(batch), 0u + batch.size());
-          batch.clear();
-        }
-      }
-    });
-  }
-  std::mutex seen_mutex;
-  std::vector<std::vector<std::uint32_t>> seen(kProducers);
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      std::vector<std::uint64_t> got;
-      while (q.pop_all(got)) {
-        std::lock_guard lock(seen_mutex);
-        for (std::uint64_t v : got) {
-          seen[v >> 32].push_back(static_cast<std::uint32_t>(v));
-        }
-        got.clear();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-
-  for (int p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(seen[p].size(), static_cast<std::size_t>(kPerProducer));
-    // pop_all batches preserve queue order, but with several consumers the
-    // *interleaving* of batches is arbitrary — so sort, then require every
-    // sequence number exactly once (no loss, no duplication).
-    std::sort(seen[p].begin(), seen[p].end());
-    for (int i = 0; i < kPerProducer; ++i) {
-      ASSERT_EQ(seen[p][i], static_cast<std::uint32_t>(i));
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ObjectPool

@@ -10,7 +10,7 @@
 // answers in order, and the end-state records (metadata + exact source
 // lists).
 //
-// The same file also hammers one sharded index and a ServerWorkerPool from
+// The same file also hammers one sharded index and one EdonkeyServer from
 // several threads; those tests assert only invariants (the transcript is
 // schedule-dependent) and exist chiefly for the tsan preset, which runs
 // this binary via the `concurrency` label.
@@ -24,7 +24,6 @@
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "core/server_pool.hpp"
 #include "hash/md4.hpp"
 #include "server/index.hpp"
 #include "server/server.hpp"
@@ -560,71 +559,74 @@ TEST(IndexConcurrency, ParallelPublishSearchRetractKeepsInvariants) {
   EXPECT_EQ(sources_via_visit, index.source_count());
 }
 
-TEST(ServerPool, ConcurrentMixedTrafficReconciles) {
+TEST(ServerConcurrency, MixedTrafficReconciles) {
   ServerConfig cfg;
   cfg.index_shards = 8;
   cfg.search_cache_entries = 32;
   EdonkeyServer server(cfg);
 
-  std::atomic<std::uint64_t> sink_answers{0};
-  core::ServerWorkerPool pool(
-      server, /*workers=*/4, /*queue_capacity=*/256,
-      [&sink_answers](const core::ServerQuery&,
-                      std::vector<proto::Message> answers) {
-        sink_answers.fetch_add(answers.size(), std::memory_order_relaxed);
-      });
-
   Rng r(4242);
   std::vector<std::string> names;
   for (std::size_t i = 0; i < 80; ++i) names.push_back(random_name(r));
 
-  std::uint64_t submitted = 0;
+  std::vector<proto::Message> queries;
+  std::vector<proto::ClientId> clients;
   for (int i = 0; i < 1200; ++i) {
-    const proto::ClientId client =
-        static_cast<proto::ClientId>(1 + r.below(32));
+    clients.push_back(static_cast<proto::ClientId>(1 + r.below(32)));
     const std::uint64_t roll = r.below(10);
-    proto::Message msg;
     if (roll < 4) {
       proto::PublishReq req;
       const std::size_t n = 1 + r.below(6);
       for (std::size_t j = 0; j < n; ++j) {
         req.files.push_back(random_entry(r, names, 32));
       }
-      msg = std::move(req);
+      queries.emplace_back(std::move(req));
     } else if (roll < 7) {
       proto::FileSearchReq req;
       req.expr = random_expr(r);
-      msg = std::move(req);
+      queries.emplace_back(std::move(req));
     } else if (roll < 9) {
       proto::GetSourcesReq req;
       req.file_ids.push_back(Md4::digest(names[r.below(names.size())]));
-      msg = std::move(req);
+      queries.emplace_back(std::move(req));
     } else {
-      msg = proto::ServStatReq{static_cast<std::uint32_t>(i)};
+      queries.emplace_back(proto::ServStatReq{static_cast<std::uint32_t>(i)});
     }
-    ASSERT_TRUE(pool.submit(core::ServerQuery{client, 4662, std::move(msg),
-                                              static_cast<SimTime>(i)}));
-    ++submitted;
-    if (i == 600) pool.drain();  // mid-stream drain must not deadlock
   }
-  pool.drain();
 
-  // Quiesced: atomic ServerStats must reconcile exactly with the pool's
-  // own counters and the sink's view.
+  // Four threads, each handling every fourth query: publishes, searches
+  // and source requests interleave on the shards.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::uint64_t> handled(kThreads, 0);
+  std::vector<std::uint64_t> answers(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < queries.size(); i += kThreads) {
+        answers[t] += server.handle(clients[i], 4662, queries[i],
+                                    static_cast<SimTime>(i))
+                          .size();
+        ++handled[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  // Joined: the atomic ServerStats must reconcile exactly with what the
+  // threads handled and the answers they got back.
+  std::uint64_t total_handled = 0;
+  std::uint64_t total_answers = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    total_handled += handled[t];
+    total_answers += answers[t];
+  }
   const ServerStats stats = server.stats();  // load-copying snapshot
-  EXPECT_EQ(pool.submitted(), submitted);
-  EXPECT_EQ(pool.processed(), submitted);
-  EXPECT_EQ(stats.queries.load(), submitted);
-  EXPECT_EQ(pool.answers(), sink_answers.load());
-  EXPECT_EQ(stats.answers.load(), pool.answers());
+  EXPECT_EQ(total_handled, queries.size());
+  EXPECT_EQ(stats.queries.load(), total_handled);
+  EXPECT_EQ(stats.answers.load(), total_answers);
   EXPECT_LE(stats.searches.load() + stats.source_requests.load() +
                 stats.publishes.load(),
             stats.queries.load());
-
-  pool.finish();
-  EXPECT_FALSE(pool.submit(core::ServerQuery{1, 4662,
-                                             proto::ServStatReq{1}, 0}))
-      << "submits after finish() are rejected";
 }
 
 }  // namespace

@@ -11,12 +11,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/server_pool.hpp"
 #include "hash/md4.hpp"
 #include "hostile_frames.hpp"
 #include "obs/metrics.hpp"
@@ -614,46 +614,40 @@ TEST(ServerReconcile, StatsAndIndexCountersAreShardCountInvariant) {
       << "eight shards must confine cache invalidation better than one";
 }
 
-TEST(ServerReconcile, ConcurrentPoolTotalsMatchSerialTotals) {
-  // Phase the workload (all publishes, drain, then all reads) so answer
+TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
+  // Phase the workload (all publishes, join, then all reads) so answer
   // counts are schedule-independent, then compare against a serial server
   // handling the same phases.
   const std::vector<proto::Message> queries = server_workload(9, 600);
+  const auto client_of = [&](const proto::Message& q) {
+    return static_cast<proto::ClientId>(1 + (&q - queries.data()) % 24);
+  };
+  const auto in_phase = [](const proto::Message& q, bool publishes) {
+    return std::holds_alternative<proto::PublishReq>(q) == publishes;
+  };
 
   server::EdonkeyServer serial(sharded_server_config(1));
-  for (const proto::Message& q : queries) {
-    if (std::holds_alternative<proto::PublishReq>(q)) {
-      serial.handle(
-          static_cast<proto::ClientId>(1 + (&q - queries.data()) % 24), 4662,
-          q, 0);
-    }
-  }
-  for (const proto::Message& q : queries) {
-    if (!std::holds_alternative<proto::PublishReq>(q)) {
-      serial.handle(
-          static_cast<proto::ClientId>(1 + (&q - queries.data()) % 24), 4662,
-          q, 0);
+  for (const bool publishes : {true, false}) {
+    for (const proto::Message& q : queries) {
+      if (in_phase(q, publishes)) serial.handle(client_of(q), 4662, q, 0);
     }
   }
 
+  // Four threads, each handling every fourth query of the phase.
+  constexpr std::size_t kThreads = 4;
   server::EdonkeyServer sharded(sharded_server_config(8));
-  core::ServerWorkerPool pool(sharded, 4, 128);
-  for (const proto::Message& q : queries) {
-    if (std::holds_alternative<proto::PublishReq>(q)) {
-      pool.submit(core::ServerQuery{
-          static_cast<proto::ClientId>(1 + (&q - queries.data()) % 24), 4662,
-          proto::clone_message(q), 0});
+  for (const bool publishes : {true, false}) {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < queries.size(); i += kThreads) {
+          const proto::Message& q = queries[i];
+          if (in_phase(q, publishes)) sharded.handle(client_of(q), 4662, q, 0);
+        }
+      });
     }
+    for (std::thread& thread : threads) thread.join();
   }
-  pool.drain();
-  for (const proto::Message& q : queries) {
-    if (!std::holds_alternative<proto::PublishReq>(q)) {
-      pool.submit(core::ServerQuery{
-          static_cast<proto::ClientId>(1 + (&q - queries.data()) % 24), 4662,
-          proto::clone_message(q), 0});
-    }
-  }
-  pool.drain();
 
   const server::ServerStats a = serial.stats();
   const server::ServerStats b = sharded.stats();

@@ -8,129 +8,10 @@
 
 #include "core/campaign_runner.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/queue.hpp"
 #include "xmlio/schema.hpp"
-
-#include <thread>
 
 namespace dtr::core {
 namespace {
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-// ---------------------------------------------------------------------------
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(10);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, CloseDrainsThenEnds) {
-  BoundedQueue<int> q(10);
-  q.push(1);
-  q.close();
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_FALSE(q.push(2));  // closed: rejected
-}
-
-TEST(BoundedQueue, BackpressureBlocksUntilConsumed) {
-  BoundedQueue<int> q(2);
-  q.push(1);
-  q.push(2);
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    q.push(3);  // blocks until a pop frees a slot
-    third_pushed = true;
-  });
-  // Give the producer a chance to block.
-  while (q.size() < 2) {
-  }
-  EXPECT_FALSE(third_pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, ManyProducersOneConsumer) {
-  BoundedQueue<int> q(8);
-  std::vector<std::thread> producers;
-  const int per_producer = 500;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < per_producer; ++i) q.push(p * per_producer + i);
-    });
-  }
-  std::set<int> seen;
-  for (int i = 0; i < 4 * per_producer; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v);
-    EXPECT_TRUE(seen.insert(*v).second);
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(seen.size(), 4u * per_producer);
-}
-
-TEST(BoundedQueue, PushAllPopAllRoundTrip) {
-  BoundedQueue<int> q(10);
-  std::vector<int> in = {1, 2, 3, 4, 5};
-  EXPECT_EQ(q.push_all(in), 5u);
-  EXPECT_TRUE(in.empty());
-  std::vector<int> out;
-  EXPECT_TRUE(q.pop_all(out));
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(BoundedQueue, PushAllLargerThanCapacityGoesThroughInChunks) {
-  BoundedQueue<int> q(4);  // smaller than the batch below
-  std::vector<int> in;
-  for (int i = 0; i < 100; ++i) in.push_back(i);
-  std::size_t pushed = 0;
-  std::thread producer([&] { pushed = q.push_all(in); });
-  std::vector<int> out;
-  while (out.size() < 100) ASSERT_TRUE(q.pop_all(out));
-  producer.join();
-  EXPECT_EQ(pushed, 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i);
-}
-
-TEST(BoundedQueue, PopAllAppendsAndDrainsBacklog) {
-  BoundedQueue<int> q(10);
-  q.push(1);
-  q.push(2);
-  std::vector<int> out = {0};  // pop_all appends, never clears
-  EXPECT_TRUE(q.pop_all(out));
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, PushAllReportsShortfallOnClose) {
-  BoundedQueue<int> q(10);
-  q.close();
-  std::vector<int> in = {1, 2, 3};
-  EXPECT_EQ(q.push_all(in), 0u);
-  EXPECT_TRUE(in.empty());
-  std::vector<int> out;
-  EXPECT_FALSE(q.pop_all(out));  // closed and drained
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(BoundedQueue, PopAllReturnsPendingItemsAfterClose) {
-  BoundedQueue<int> q(10);
-  q.push(7);
-  q.close();
-  std::vector<int> out;
-  EXPECT_TRUE(q.pop_all(out));
-  EXPECT_EQ(out, std::vector<int>{7});
-  EXPECT_FALSE(q.pop_all(out));
-}
 
 // ---------------------------------------------------------------------------
 // End-to-end campaign

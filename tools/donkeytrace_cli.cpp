@@ -9,8 +9,9 @@
 //
 // `campaign` runs the full measurement (Figure 1) at the requested scale;
 // `decode` replays a pcap capture offline; `analyze` recomputes the §3
-// statistics from a released dataset.  Files ending in .dtz are LZSS-
-// compressed (footnote 3 of the paper).
+// statistics from a released dataset.  Files ending in .dtz are the
+// chunked DTZCHNK1 container (footnote 3 of the paper); analyze and
+// decompress recognise it by its magic.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -32,7 +33,6 @@
 #include "obs/snapshot.hpp"
 #include "obs/timeseries.hpp"
 #include "xmlio/chunked.hpp"
-#include "xmlio/compress.hpp"
 
 // Opt this binary into global allocation counting (one TU per binary): the
 // --profile-out resource trajectory reports real operator-new totals
@@ -72,11 +72,8 @@ commands:
                                       scenario summary after the run)
               [--compress] (stream the dataset through the chunked
                                       compressor: --xml receives the DTZCHNK1
-                                      container, byte-identical for any pool
-                                      size; decompress restores the XML)
-              [--compress-threads N] (compressor pool size; default 2,
-                                      0 = compress inline; never changes
-                                      the container bytes)
+                                      container; implied by a .dtz path;
+                                      decompress restores the XML)
               [--compress-chunk BYTES] (uncompressed chunk size; default
                                       262144; joins the snapshot fingerprint)
               [--client-table MODE] (paged|flat clientID table, paper
@@ -90,10 +87,10 @@ commands:
               [--server-ip A.B.C.D] [--server-port P]
   analyze     recompute the paper's statistics from a dataset
               --xml PATH[.dtz]  (or positional path)
-  compress    LZSS-compress a file   (positional path, adds .dtz)
-  decompress  expand a compressed file (positional path, strips .dtz);
-              handles both the whole-file DTZ1 format and the chunked
-              DTZCHNK1 campaign container (detected by magic)
+  compress    compress a file into the DTZCHNK1 container
+              (positional path, adds .dtz)
+  decompress  expand a DTZCHNK1 container (positional path, strips .dtz);
+              refuses anything else
   jsoncheck   validate JSON (or per-line JSONL) artifacts
               (positional paths; .jsonl files are checked line by line)
 
@@ -129,11 +126,16 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool write_file(const std::string& path, BytesView data) {
+/// Create `path` and fill it through `fill(std::ostream&)`.  The file is
+/// closed before it is judged: a full disk often surfaces only in the last
+/// flush.
+template <class Fill>
+bool write_to(const std::string& path, Fill&& fill) {
   std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return static_cast<bool>(out);
+  if (!out) return false;
+  fill(out);
+  out.close();
+  return !out.fail();
 }
 
 std::optional<Bytes> read_file(const std::string& path) {
@@ -144,15 +146,33 @@ std::optional<Bytes> read_file(const std::string& path) {
   return data;
 }
 
-/// A dataset file opened for one streaming read.  The chunked campaign
-/// container (detected by magic) is decompressed chunk by chunk as it is
-/// read; anything else is whole-file DTZ1 when `dtz1` is set (the one
-/// format still expanded in memory) or plain XML read straight from the
-/// file.
+/// Copy `from` to `to` one 64 KiB block at a time; returns the bytes copied.
+std::uint64_t copy_blocks(std::streambuf& from, std::ostream& to) {
+  std::vector<char> block(64 * 1024);
+  std::uint64_t bytes = 0;
+  for (std::streamsize n;
+       (n = from.sgetn(block.data(),
+                       static_cast<std::streamsize>(block.size()))) > 0;) {
+    to.write(block.data(), n);
+    bytes += static_cast<std::uint64_t>(n);
+  }
+  return bytes;
+}
+
+/// The .dtz writers' compressor: the chunked container at the default grid.
+xmlio::ChunkedWriterConfig dtz_config() {
+  xmlio::ChunkedWriterConfig config;
+  config.threads = xmlio::kCompressThreads;
+  return config;
+}
+
+/// A dataset file opened for one streaming read.  The chunked container
+/// (detected by magic) is decompressed chunk by chunk as it is read;
+/// anything else is read as plain XML straight from the file.
 class DatasetInput {
  public:
   /// False when the file cannot be opened.
-  bool open(const std::string& path, bool dtz1) {
+  bool open(const std::string& path) {
     file_.open(path, std::ios::binary);
     if (!file_) return false;
     char magic[sizeof xmlio::kChunkedMagic] = {};
@@ -162,60 +182,47 @@ class DatasetInput {
                   static_cast<std::size_t>(file_.gcount())));
     file_.clear();
     file_.seekg(0);
-    if (chunked) {
-      chunked_ = std::make_unique<xmlio::DecompressingIstream>(file_);
-      stream_ = chunked_.get();
-    } else if (dtz1) {
-      const Bytes raw((std::istreambuf_iterator<char>(file_)),
-                      std::istreambuf_iterator<char>());
-      const auto expanded = xmlio::lz_decompress(raw);
-      expanded_ok_ = expanded.has_value();
-      if (expanded) {
-        expanded_.str(std::string(expanded->begin(), expanded->end()));
-      }
-      stream_ = &expanded_;
-    }
+    if (chunked) chunked_ = std::make_unique<xmlio::DecompressingIstream>(file_);
     return true;
   }
 
-  /// The dataset's bytes: empty when the file does not decompress, and
-  /// ending early when a chunked container breaks off.
-  std::istream& stream() { return *stream_; }
+  /// True when the file is a chunked container.
+  [[nodiscard]] bool compressed() const { return chunked_ != nullptr; }
 
-  /// After the read: true when the file decompressed whole — for a chunked
-  /// container, every frame through the end frame verified, including
-  /// those past the last byte the read consumed.
-  bool finish() { return chunked_ ? chunked_->drain() : expanded_ok_; }
+  /// The dataset's bytes, ending early when a chunked container breaks off.
+  std::istream& stream() {
+    return chunked_ ? static_cast<std::istream&>(*chunked_) : file_;
+  }
+
+  /// After the read: true unless a chunked container failed to verify
+  /// whole — every frame through the end frame, including those past the
+  /// last byte the read consumed.
+  bool finish() { return chunked_ ? chunked_->drain() : true; }
 
  private:
   std::ifstream file_;
-  std::istream* stream_ = &file_;
   std::unique_ptr<xmlio::DecompressingIstream> chunked_;
-  std::istringstream expanded_;
-  bool expanded_ok_ = true;
 };
 
-/// Store XML text to `path`, compressing when it ends in .dtz.
+/// Store XML text to `path`: a .dtz path receives the chunked container.
 bool store_dataset(const std::string& path, std::string_view xml) {
-  if (ends_with(path, ".dtz")) {
-    Bytes data(xml.begin(), xml.end());
-    Bytes compressed = xmlio::lz_compress(data);
-    bool ok = write_file(path, compressed);
-    if (ok) {
-      std::cout << "wrote " << path << " (" << with_thousands(compressed.size())
-                << " bytes, " << static_cast<int>(
-                       100.0 * xmlio::lz_ratio(data, compressed))
-                << "% of the XML)\n";
+  const bool compressed = ends_with(path, ".dtz");
+  std::uint64_t stored = xml.size();
+  const bool ok = write_to(path, [&](std::ostream& out) {
+    if (!compressed) {
+      out << xml;
+      return;
     }
-    return ok;
+    xmlio::CompressingOstream z(out, dtz_config());
+    z << xml;
+    z.writer().finish();
+    stored = z.writer().compressed_bytes();
+  });
+  if (ok) {
+    std::cout << "wrote " << path << " (" << with_thousands(stored)
+              << (compressed ? " bytes, chunked-compressed)\n" : " bytes)\n");
   }
-  std::ofstream out(path);
-  out << xml;
-  if (out) {
-    std::cout << "wrote " << path << " (" << with_thousands(xml.size())
-              << " bytes)\n";
-  }
-  return static_cast<bool>(out);
+  return ok;
 }
 
 /// Periodic metrics emitter driven by *simulated* time: call tick() with
@@ -252,11 +259,11 @@ bool write_metrics_json(const obs::Registry& registry,
     snap.render_json(std::cout);
     return true;
   }
-  std::ofstream out(path);
-  if (!out) return false;
-  snap.render_json(out);
-  if (out) std::cout << "wrote " << path << " (metrics snapshot)\n";
-  return static_cast<bool>(out);
+  if (!write_to(path, [&](std::ostream& out) { snap.render_json(out); })) {
+    return false;
+  }
+  std::cout << "wrote " << path << " (metrics snapshot)\n";
+  return true;
 }
 
 /// The telemetry channels behind the shared campaign/decode flags
@@ -312,18 +319,18 @@ int setup_telemetry(const cli::Args& args, const obs::Registry& registry,
 bool write_series_files(const Telemetry& t) {
   if (!t.series) return true;
   if (!t.series_path.empty()) {
-    std::ofstream out(t.series_path);
-    if (!out) return false;
-    t.series->write_jsonl(out);
-    if (!out) return false;
+    if (!write_to(t.series_path,
+                  [&](std::ostream& out) { t.series->write_jsonl(out); })) {
+      return false;
+    }
     std::cout << "wrote " << t.series_path << " ("
               << t.series->samples().size() << " samples)\n";
   }
   if (!t.series_csv_path.empty()) {
-    std::ofstream out(t.series_csv_path);
-    if (!out) return false;
-    t.series->write_csv(out);
-    if (!out) return false;
+    if (!write_to(t.series_csv_path,
+                  [&](std::ostream& out) { t.series->write_csv(out); })) {
+      return false;
+    }
     std::cout << "wrote " << t.series_csv_path << " ("
               << t.series->samples().size() << " samples)\n";
   }
@@ -343,11 +350,12 @@ bool dump_flight(const Telemetry& t) {
     t.flight->dump_text(std::cerr, kAll);
     return true;
   }
-  std::ofstream out(t.flight_path);
-  if (!out) return false;
-  t.flight->dump_json(out, kAll);
-  if (out) std::cout << "wrote " << t.flight_path << " (flight dump)\n";
-  return static_cast<bool>(out);
+  if (!write_to(t.flight_path,
+                [&](std::ostream& out) { t.flight->dump_json(out, kAll); })) {
+    return false;
+  }
+  std::cout << "wrote " << t.flight_path << " (flight dump)\n";
+  return true;
 }
 
 void print_dataset_summary(const analysis::CampaignStats& stats) {
@@ -397,8 +405,9 @@ int cmd_campaign(const cli::Args& args) {
   cfg.campaign.server.search_cache_entries = args.get_u64("search-cache", 0);
   cfg.workers = args.get_u64("workers", 0);
   cfg.anon_shards = args.get_u64("anon-shards", 8);
-  cfg.compress = args.has("compress");
-  cfg.compress_threads = args.get_u64("compress-threads", 2);
+  const std::string xml_path = args.get("xml");
+  // A .dtz path always means the chunked container.
+  cfg.compress = args.has("compress") || ends_with(xml_path, ".dtz");
   cfg.compress_chunk_bytes =
       args.get_u64("compress-chunk", xmlio::kDefaultChunkBytes);
   const std::string table_mode = args.get("client-table", "paged");
@@ -441,7 +450,6 @@ int cmd_campaign(const cli::Args& args) {
   }
 
   std::ostringstream xml;
-  std::string xml_path = args.get("xml");
   if (!xml_path.empty()) cfg.xml_out = &xml;
 
   obs::Registry registry;
@@ -526,24 +534,15 @@ int cmd_campaign(const cli::Args& args) {
   }
 
   if (!xml_path.empty()) {
-    if (cfg.compress) {
-      // The buffer already holds the chunked container; write it verbatim
-      // (store_dataset would wrap the binary stream in a second codec).
-      const std::string_view container = xml.view();
-      if (!write_file(xml_path,
-                      BytesView(reinterpret_cast<const std::uint8_t*>(
-                                    container.data()),
-                                container.size()))) {
-        std::cerr << "cannot write " << xml_path << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << xml_path << " ("
-                << with_thousands(container.size())
-                << " bytes, chunked-compressed)\n";
-    } else if (!store_dataset(xml_path, xml.view())) {
+    // The buffer already holds the final bytes: the chunked container when
+    // compressing, plain XML otherwise.
+    if (!write_to(xml_path, [&](std::ostream& out) { out << xml.view(); })) {
       std::cerr << "cannot write " << xml_path << "\n";
       return 1;
     }
+    std::cout << "wrote " << xml_path << " ("
+              << with_thousands(xml.view().size())
+              << (cfg.compress ? " bytes, chunked-compressed)\n" : " bytes)\n");
   }
   if (!cfg.pcap_path.empty()) {
     std::cout << "wrote " << cfg.pcap_path << "\n";
@@ -568,14 +567,10 @@ int cmd_campaign(const cli::Args& args) {
       bottleneck.render_json(std::cout);
       std::cout << "\n";
     } else {
-      std::ofstream out(profile_path);
-      if (!out) {
-        std::cerr << "cannot write " << profile_path << "\n";
-        return 1;
-      }
-      bottleneck.render_json(out);
-      out << "\n";
-      if (!out) {
+      if (!write_to(profile_path, [&](std::ostream& out) {
+            bottleneck.render_json(out);
+            out << "\n";
+          })) {
         std::cerr << "cannot write " << profile_path << "\n";
         return 1;
       }
@@ -703,7 +698,7 @@ int cmd_analyze(const cli::Args& args) {
     return 2;
   }
   DatasetInput input;
-  if (!input.open(path, ends_with(path, ".dtz"))) {
+  if (!input.open(path)) {
     std::cerr << "cannot load " << path << "\n";
     return 1;
   }
@@ -740,13 +735,17 @@ int cmd_analyze(const cli::Args& args) {
   return 0;
 }
 
-/// Expand `path` next to itself, streaming a chunked container one chunk at
-/// a time.  The output appears under its final name only once the input
-/// has verified whole.
+/// Expand the chunked container `path` next to itself, one chunk at a
+/// time.  The output appears under its final name only once the input has
+/// verified whole.
 int decompress_file(const std::string& path) {
   DatasetInput input;
-  if (!input.open(path, /*dtz1=*/true)) {
+  if (!input.open(path)) {
     std::cerr << "cannot read " << path << "\n";
+    return 1;
+  }
+  if (!input.compressed()) {
+    std::cerr << path << " is not a DTZCHNK1 container\n";
     return 1;
   }
   const std::string out_path = ends_with(path, ".dtz")
@@ -754,20 +753,9 @@ int decompress_file(const std::string& path) {
                                    : path + ".out";
   const std::string part_path = out_path + ".part";
   std::uint64_t bytes = 0;
-  bool written = false;
-  {
-    std::ofstream out(part_path, std::ios::binary);
-    std::vector<char> block(64 * 1024);
-    std::streambuf* in = input.stream().rdbuf();
-    for (std::streamsize n; (n = in->sgetn(block.data(),
-                                           static_cast<std::streamsize>(
-                                               block.size()))) > 0;) {
-      out.write(block.data(), n);
-      bytes += static_cast<std::uint64_t>(n);
-    }
-    out.close();
-    written = static_cast<bool>(out);
-  }
+  const bool written = write_to(part_path, [&](std::ostream& out) {
+    bytes = copy_blocks(*input.stream().rdbuf(), out);
+  });
   if (!input.finish()) {
     std::remove(part_path.c_str());
     std::cerr << path << " is not a valid compressed file\n";
@@ -782,24 +770,43 @@ int decompress_file(const std::string& path) {
   return 0;
 }
 
+/// Compress `path` into the chunked container `path`.dtz, reading it one
+/// block at a time.
+int compress_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::cerr << "cannot read " << path << "\n";
+    return 1;
+  }
+  const std::string out_path = path + ".dtz";
+  std::uint64_t original = 0;
+  std::uint64_t compressed = 0;
+  const bool written = write_to(out_path, [&](std::ostream& out) {
+    xmlio::CompressingOstream z(out, dtz_config());
+    copy_blocks(*in.rdbuf(), z);
+    z.writer().finish();
+    original = z.writer().uncompressed_bytes();
+    compressed = z.writer().compressed_bytes();
+  });
+  if (!written) {
+    std::remove(out_path.c_str());
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
+  std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
+              original == 0 ? 100.0
+                            : 100.0 * static_cast<double>(compressed) /
+                                  static_cast<double>(original));
+  return 0;
+}
+
 int cmd_compress(const cli::Args& args, bool compress) {
   if (args.positional().empty()) {
     std::cerr << (compress ? "compress" : "decompress") << ": path required\n";
     return 2;
   }
   const std::string& path = args.positional().front();
-  if (!compress) return decompress_file(path);
-  auto data = read_file(path);
-  if (!data) {
-    std::cerr << "cannot read " << path << "\n";
-    return 1;
-  }
-  Bytes out = xmlio::lz_compress(*data);
-  std::string out_path = path + ".dtz";
-  if (!write_file(out_path, out)) return 1;
-  std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
-              100.0 * xmlio::lz_ratio(*data, out));
-  return 0;
+  return compress ? compress_file(path) : decompress_file(path);
 }
 
 int cmd_jsoncheck(const cli::Args& args) {
