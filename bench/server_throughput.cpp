@@ -1,23 +1,17 @@
 // §2.1 — the directory server "indexes files and users" and must answer
 // searches and publishes from millions of clients in real time.
 //
-// Measures the sharded FileIndex (server/index.hpp) across shard counts
-// {1, 2, 4, 8}, with the LRU search cache off and on:
+// Measures the FileIndex (server/index.hpp) at its fixed shard count:
 //
-//   * BM_SearchThroughput: a steady state of cached searches with a live
-//     publish stream (one publish per 16 searches).  A publish dirties one
-//     shard; with the cache on, a revalidation recomputes only the dirty
-//     shard's partial, so the recomputed work per search shrinks roughly
-//     linearly with the shard count.  This is where sharding pays off on a
-//     single core — the win is confinement of cache invalidation, not
-//     thread parallelism.
-//   * BM_PublishThroughput: batch-publish rate as shards grow (each batch
-//     locks every shard at most once).
+//   * BM_SearchThroughput: searches against a live publish stream (one
+//     publish per 16 searches), the mix a live server sees.
+//   * BM_PublishThroughput: batch-publish rate (each batch locks every
+//     shard at most once).
 //
 // Queries are shaped to evaluate their whole posting list (a keyword AND a
 // never-satisfied size bound): real servers spend their time walking
 // postings for selective queries, and a limit-bounded common-word query
-// would stop at the cap and mask the effect being measured.
+// would stop at the cap and hide the scan cost.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -47,7 +41,7 @@ proto::FileEntry make_entry(const std::string& name, proto::ClientId client) {
 }
 
 /// ~6000 files, each carrying one of the 16 query keywords, so every
-/// keyword's posting list holds ~375 files spread across the shards.
+/// keyword's posting list holds ~375 files.
 std::vector<proto::FileEntry> make_catalog(std::size_t files) {
   std::vector<proto::FileEntry> out;
   out.reserve(files);
@@ -74,21 +68,15 @@ std::vector<proto::SearchExprPtr> make_queries() {
 }
 
 void BM_SearchThroughput(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const bool cache = state.range(1) != 0;
-
-  server::FileIndexConfig cfg;
-  cfg.shards = shards;
-  cfg.search_cache_entries = cache ? 64 : 0;
-  server::FileIndex index(cfg);
+  server::FileIndex index;
   for (const proto::FileEntry& e : make_catalog(6000)) index.publish(e);
   const std::vector<proto::SearchExprPtr> queries = make_queries();
 
   std::uint64_t searches = 0;
   std::uint64_t fresh = 0;  // distinct names for the live publish stream
   for (auto _ : state) {
-    // One "cycle": every query once, then one publish to dirty a shard —
-    // the mix a live server sees (searches dominate, publishes trickle).
+    // One "cycle": every query once, then one publish — searches
+    // dominate, publishes trickle.
     for (const auto& q : queries) {
       benchmark::DoNotOptimize(index.search(*q, 201));
       ++searches;
@@ -99,23 +87,13 @@ void BM_SearchThroughput(benchmark::State& state) {
     ++fresh;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(searches));
-  const server::FileIndex::CacheStats cs = index.cache_stats();
-  state.counters["cache_hits"] = static_cast<double>(cs.hits);
-  state.counters["cache_partial_hits"] = static_cast<double>(cs.partial_hits);
-  state.counters["cache_misses"] = static_cast<double>(cs.misses);
   state.counters["files"] = static_cast<double>(index.file_count());
 }
-BENCHMARK(BM_SearchThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "cache"});
+BENCHMARK(BM_SearchThroughput);
 
 void BM_PublishThroughput(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 64;
-
-  server::FileIndexConfig cfg;
-  cfg.shards = shards;
-  server::FileIndex index(cfg);
+  server::FileIndex index;
 
   std::uint64_t published = 0;
   std::uint64_t serial = 0;
@@ -134,11 +112,6 @@ void BM_PublishThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(published));
   state.counters["files"] = static_cast<double>(index.file_count());
 }
-BENCHMARK(BM_PublishThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgNames({"shards"});
+BENCHMARK(BM_PublishThroughput);
 
 }  // namespace

@@ -4,22 +4,7 @@
 
 namespace dtr::anon {
 
-DirectClientTable::DirectClientTable(PageMode mode,
-                                     std::uint32_t flat_space_bits)
-    : mode_(mode) {
-  pages_.resize(kPageCount);
-  if (mode_ == PageMode::kFlat) {
-    if (flat_space_bits > 32) flat_space_bits = 32;
-    const std::size_t flat_pages =
-        flat_space_bits <= kPageBits
-            ? 1
-            : std::size_t{1} << (flat_space_bits - kPageBits);
-    for (std::size_t p = 0; p < flat_pages; ++p) {
-      pages_[p] = std::make_unique<std::uint32_t[]>(kPageEntries);
-      std::memset(pages_[p].get(), 0xFF, kPageEntries * sizeof(std::uint32_t));
-    }
-  }
-}
+DirectClientTable::DirectClientTable() : pages_(kPageCount) {}
 
 std::uint32_t* DirectClientTable::page_for(proto::ClientId id, bool create) {
   const std::uint32_t index = id >> kPageBits;
@@ -28,6 +13,7 @@ std::uint32_t* DirectClientTable::page_for(proto::ClientId id, bool create) {
     if (!create) return nullptr;
     page = std::make_unique<std::uint32_t[]>(kPageEntries);
     std::memset(page.get(), 0xFF, kPageEntries * sizeof(std::uint32_t));
+    ++page_count_;
   }
   return page.get();
 }
@@ -50,12 +36,6 @@ std::uint64_t DirectClientTable::memory_bytes() const {
          sizeof(std::uint32_t);
 }
 
-std::size_t DirectClientTable::pages_allocated() const {
-  std::size_t n = 0;
-  for (const auto& page : pages_) n += (page != nullptr);
-  return n;
-}
-
 void DirectClientTable::save_state(ByteWriter& out) const {
   out.u32le(next_);
   for (std::uint32_t p = 0; p < kPageCount; ++p) {
@@ -70,10 +50,8 @@ void DirectClientTable::save_state(ByteWriter& out) const {
 }
 
 bool DirectClientTable::restore_state(ByteReader& in) {
-  for (auto& page : pages_) {
-    if (page) std::memset(page.get(), 0xFF, kPageEntries * sizeof(std::uint32_t));
-    if (mode_ == PageMode::kPaged) page.reset();
-  }
+  for (auto& page : pages_) page.reset();
+  page_count_ = 0;
   next_ = 0;
   const std::uint32_t count = in.u32le();
   // Exactly `count` dense anon IDs were assigned, one pair each.

@@ -9,12 +9,10 @@
 // integers (16 GB) indexed directly by the clientID.
 //
 // We provide:
-//   * DirectClientTable  — the paper's structure.  By default it allocates
-//     its 16 GB virtual array lazily in pages (one mmap-backed vector per
-//     page, materialised on first touch), which preserves the O(1) direct
-//     memory access while letting tests run in megabytes.  A flat mode
-//     (`PageMode::kFlat`) performs the full up-front allocation like the
-//     paper's deployment.
+//   * DirectClientTable  — the paper's structure.  It allocates its 16 GB
+//     virtual array lazily in pages (materialised on first touch), which
+//     preserves the O(1) direct memory access while the resident set
+//     follows the number of distinct clients.
 //   * HashClientTable / TreeClientTable — the "classical data structures
 //     (like hashtables or trees)" the paper dismisses as too slow and/or too
 //     space consuming; kept as ablation baselines.
@@ -62,21 +60,7 @@ class ClientAnonymiser {
 /// The paper's direct-index array over the full 32-bit clientID space.
 class DirectClientTable final : public ClientAnonymiser {
  public:
-  enum class PageMode {
-    kPaged,  ///< allocate 4 Mi-entry pages on first touch (default)
-    kFlat,   ///< allocate all 2^32 entries up front (16 GB, like the paper)
-  };
-
-  /// `flat_space_bits` bounds the up-front allocation in flat mode: pages
-  /// covering clientIDs below 2^flat_space_bits are materialised at
-  /// construction (32 = the paper's full 16 GB; tests use ~20 to exercise
-  /// the flat path in megabytes).  IDs above the pre-allocated span still
-  /// work — their pages materialise on first touch, exactly as in paged
-  /// mode — and paged mode ignores the parameter entirely.  The checkpoint
-  /// codec is identical across modes and sizes, so snapshots restore
-  /// across them freely.
-  explicit DirectClientTable(PageMode mode = PageMode::kPaged,
-                             std::uint32_t flat_space_bits = 32);
+  DirectClientTable();
 
   AnonClientId anonymise(proto::ClientId id) override;
   [[nodiscard]] AnonClientId lookup(proto::ClientId id) const override;
@@ -84,8 +68,8 @@ class DirectClientTable final : public ClientAnonymiser {
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] const char* name() const override { return "direct-array"; }
 
-  [[nodiscard]] std::size_t pages_allocated() const;
-  [[nodiscard]] PageMode page_mode() const { return mode_; }
+  /// Pages materialised so far (counted as they are made, not scanned).
+  [[nodiscard]] std::size_t pages_allocated() const { return page_count_; }
 
   /// Checkpoint codec: every populated (clientID, anon) cell.  Restore
   /// replaces the table's contents; it fails (and leaves the table
@@ -97,7 +81,7 @@ class DirectClientTable final : public ClientAnonymiser {
   /// resident set proportional to the number of *distinct* clients even for
   /// adversarially scattered IDs (uniform over the whole 32-bit space the
   /// worst case is distinct * 4 KiB); the paper's deployment instead paid
-  /// the flat 16 GB once (PageMode::kFlat).
+  /// the flat 16 GB once.
   static constexpr std::uint32_t kPageBits = 10;
   static constexpr std::uint32_t kPageEntries = 1u << kPageBits;
   static constexpr std::uint32_t kPageCount =
@@ -106,9 +90,9 @@ class DirectClientTable final : public ClientAnonymiser {
  private:
   std::uint32_t* page_for(proto::ClientId id, bool create);
 
-  PageMode mode_;
-  // unique_ptr<uint32_t[]> pages; nullptr until first touch in paged mode.
+  // nullptr until first touch.
   std::vector<std::unique_ptr<std::uint32_t[]>> pages_;
+  std::size_t page_count_ = 0;  // non-null entries of pages_
   AnonClientId next_ = 0;
 };
 

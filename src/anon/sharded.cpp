@@ -8,44 +8,8 @@
 
 namespace dtr::anon {
 
-std::size_t clamp_shard_count(std::size_t shards) {
-  if (shards < 1) return 1;
-  std::size_t pow2 = 1;
-  while (pow2 < shards && pow2 < 64) pow2 <<= 1;
-  return pow2;
-}
-
-namespace {
-
-unsigned log2_of(std::size_t pow2) {
-  unsigned bits = 0;
-  while ((std::size_t{1} << bits) < pow2) ++bits;
-  return bits;
-}
-
-}  // namespace
-
-ShardedClientTable::ShardedClientTable(std::size_t shards, PageMode mode,
-                                       std::uint32_t flat_space_bits)
-    : shard_count_(clamp_shard_count(shards)),
-      shard_shift_(32u - log2_of(shard_count_)),
-      mode_(mode),
-      pages_(kPageCount),
-      shard_distinct_(shard_count_) {
+ShardedClientTable::ShardedClientTable() : pages_(kPageCount) {
   for (auto& page : pages_) page.store(nullptr, std::memory_order_relaxed);
-  if (mode_ == PageMode::kFlat) {
-    if (flat_space_bits > 32) flat_space_bits = 32;
-    flat_pages_ = flat_space_bits <= kPageBits
-                      ? 1
-                      : std::size_t{1} << (flat_space_bits - kPageBits);
-    for (std::size_t p = 0; p < flat_pages_; ++p) {
-      auto* page = new Cell[kPageEntries];
-      for (std::uint32_t i = 0; i < kPageEntries; ++i) {
-        page[i].store(kClientNotSeen, std::memory_order_relaxed);
-      }
-      pages_[p].store(page, std::memory_order_relaxed);
-    }
-  }
 }
 
 ShardedClientTable::~ShardedClientTable() { release_pages(); }
@@ -55,6 +19,7 @@ void ShardedClientTable::release_pages() {
     delete[] page.load(std::memory_order_relaxed);
     page.store(nullptr, std::memory_order_relaxed);
   }
+  page_count_.store(0, std::memory_order_relaxed);
 }
 
 ShardedClientTable::Cell* ShardedClientTable::page_for(proto::ClientId id,
@@ -68,6 +33,8 @@ ShardedClientTable::Cell* ShardedClientTable::page_for(proto::ClientId id,
       page[i].store(kClientNotSeen, std::memory_order_relaxed);
     }
     slot.store(page, std::memory_order_release);
+    page_count_.store(page_count_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
   }
   return page;
 }
@@ -80,7 +47,6 @@ AnonClientId ShardedClientTable::anonymise(proto::ClientId id) {
     v = next_.load(std::memory_order_relaxed);
     cell.store(v, std::memory_order_release);
     next_.store(v + 1, std::memory_order_release);
-    shard_distinct_[shard_of(id)].fetch_add(1, std::memory_order_relaxed);
   }
   return v;
 }
@@ -94,14 +60,6 @@ AnonClientId ShardedClientTable::lookup(proto::ClientId id) const {
 std::uint64_t ShardedClientTable::memory_bytes() const {
   return static_cast<std::uint64_t>(pages_allocated()) * kPageEntries *
          sizeof(Cell);
-}
-
-std::size_t ShardedClientTable::pages_allocated() const {
-  std::size_t n = 0;
-  for (const auto& page : pages_) {
-    n += (page.load(std::memory_order_relaxed) != nullptr);
-  }
-  return n;
 }
 
 void ShardedClientTable::save_state(ByteWriter& out) const {
@@ -121,22 +79,8 @@ void ShardedClientTable::save_state(ByteWriter& out) const {
 }
 
 bool ShardedClientTable::restore_state(ByteReader& in) {
-  // Flat-prefix pages stay materialised (wiped, like DirectClientTable's);
-  // everything demand-allocated is released.
-  for (std::size_t p = 0; p < pages_.size(); ++p) {
-    Cell* page = pages_[p].load(std::memory_order_relaxed);
-    if (page == nullptr) continue;
-    if (p < flat_pages_) {
-      for (std::uint32_t i = 0; i < kPageEntries; ++i) {
-        page[i].store(kClientNotSeen, std::memory_order_relaxed);
-      }
-    } else {
-      delete[] page;
-      pages_[p].store(nullptr, std::memory_order_relaxed);
-    }
-  }
+  release_pages();
   next_.store(0, std::memory_order_relaxed);
-  for (auto& d : shard_distinct_) d.store(0, std::memory_order_relaxed);
   const std::uint32_t count = in.u32le();
   if (static_cast<std::uint64_t>(count) * 8 > in.remaining()) return false;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -149,20 +93,14 @@ bool ShardedClientTable::restore_state(ByteReader& in) {
       return false;  // duplicate clientID
     }
     cell.store(anon, std::memory_order_relaxed);
-    shard_distinct_[shard_of(id)].fetch_add(1, std::memory_order_relaxed);
   }
   next_.store(count, std::memory_order_release);
   return in.ok();
 }
 
-ShardedFileIdStore::ShardedFileIdStore(std::size_t shards,
-                                       unsigned index_byte_0,
+ShardedFileIdStore::ShardedFileIdStore(unsigned index_byte_0,
                                        unsigned index_byte_1)
-    : b0_(index_byte_0),
-      b1_(index_byte_1),
-      bucket_shift_(16u - log2_of(clamp_shard_count(shards))),
-      buckets_(kBucketCount),
-      shards_(clamp_shard_count(shards)) {
+    : b0_(index_byte_0), b1_(index_byte_1), buckets_(kBucketCount) {
   if (b0_ >= 16 || b1_ >= 16)
     throw std::out_of_range("ShardedFileIdStore: fileID has 16 bytes");
   if (b0_ == b1_)

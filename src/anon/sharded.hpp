@@ -1,4 +1,4 @@
-// Sharded anonymisation tables for the parallel pipeline.
+// Concurrent anonymisation tables for the parallel pipeline.
 //
 // The paper's two §2.4 structures are both naturally index-partitioned: the
 // clientID direct array by high bits of the 32-bit ID, the fileID store by
@@ -8,12 +8,11 @@
 // pipeline worker threads while the merge thread remains the only writer:
 //
 //   * ShardedClientTable: pages hold std::atomic cells behind atomic page
-//     pointers, so worker lookup() is entirely lock-free.  Shards are the
-//     top bits of the clientID and only partition the distinct-count
-//     instrumentation; dense IDs are still assigned globally, in the order
-//     the single writer calls anonymise().
+//     pointers, so worker lookup() is entirely lock-free and the table
+//     needs no shards at all (the name is kept for its sibling).  Dense IDs
+//     are assigned in the order the single writer calls anonymise().
 //   * ShardedFileIdStore: the 65 536 sorted buckets are split into
-//     contiguous shard ranges, each guarded by a shared_mutex.  Workers
+//     kShards contiguous ranges, each guarded by a shared_mutex.  Workers
 //     take shared locks for lookup(); the writer upgrades to an exclusive
 //     lock only on first sight of a fileID.
 //
@@ -21,13 +20,12 @@
 // order on the *writer* thread, which processes messages in global sequence
 // order.  Concurrent readers can race with an insertion and miss it — that
 // is fine, because the pipeline treats a miss as "defer this message to the
-// writer", never as an ID assignment.  Shard count therefore cannot change
-// a single assigned ID, the XML output, or the checkpoint bytes.
+// writer", never as an ID assignment.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <vector>
 
@@ -36,21 +34,10 @@
 
 namespace dtr::anon {
 
-/// Clamp an arbitrary shard request to a power of two in [1, 64].
-std::size_t clamp_shard_count(std::size_t shards);
-
 /// DirectClientTable layout with atomic cells: one writer, many readers.
 class ShardedClientTable final : public ClientAnonymiser {
  public:
-  using PageMode = DirectClientTable::PageMode;
-
-  /// `mode`/`flat_space_bits` mirror DirectClientTable: flat mode
-  /// materialises (and publishes) the pages below 2^flat_space_bits up
-  /// front, before any worker thread exists, so lookups in that span never
-  /// even touch the page-pointer acquire path's null branch.
-  explicit ShardedClientTable(std::size_t shards = 8,
-                              PageMode mode = PageMode::kPaged,
-                              std::uint32_t flat_space_bits = 32);
+  ShardedClientTable();
   ~ShardedClientTable() override;
 
   ShardedClientTable(const ShardedClientTable&) = delete;
@@ -66,17 +53,14 @@ class ShardedClientTable final : public ClientAnonymiser {
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] const char* name() const override { return "sharded-direct"; }
 
-  [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
-  /// Distinct clientIDs whose high bits land in shard `s` (writer-counted).
-  [[nodiscard]] std::uint64_t shard_distinct(std::size_t s) const {
-    return shard_distinct_[s].load(std::memory_order_relaxed);
+  /// Pages materialised so far (counted by the writer as it makes them,
+  /// not scanned).
+  [[nodiscard]] std::size_t pages_allocated() const {
+    return page_count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t pages_allocated() const;
-  [[nodiscard]] PageMode page_mode() const { return mode_; }
 
-  /// Byte-identical to DirectClientTable's codec: shard count and page
-  /// mode are runtime concerns and never enter the snapshot.  Not
-  /// thread-safe; quiesce first.
+  /// Byte-identical to DirectClientTable's codec.  Not thread-safe;
+  /// quiesce first.
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -88,28 +72,21 @@ class ShardedClientTable final : public ClientAnonymiser {
   using Cell = std::atomic<std::uint32_t>;
 
   Cell* page_for(proto::ClientId id, bool create);
-  [[nodiscard]] std::size_t shard_of(proto::ClientId id) const {
-    // Widen before shifting: with one shard the shift is a full 32 bits,
-    // which is UB on a 32-bit operand.
-    return static_cast<std::size_t>(
-        static_cast<std::uint64_t>(id) >> shard_shift_);
-  }
   void release_pages();
 
-  std::size_t shard_count_;
-  unsigned shard_shift_;
-  PageMode mode_;
-  std::size_t flat_pages_ = 0;  // pages materialised up front in flat mode
   // Raw pages published through atomic pointers; owned by this table.
   std::vector<std::atomic<Cell*>> pages_;
+  std::atomic<std::size_t> page_count_{0};  // non-null entries of pages_
   std::atomic<AnonClientId> next_{0};
-  std::vector<std::atomic<std::uint64_t>> shard_distinct_;
 };
 
 /// BucketedFileIdStore layout with per-shard reader/writer locks.
 class ShardedFileIdStore final : public FileIdAnonymiser {
  public:
-  explicit ShardedFileIdStore(std::size_t shards = 8, unsigned index_byte_0 = 5,
+  /// Lock stripes: contiguous bucket ranges, one shared_mutex each.
+  static constexpr std::size_t kShards = 8;
+
+  explicit ShardedFileIdStore(unsigned index_byte_0 = 5,
                               unsigned index_byte_1 = 11);
 
   ShardedFileIdStore(const ShardedFileIdStore&) = delete;
@@ -126,7 +103,6 @@ class ShardedFileIdStore final : public FileIdAnonymiser {
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] const char* name() const override { return "sharded-bucketed"; }
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::uint64_t shard_distinct(std::size_t s) const {
     return shards_[s].distinct.load(std::memory_order_relaxed);
   }
@@ -158,14 +134,13 @@ class ShardedFileIdStore final : public FileIdAnonymiser {
   [[nodiscard]] std::size_t bucket_of(const FileId& id) const {
     return static_cast<std::size_t>(id.byte(b0_)) << 8 | id.byte(b1_);
   }
-  [[nodiscard]] std::size_t shard_of_bucket(std::size_t bucket) const {
-    return bucket >> bucket_shift_;
+  [[nodiscard]] static std::size_t shard_of_bucket(std::size_t bucket) {
+    return bucket / (kBucketCount / kShards);
   }
 
   unsigned b0_, b1_;
-  unsigned bucket_shift_;
   std::vector<std::vector<Entry>> buckets_;
-  std::vector<Shard> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<AnonFileId> next_{0};
 };
 

@@ -325,13 +325,7 @@ CampaignReport CampaignRunner::run() {
   pipeline_config.metrics = config_.metrics;
   pipeline_config.log = config_.log;
   pipeline_config.flight = config_.flight;
-  pipeline_config.anon_shards = config_.anon_shards;
   pipeline_config.profiler = config_.profiler;
-  if (config_.client_table_flat) {
-    pipeline_config.client_table_mode =
-        anon::DirectClientTable::PageMode::kFlat;
-    pipeline_config.client_table_space_bits = config_.client_table_space_bits;
-  }
   pipeline_ = std::make_unique<ParallelCapturePipeline>(pipeline_config);
   engine.set_sink(
       [this](const sim::TimedFrame& frame) { pipeline_->push(frame); });

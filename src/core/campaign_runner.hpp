@@ -38,12 +38,6 @@ struct RunnerConfig {
   /// run must keep cutting chunks on the same grid).
   bool compress = false;
   std::size_t compress_chunk_bytes = xmlio::kDefaultChunkBytes;
-  /// clientID table paging (paper §2.4): flat pre-allocates the span below
-  /// 2^client_table_space_bits up front (32 = the full 16 GB array).
-  /// Output and checkpoint bytes are identical across modes, so neither
-  /// field joins the fingerprint — snapshots resume across modes.
-  bool client_table_flat = false;
-  std::uint32_t client_table_space_bits = 32;
   /// Extra streaming consumer of the anonymised events, called on the
   /// merge thread in event order (see ParallelPipelineConfig::extra_sink).
   std::function<void(const anon::AnonEvent&)> extra_sink;
@@ -51,13 +45,6 @@ struct RunnerConfig {
   /// mean one.  The output is the same for every count; the checkpoint is
   /// not (a snapshot resumes only at the worker count that wrote it).
   std::size_t workers = 0;
-  /// Anonymisation table shards (clamped to a power of two in [1, 64]).
-  /// Dense IDs are assigned by the merge thread in sequence order, so the
-  /// shard count never changes the output — it only spreads lock-free
-  /// lookup state for the workers' optimistic pass.  It stays out of the
-  /// checkpoint fingerprint: a campaign may resume with a different shard
-  /// count.
-  std::size_t anon_shards = 8;
   /// Optional metrics registry: when set, the capture buffer, the server
   /// index, and every pipeline stage register their instruments there.
   obs::Registry* metrics = nullptr;

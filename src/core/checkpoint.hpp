@@ -39,8 +39,10 @@ namespace dtr::core {
 
 /// Version 2: the parallel pipeline's section carries its feeder decoder
 /// (the counters of every frame settled on the pushing thread) and one
-/// pipeline clock instead of one per worker.  Version 1 is rejected.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// pipeline clock instead of one per worker.  Version 3: the server's file
+/// index no longer stores its shard count or search-cache counters.
+/// Earlier versions are rejected.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr char kCheckpointMagic[8] = {'D', 'T', 'R', 'C',
                                              'K', 'P', 'T', '1'};
 

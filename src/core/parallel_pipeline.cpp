@@ -57,10 +57,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
       chunk_pool_(kWriterRingChunks + 8),
       feeder_decoder_(config.server_ip, config.server_port,
                       decode::MessageSink{}),
-      clients_(config.anon_shards, config.client_table_mode,
-               config.client_table_space_bits),
-      files_(config.anon_shards, config.fileid_index_byte_0,
-             config.fileid_index_byte_1),
+      files_(config.fileid_index_byte_0, config.fileid_index_byte_1),
       anonymiser_(clients_, files_),
       read_anonymiser_(clients_, files_) {
   if (config_.xml_out != nullptr) {
@@ -100,8 +97,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
   }
   anonymiser_.bind_telemetry(config_.log);
   DTR_LOG_INFO(config_.log, "pipeline", 0,
-               "pipeline up (" << n << " workers, " << clients_.shard_count()
-                               << " anon shards, batch " << kBatchFrames
+               "pipeline up (" << n << " workers, batch " << kBatchFrames
                                << " frames, queue " << kRingBatches
                                << " batches per worker)");
   for (auto& worker : workers_) {
@@ -366,8 +362,8 @@ void ParallelCapturePipeline::merge_loop() {
   // The order-sensitive stage, one frame's messages at a time.  Fast-path
   // messages arrive finished from the worker; everything else goes through
   // the inserting Anonymiser — which is where dense IDs are assigned, in
-  // strict sequence order, making the numbering independent of shard and
-  // worker counts.
+  // strict sequence order, making the numbering independent of the worker
+  // count.
   auto process_frame = [&](PendingBatch& cur) {
     const std::uint32_t count = cur.batch.counts[cur.frame];
     if (!failed) {
@@ -443,18 +439,12 @@ void ParallelCapturePipeline::merge_loop() {
   };
 
   auto update_shard_gauges = [&] {
-    if (metrics_.shard_clients_max == nullptr) return;
-    std::int64_t cmax = 0;
-    for (std::size_t s = 0; s < clients_.shard_count(); ++s) {
-      cmax = std::max(cmax,
-                      static_cast<std::int64_t>(clients_.shard_distinct(s)));
-    }
+    if (metrics_.shard_files_max == nullptr) return;
     std::int64_t fmax = 0;
-    for (std::size_t s = 0; s < files_.shard_count(); ++s) {
+    for (std::size_t s = 0; s < anon::ShardedFileIdStore::kShards; ++s) {
       fmax = std::max(fmax,
                       static_cast<std::int64_t>(files_.shard_distinct(s)));
     }
-    obs::set(metrics_.shard_clients_max, cmax);
     obs::set(metrics_.shard_files_max, fmax);
     obs::set(metrics_.table_pages,
              static_cast<std::int64_t>(clients_.pages_allocated()));
@@ -593,15 +583,11 @@ void ParallelCapturePipeline::bind_metrics(obs::Registry& registry) {
   metrics_.merge_queue_depth = &registry.gauge("pipeline.queue.merge");
   metrics_.merge_pending = &registry.gauge("pipeline.merge.pending");
   metrics_.writer_queue_depth = &registry.gauge("pipeline.queue.writer");
-  metrics_.shard_count = &registry.gauge("anon.shard.count");
-  // Resident clientID-table footprint (series-excluded: values differ
-  // across page modes, and snapshots resume across modes).
+  // Resident clientID-table footprint (series-excluded: see
+  // TimeSeriesOptions::exclude_prefixes).
   metrics_.table_pages = &registry.gauge("anon.table.pages");
   metrics_.table_bytes = &registry.gauge("anon.table.bytes");
-  metrics_.shard_clients_max = &registry.gauge("anon.shard.clients.max");
   metrics_.shard_files_max = &registry.gauge("anon.shard.files.max");
-  obs::set(metrics_.shard_count,
-           static_cast<std::int64_t>(clients_.shard_count()));
   metrics_.batch_frames =
       &registry.histogram("pipeline.batch.frames", obs::size_buckets());
   metrics_.batch_messages =

@@ -43,8 +43,8 @@
 //     merger runs the full inserting Anonymiser on it (the first-sight
 //     slow path), which is precisely the serial behaviour.
 //
-// Dense IDs therefore depend only on publish order — never on shard count,
-// worker count or interleaving — and the merger shrinks to ID assignment
+// Dense IDs therefore depend only on publish order — never on worker
+// count or interleaving — and the merger shrinks to ID assignment
 // for first-sighted messages, ledger bookkeeping and splicing pre-rendered
 // chunks.  Output bytes are pinned by the differential tests against a
 // single-threaded reference (tests/reference_pipeline.hpp) at several
@@ -77,9 +77,8 @@
 //     XML stream byte-complete — which is what keeps checkpoint/resume
 //     byte-identical.
 //
-// The output is bit-identical to that reference for any worker count,
-// shard count and thread interleaving — asserted by tests, not just
-// claimed.
+// The output is bit-identical to that reference for any worker count and
+// thread interleaving — asserted by tests, not just claimed.
 #pragma once
 
 #include <atomic>
@@ -121,19 +120,6 @@ struct ParallelPipelineConfig {
   /// under forged IDs; the default is the fixed choice).
   unsigned fileid_index_byte_0 = 5;
   unsigned fileid_index_byte_1 = 11;
-  /// Shards for the anonymisation tables (clamped to a power of two in
-  /// [1, 64]).  Purely a concurrency/observability knob: dense IDs, output
-  /// bytes and checkpoint bytes are identical for every value.
-  std::size_t anon_shards = 8;
-  /// clientID table paging (paper §2.4): kPaged materialises 4 KiB pages
-  /// on first touch; kFlat pre-allocates the span below
-  /// 2^client_table_space_bits before any worker starts (32 = the paper's
-  /// full 16 GB array).  Purely a space/latency trade: assigned IDs,
-  /// output bytes and checkpoint bytes are identical across modes, so a
-  /// snapshot from one mode resumes under the other.
-  anon::DirectClientTable::PageMode client_table_mode =
-      anon::DirectClientTable::PageMode::kPaged;
-  std::uint32_t client_table_space_bits = 32;
   std::ostream* xml_out = nullptr;  ///< optional dataset destination
   /// Optional extra consumer of the anonymised stream: runs on the merge
   /// thread, in event order — e.g. an ActivityTracker or FileSpreadTracker.
@@ -191,9 +177,6 @@ class ParallelCapturePipeline {
     return files_;
   }
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
-  [[nodiscard]] std::size_t anon_shards() const {
-    return clients_.shard_count();
-  }
 
   /// Checkpoint codec.  save_state may only run while the pipeline is
   /// quiesced (immediately after flush(), before the next push);
@@ -205,9 +188,8 @@ class ParallelCapturePipeline {
   /// worker count is part of the snapshot: in-flight IP fragments live in the
   /// per-worker reassemblers frames are routed to by flow hash modulo the
   /// worker count, so restoring into a pipeline with a different worker
-  /// count is rejected.  The anonymiser shard count is NOT part of the
-  /// snapshot — it doesn't affect the output bytes (the sharded tables
-  /// serialise exactly like the paper's unsharded ones).
+  /// count is rejected.  The concurrent anonymiser tables serialise
+  /// exactly like the paper's single-threaded ones.
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -342,10 +324,8 @@ class ParallelCapturePipeline {
     obs::Gauge* merge_queue_depth = nullptr;
     obs::Gauge* merge_pending = nullptr;
     obs::Gauge* writer_queue_depth = nullptr;
-    obs::Gauge* shard_count = nullptr;
     obs::Gauge* table_pages = nullptr;  // anon.table.pages (series-excluded)
     obs::Gauge* table_bytes = nullptr;  // anon.table.bytes (series-excluded)
-    obs::Gauge* shard_clients_max = nullptr;
     obs::Gauge* shard_files_max = nullptr;
     obs::Histogram* batch_frames = nullptr;
     obs::Histogram* batch_messages = nullptr;

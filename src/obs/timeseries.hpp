@@ -13,10 +13,10 @@
 //                   HistogramSnapshot::quantile.
 //
 // Determinism contract: with the default filters, two runs with the same
-// seed and interval produce byte-identical JSONL/CSV files, and the serial
-// and parallel pipelines produce identical counter *series* — provided the
-// driver quiesces the pipeline before each sample (CampaignRunner::run
-// flushes both pipelines at every boundary).  Wall-clock-valued
+// seed and interval produce byte-identical JSONL/CSV files, and every
+// worker count produces identical counter *series* — provided the runner
+// quiesces the pipeline before each sample (CampaignRunner::run flushes
+// the pipeline at every boundary).  Wall-clock-valued
 // instruments (span.* histograms) and scheduling-dependent gauges
 // (pipeline.queue.*, pipeline.merge.*) are excluded by default because no
 // flush can make them deterministic.
@@ -58,9 +58,10 @@ struct TimeSeriesOptions {
   /// sinks/levels the operator enabled — both would make a profiled or
   /// verbosely-logged run's series differ from a plain run's.
   /// writer.compress.* is only present in compressed runs (and its pool
-  /// hit/miss split is scheduling-dependent); anon.table.* differs across
-  /// client-table page modes, and snapshots resume across modes — both
-  /// operational, neither part of the measured campaign.
+  /// hit/miss split is scheduling-dependent); anon.table.* is the
+  /// clientID table's resident footprint, a property of its page layout
+  /// rather than of the measured campaign — both operational, and keeping
+  /// them out lets the table layout change without moving the series.
   std::vector<std::string> exclude_prefixes = {
       "span.",           "pipeline.queue.", "pipeline.merge.",
       "pipeline.pool.",  "pipeline.writer.", "checkpoint.",

@@ -11,30 +11,12 @@ namespace dtr::server {
 
 namespace {
 
-std::size_t round_to_pow2_clamped(std::size_t n) {
-  if (n < 1) n = 1;
-  if (n > 64) n = 64;
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
 }  // namespace
-
-FileIndex::FileIndex(FileIndexConfig config)
-    : cache_capacity_(config.search_cache_entries) {
-  const std::size_t n = round_to_pow2_clamped(config.shards);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shard_mask_ = n - 1;
-}
 
 std::unique_lock<std::shared_mutex> FileIndex::lock_unique(
     const Shard& shard) const {
@@ -108,12 +90,11 @@ bool FileIndex::publish(const proto::FileEntry& entry) {
   obs::inc(metrics_.publishes);
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t si = shard_index(entry.file_id);
-  Shard& shard = *shards_[si];
+  Shard& shard = shards_[si];
   bool is_new = false;
   {
     auto lock = lock_unique(shard);
     is_new = publish_locked(shard, entry, seq);
-    if (is_new) shard.generation.fetch_add(1, std::memory_order_relaxed);
   }
   update_size_gauges(si);
   return is_new;
@@ -132,26 +113,23 @@ std::size_t FileIndex::publish_batch(
   const std::uint64_t base =
       next_seq_.fetch_add(entries.size(), std::memory_order_relaxed);
 
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
+  std::array<std::vector<std::size_t>, kShards> by_shard;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     by_shard[shard_index(entries[i].file_id)].push_back(i);
   }
 
   std::size_t new_pairs = 0;
-  for (std::size_t si = 0; si < shards_.size(); ++si) {
+  for (std::size_t si = 0; si < kShards; ++si) {
     if (by_shard[si].empty()) continue;
-    Shard& shard = *shards_[si];
-    bool mutated = false;
+    Shard& shard = shards_[si];
     {
       auto lock = lock_unique(shard);
       for (std::size_t idx : by_shard[si]) {
         if (publish_locked(shard, entries[idx], base + idx)) {
-          mutated = true;
           ++new_pairs;
           if (new_pair != nullptr) (*new_pair)[idx] = true;
         }
       }
-      if (mutated) shard.generation.fetch_add(1, std::memory_order_relaxed);
     }
     update_size_gauges(si);
   }
@@ -179,9 +157,8 @@ void FileIndex::unindex_file_locked(Shard& shard, const FileRecord& record) {
 
 void FileIndex::retract_client(proto::ClientId client) {
   obs::inc(metrics_.retracts);
-  for (std::size_t si = 0; si < shards_.size(); ++si) {
-    Shard& shard = *shards_[si];
-    bool mutated = false;
+  for (std::size_t si = 0; si < kShards; ++si) {
+    Shard& shard = shards_[si];
     {
       auto lock = lock_unique(shard);
       auto it = shard.by_client.find(client);
@@ -196,7 +173,6 @@ void FileIndex::retract_client(proto::ClientId client) {
         if (src != sources.end()) {
           sources.erase(src);
           shard.source_count.fetch_sub(1, std::memory_order_relaxed);
-          mutated = true;
         }
         if (sources.empty()) {
           unindex_file_locked(shard, fit->second);
@@ -205,7 +181,6 @@ void FileIndex::retract_client(proto::ClientId client) {
         }
       }
       shard.by_client.erase(it);
-      if (mutated) shard.generation.fetch_add(1, std::memory_order_relaxed);
     }
     update_size_gauges(si);
   }
@@ -219,16 +194,16 @@ const FileRecord* FileIndex::find(const FileId& id) const {
 
 std::size_t FileIndex::file_count() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->file_count.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    total += shard.file_count.load(std::memory_order_relaxed);
   }
   return static_cast<std::size_t>(total);
 }
 
 std::uint64_t FileIndex::source_count() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->source_count.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    total += shard.source_count.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -280,213 +255,98 @@ bool FileIndex::matches(const proto::SearchExpr& expr,
   return false;
 }
 
-std::vector<std::uint64_t> FileIndex::counts_locked(
-    const Shard& shard, const std::vector<std::string>& words) {
-  std::vector<std::uint64_t> counts(words.size(), 0);
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    auto it = shard.keywords.find(words[wi]);
-    if (it != shard.keywords.end()) counts[wi] = it->second.size();
-  }
-  return counts;
-}
-
-std::vector<FileIndex::Posting> FileIndex::shard_partial_locked(
-    const Shard& shard, const proto::SearchExpr& expr,
-    const std::string& chosen, std::size_t limit,
-    std::uint64_t* evaluated) const {
-  std::vector<Posting> out;
-  if (limit == 0) return out;
+void FileIndex::shard_partial_locked(const Shard& shard,
+                                     const proto::SearchExpr& expr,
+                                     const std::string& chosen,
+                                     std::size_t limit,
+                                     std::vector<Posting>& out,
+                                     std::uint64_t& evaluated) {
+  if (limit == 0) return;
+  std::size_t found = 0;
   if (chosen.empty()) {
     // Pure metadata query: scan this shard's files in canonical order.
     for (const auto& [seq, id] : shard.by_seq) {
       auto fit = shard.files.find(id);
       if (fit == shard.files.end()) continue;
-      ++*evaluated;
+      ++evaluated;
       if (matches(expr, fit->second)) {
         out.push_back(Posting{seq, id});
-        if (out.size() >= limit) break;
+        if (++found >= limit) break;
       }
     }
-    return out;
+    return;
   }
   auto it = shard.keywords.find(chosen);
-  if (it == shard.keywords.end()) return out;
+  if (it == shard.keywords.end()) return;
   for (const Posting& p : it->second) {
     auto fit = shard.files.find(p.id);
     if (fit == shard.files.end()) continue;
-    ++*evaluated;
+    ++evaluated;
     if (matches(expr, fit->second)) {
       out.push_back(p);
-      if (out.size() >= limit) break;
+      if (++found >= limit) break;
     }
   }
-  return out;
 }
 
 std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
                                       std::size_t limit) const {
   obs::inc(metrics_.searches);
 
-  // Like the old single-map index (and real servers), use the posting list
-  // of the *rarest* keyword as the candidate list and filter candidates by
-  // full expression evaluation; rarity is now judged on the summed posting
-  // length across shards, which equals the old global posting length.
+  // Like a single-map index (and real servers), use the posting list of
+  // the *rarest* keyword as the candidate list and filter candidates by
+  // full expression evaluation.  Rarity is judged on the posting length
+  // summed across shards, which equals the single-map posting length.
   std::vector<std::string> words;
   expr.collect_keywords(words);
   for (std::string& w : words) w = to_lower(w);
 
-  const std::size_t n = shards_.size();
-  const bool use_cache = cache_capacity_ > 0;
-  std::uint64_t evaluated = 0;
-
-  std::string key;
-  if (use_cache) {
-    ByteWriter w;
-    proto::encode_search_expr(w, expr);
-    w.u64le(static_cast<std::uint64_t>(limit));
-    key.assign(reinterpret_cast<const char*>(w.bytes().data()),
-               w.bytes().size());
-  }
-
-  // Snapshot any cached entry under the cache lock; shard work happens
-  // outside it so concurrent searches for other keys don't serialize.
-  bool have_entry = false;
-  CacheEntry snap;
-  if (use_cache) {
-    std::lock_guard lk(cache_mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      have_entry = true;
-      snap.chosen = it->second.chosen;
-      snap.gens = it->second.gens;
-      snap.word_counts = it->second.word_counts;
-      snap.partials = it->second.partials;
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru);
-    }
-  }
-
-  // Reuse whatever the entry holds for shards whose generation is
-  // unchanged; everything else is recomputed below.
-  std::vector<std::uint64_t> gens(n, 0);
-  std::vector<std::vector<std::uint64_t>> counts(n);
-  std::vector<std::vector<Posting>> partials(n);
-  std::vector<bool> clean(n, false);
-  if (have_entry) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (shards_[i]->generation.load(std::memory_order_relaxed) ==
-          snap.gens[i]) {
-        clean[i] = true;
-        gens[i] = snap.gens[i];
-        counts[i] = snap.word_counts[i];
-        partials[i] = std::move(snap.partials[i]);
+  // 1. Count each query word's postings.
+  std::vector<std::uint64_t> totals(words.size(), 0);
+  if (!words.empty()) {
+    for (const Shard& shard : shards_) {
+      auto lock = lock_shared(shard);
+      for (std::size_t wi = 0; wi < words.size(); ++wi) {
+        auto it = shard.keywords.find(words[wi]);
+        if (it != shard.keywords.end()) totals[wi] += it->second.size();
       }
     }
   }
 
-  // Refresh posting-list counts for dirty shards and re-derive the rarest
-  // keyword; the choice must track index churn or answers would drift from
-  // the reference semantics.
-  if (!words.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (clean[i]) continue;
-      auto lock = lock_shared(*shards_[i]);
-      gens[i] = shards_[i]->generation.load(std::memory_order_relaxed);
-      counts[i] = counts_locked(*shards_[i], words);
-    }
-  }
-
-  std::string chosen;  // empty = full metadata scan
+  // 2. Choose the rarest indexed keyword (the first strict minimum);
+  // a keyword-less query scans the metadata of every file.
+  std::string chosen;
   bool found_keyword = words.empty();
-  if (!words.empty()) {
-    std::uint64_t best_total = 0;
-    for (std::size_t wi = 0; wi < words.size(); ++wi) {
-      std::uint64_t total = 0;
-      for (std::size_t i = 0; i < n; ++i) total += counts[i][wi];
-      if (total == 0) continue;  // keyword indexed nowhere
-      if (!found_keyword || total < best_total) {  // first strict min wins
-        found_keyword = true;
-        best_total = total;
-        chosen = words[wi];
-      }
+  std::uint64_t best_total = 0;
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    if (totals[wi] == 0) continue;  // keyword indexed nowhere
+    if (!found_keyword || totals[wi] < best_total) {
+      found_keyword = true;
+      best_total = totals[wi];
+      chosen = words[wi];
     }
   }
-
   if (!found_keyword) {
     // No query keyword is indexed at all: the answer is empty without
-    // scanning anything.  Drop any stale entry rather than caching the
-    // empty answer — the keyword may get published at any moment.
-    if (use_cache) {
-      std::lock_guard lk(cache_mutex_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        cache_lru_.erase(it->second.lru);
-        cache_.erase(it);
-      }
-      ++cache_stats_.misses;
-      obs::inc(metrics_.cache_misses);
-    }
+    // scanning anything.
     obs::observe(metrics_.candidates, 0.0);
     return {};
   }
 
-  // A changed rarest keyword invalidates every cached partial (they were
-  // scanned off a different posting list).
-  const bool chosen_matches = have_entry && chosen == snap.chosen;
-  std::size_t recomputed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (chosen_matches && clean[i]) continue;
-    auto lock = lock_shared(*shards_[i]);
-    gens[i] = shards_[i]->generation.load(std::memory_order_relaxed);
-    if (!words.empty()) counts[i] = counts_locked(*shards_[i], words);
-    partials[i] =
-        shard_partial_locked(*shards_[i], expr, chosen, limit, &evaluated);
-    ++recomputed;
+  // 3. Each shard's first `limit` matches, seq-ascending.
+  std::uint64_t evaluated = 0;
+  std::vector<Posting> merged;
+  for (const Shard& shard : shards_) {
+    auto lock = lock_shared(shard);
+    shard_partial_locked(shard, expr, chosen, limit, merged, evaluated);
   }
   obs::observe(metrics_.candidates, static_cast<double>(evaluated));
 
-  // Merge per-shard partials back into the canonical global order.  Each
-  // partial holds that shard's first `limit` matches seq-ascending, so the
-  // first `limit` of the merged stream are exactly the old single-map
-  // answer.
-  std::vector<Posting> merged;
-  for (std::size_t i = 0; i < n; ++i) {
-    merged.insert(merged.end(), partials[i].begin(), partials[i].end());
-  }
+  // 4. Merge the partials back into the canonical global order: the first
+  // `limit` of the merged stream are exactly the single-map answer.
   std::sort(merged.begin(), merged.end(),
             [](const Posting& a, const Posting& b) { return a.seq < b.seq; });
   if (merged.size() > limit) merged.resize(limit);
-
-  if (use_cache) {
-    std::lock_guard lk(cache_mutex_);
-    auto [it, inserted] = cache_.try_emplace(key);
-    CacheEntry& entry = it->second;
-    if (inserted) {
-      cache_lru_.push_front(key);
-      entry.lru = cache_lru_.begin();
-    } else {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, entry.lru);
-    }
-    entry.chosen = chosen;
-    entry.gens = std::move(gens);
-    entry.word_counts = std::move(counts);
-    entry.partials = std::move(partials);
-    while (cache_.size() > cache_capacity_) {
-      cache_.erase(cache_lru_.back());
-      cache_lru_.pop_back();
-      ++cache_stats_.evictions;
-      obs::inc(metrics_.cache_evictions);
-    }
-    if (!have_entry || !chosen_matches) {
-      ++cache_stats_.misses;
-      obs::inc(metrics_.cache_misses);
-    } else if (recomputed == 0) {
-      ++cache_stats_.hits;
-      obs::inc(metrics_.cache_hits);
-    } else {
-      ++cache_stats_.partial_hits;
-      obs::inc(metrics_.cache_partial_hits);
-    }
-  }
 
   std::vector<FileId> out;
   out.reserve(merged.size());
@@ -495,15 +355,7 @@ std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
 }
 
 void FileIndex::save_state(ByteWriter& out) const {
-  out.u64le(shards_.size());
   out.u64le(next_seq_.load(std::memory_order_relaxed));
-  {
-    std::lock_guard lk(cache_mutex_);
-    out.u64le(cache_stats_.hits);
-    out.u64le(cache_stats_.partial_hits);
-    out.u64le(cache_stats_.misses);
-    out.u64le(cache_stats_.evictions);
-  }
 
   // Records in global first-publish order: the canonical answer order, and
   // the order restore_state replays so per-shard posting lists come back
@@ -514,10 +366,10 @@ void FileIndex::save_state(ByteWriter& out) const {
     const FileRecord* rec = nullptr;
   };
   std::vector<Item> items;
-  for (const auto& shard : shards_) {
-    for (const auto& [seq, id] : shard->by_seq) {
-      auto it = shard->files.find(id);
-      if (it == shard->files.end()) continue;
+  for (const Shard& shard : shards_) {
+    for (const auto& [seq, id] : shard.by_seq) {
+      auto it = shard.files.find(id);
+      if (it == shard.files.end()) continue;
       items.push_back(Item{seq, &it->first, &it->second});
     }
   }
@@ -546,30 +398,17 @@ void FileIndex::save_state(ByteWriter& out) const {
 }
 
 bool FileIndex::restore_state(ByteReader& in) {
-  if (in.u64le() != shards_.size()) return false;
   const std::uint64_t next_seq = in.u64le();
-  CacheStats cs;
-  cs.hits = in.u64le();
-  cs.partial_hits = in.u64le();
-  cs.misses = in.u64le();
-  cs.evictions = in.u64le();
   const std::uint64_t count = in.u64le();
   if (count > in.remaining() / 40) return false;
 
-  for (auto& shard : shards_) {
-    shard->files.clear();
-    shard->keywords.clear();
-    shard->by_client.clear();
-    shard->by_seq.clear();
-    shard->generation.store(0, std::memory_order_relaxed);
-    shard->file_count.store(0, std::memory_order_relaxed);
-    shard->source_count.store(0, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard lk(cache_mutex_);
-    cache_.clear();
-    cache_lru_.clear();
-    cache_stats_ = cs;
+  for (Shard& shard : shards_) {
+    shard.files.clear();
+    shard.keywords.clear();
+    shard.by_client.clear();
+    shard.by_seq.clear();
+    shard.file_count.store(0, std::memory_order_relaxed);
+    shard.source_count.store(0, std::memory_order_relaxed);
   }
 
   std::uint64_t prev_seq = 0;
@@ -625,34 +464,22 @@ bool FileIndex::restore_state(ByteReader& in) {
   return in.ok();
 }
 
-FileIndex::CacheStats FileIndex::cache_stats() const {
-  std::lock_guard lk(cache_mutex_);
-  return cache_stats_;
-}
-
 void FileIndex::update_size_gauges(std::size_t shard) const {
-  if (shard < metrics_.shard_files.size()) {
-    obs::set(metrics_.shard_files[shard],
-             static_cast<std::int64_t>(
-                 shards_[shard]->file_count.load(std::memory_order_relaxed)));
-  }
+  obs::set(metrics_.shard_files[shard],
+           static_cast<std::int64_t>(
+               shards_[shard].file_count.load(std::memory_order_relaxed)));
   obs::set(metrics_.files, static_cast<std::int64_t>(file_count()));
   obs::set(metrics_.sources, static_cast<std::int64_t>(source_count()));
 }
 
 void FileIndex::update_all_gauges() const {
-  for (std::size_t i = 0; i < shards_.size(); ++i) update_size_gauges(i);
+  for (std::size_t i = 0; i < kShards; ++i) update_size_gauges(i);
 }
 
 void FileIndex::bind_metrics(obs::Registry& registry) {
   metrics_.publishes = &registry.counter("server.index.publishes");
   metrics_.searches = &registry.counter("server.index.searches");
   metrics_.retracts = &registry.counter("server.index.retracts");
-  metrics_.cache_hits = &registry.counter("server.index.cache.hits");
-  metrics_.cache_partial_hits =
-      &registry.counter("server.index.cache.partial_hits");
-  metrics_.cache_misses = &registry.counter("server.index.cache.misses");
-  metrics_.cache_evictions = &registry.counter("server.index.cache.evictions");
   metrics_.files = &registry.gauge("server.index.files");
   metrics_.sources = &registry.gauge("server.index.sources");
   metrics_.candidates = &registry.histogram("server.index.search.candidates",
@@ -661,12 +488,9 @@ void FileIndex::bind_metrics(obs::Registry& registry) {
   // deterministic time series (TimeSeriesOptions excludes span.*).
   metrics_.lock_wait = &registry.histogram(
       "span.server.index.lock_wait.seconds", obs::lock_wait_buckets_s());
-  registry.gauge("server.index.shards")
-      .set(static_cast<std::int64_t>(shards_.size()));
-  metrics_.shard_files.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    metrics_.shard_files.push_back(&registry.gauge(
-        "server.index.shard." + std::to_string(i) + ".files"));
+  for (std::size_t i = 0; i < kShards; ++i) {
+    metrics_.shard_files[i] = &registry.gauge(
+        "server.index.shard." + std::to_string(i) + ".files");
   }
   update_all_gauges();
 }

@@ -3,40 +3,28 @@
 // An eDonkey directory server "indexes files and users, and their main role
 // is to answer to searches for files (based on metadata like filename, size
 // or filetype), and searches for providers (called sources) of given files"
-// (paper §2.1).  The paper's server did this for ~90 M distinct clients; a
-// single-map index behind one logical owner cannot scale with that
-// population, so FileIndex is *sharded*: files are partitioned into N
-// power-of-two shards by a hash of their fileID, and each shard is a
-// complete mini-index of its own files — record map, inverted keyword
-// postings, per-client provider lists — behind its own reader/writer lock.
+// (paper §2.1).  FileIndex is *sharded*: files are partitioned into
+// kShards shards by a hash of their fileID, and each shard is a complete
+// mini-index of its own files — record map, inverted keyword postings,
+// per-client provider lists — behind its own reader/writer lock.
 // Publishes to different shards proceed in parallel; searches take shared
 // locks and fan out across shards, merging per-shard results under the
 // protocol caps.
 //
-// Determinism contract: answers are *independent of the shard count*.
-// Every file carries the global sequence number of its first publish, the
+// Determinism contract: answers match a single-map index exactly.  Every
+// file carries the global sequence number of its first publish, the
 // canonical answer order; per-shard partial results come back
-// seq-ordered and the merge re-establishes the exact order the old
-// single-map index produced (posting lists were publication-ordered).
+// seq-ordered and the merge re-establishes the exact order a single-map
+// index produces (posting lists are publication-ordered).
 // tests/index_differential_test replays identical workloads against a
-// reference single-map oracle and shard counts {1,2,4,8} and asserts
-// byte-identical answers.
-//
-// On top sits a bounded LRU keyword-search cache storing *per-shard*
-// partial results, each tagged with the generation of the shard it was
-// computed from.  A publish or retract bumps only its shard's generation,
-// so a cached search revalidates cheaply: untouched shards are reused,
-// only churned shards are recomputed.  That confinement of invalidation is
-// what makes the cache effective under a live publish stream.
+// reference single-map oracle and asserts byte-identical answers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -63,7 +51,7 @@ struct FileRecord {
   std::string type;        // "audio", "video", ...
   std::vector<Source> sources;
   /// Global first-publish sequence number: the canonical search-answer
-  /// order, identical for every shard count.
+  /// order.
   std::uint64_t seq = 0;
 
   [[nodiscard]] std::uint32_t availability() const {
@@ -71,16 +59,11 @@ struct FileRecord {
   }
 };
 
-struct FileIndexConfig {
-  /// Number of shards; rounded up to a power of two, clamped to [1, 64].
-  std::size_t shards = 4;
-  /// Bounded LRU search-cache capacity in entries; 0 disables the cache.
-  std::size_t search_cache_entries = 0;
-};
-
 class FileIndex {
  public:
-  explicit FileIndex(FileIndexConfig config = {});
+  /// Shard count.  Answers do not depend on it; 4 measured fastest of
+  /// {1, 4, 16, 64} on the flash-crowd campaign (DESIGN.md).
+  static constexpr std::size_t kShards = 4;
 
   /// Add (or refresh) `entry.client_id` as a provider of the file described
   /// by `entry`.  Returns true if this was a new (file, provider) pair.
@@ -120,11 +103,9 @@ class FileIndex {
 
   [[nodiscard]] std::size_t file_count() const;
   [[nodiscard]] std::uint64_t source_count() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// All fileIDs matching a search expression, capped at `limit`, in
-  /// first-publish order (independent of the shard count).  Thread-safe;
-  /// takes shared locks shard by shard.
+  /// first-publish order.  Thread-safe; takes shared locks shard by shard.
   [[nodiscard]] std::vector<FileId> search(const proto::SearchExpr& expr,
                                            std::size_t limit) const;
 
@@ -134,27 +115,14 @@ class FileIndex {
 
   /// Register `server.index.*` instruments in `registry` and record into
   /// them from now on: publish/search/retract counters, size gauges,
-  /// per-shard occupancy gauges, cache hit/miss/eviction counters, a
-  /// candidates-evaluated histogram and a shard-lock-wait histogram.
+  /// per-shard occupancy gauges, a candidates-evaluated histogram and a
+  /// shard-lock-wait histogram.
   void bind_metrics(obs::Registry& registry);
-
-  /// Search-cache counters (also exported via bind_metrics); zeros while
-  /// the cache is disabled.
-  struct CacheStats {
-    std::uint64_t hits = 0;          // every shard partial reused
-    std::uint64_t partial_hits = 0;  // entry found, some shards recomputed
-    std::uint64_t misses = 0;        // no usable entry
-    std::uint64_t evictions = 0;     // LRU bound enforced
-  };
-  [[nodiscard]] CacheStats cache_stats() const;
 
   /// Checkpoint codec.  Records are written in global first-publish order
   /// and restore re-derives every per-shard structure (postings, by_seq,
-  /// by_client) from them, so the restored index answers identically for
-  /// the same shard count.  The search cache is NOT serialized: restore
-  /// clears it, so a cache-enabled resumed run may report different
-  /// cache hit/miss counters than an uninterrupted one (answers are
-  /// unaffected).  Not thread-safe: quiesce before calling.
+  /// by_client) from them, so the restored index answers identically.
+  /// Not thread-safe: quiesce before calling.
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -174,44 +142,28 @@ class FileIndex {
     std::unordered_map<proto::ClientId, std::vector<FileId>> by_client;
     // Canonical full-scan order for keyword-less metadata queries.
     std::map<std::uint64_t, FileId> by_seq;
-    // Bumped on every mutation; the search cache revalidates against it.
-    std::atomic<std::uint64_t> generation{0};
     // Lock-free size counters so file_count()/source_count() never block.
     std::atomic<std::uint64_t> file_count{0};
     std::atomic<std::uint64_t> source_count{0};
-  };
-
-  struct CacheEntry {
-    std::string chosen;  // scanned keyword; empty = full metadata scan
-    std::vector<std::uint64_t> gens;  // per shard, at compute time
-    // Posting-list length per [shard][query word]: revalidation recomputes
-    // the rarest-keyword choice from these without touching clean shards.
-    std::vector<std::vector<std::uint64_t>> word_counts;
-    std::vector<std::vector<Posting>> partials;  // per shard, seq-ascending
-    std::list<std::string>::iterator lru;
   };
 
   struct Metrics {
     obs::Counter* publishes = nullptr;
     obs::Counter* searches = nullptr;
     obs::Counter* retracts = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_partial_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_evictions = nullptr;
     obs::Gauge* files = nullptr;
     obs::Gauge* sources = nullptr;
     obs::Histogram* candidates = nullptr;   // evaluated per search
     obs::Histogram* lock_wait = nullptr;    // contended shard acquisitions
-    std::vector<obs::Gauge*> shard_files;   // occupancy per shard
+    std::array<obs::Gauge*, kShards> shard_files{};  // occupancy per shard
   };
 
-  Shard& shard_for(const FileId& id) { return *shards_[shard_index(id)]; }
+  Shard& shard_for(const FileId& id) { return shards_[shard_index(id)]; }
   const Shard& shard_for(const FileId& id) const {
-    return *shards_[shard_index(id)];
+    return shards_[shard_index(id)];
   }
-  std::size_t shard_index(const FileId& id) const {
-    return DigestHasher{}(id) & shard_mask_;
+  static std::size_t shard_index(const FileId& id) {
+    return DigestHasher{}(id) & (kShards - 1);
   }
 
   /// Acquire `shard.mutex` (unique), timing contended waits into the
@@ -225,33 +177,21 @@ class FileIndex {
                       std::uint64_t seq);
   void unindex_file_locked(Shard& shard, const FileRecord& record);
 
-  /// First `limit` matches of one shard in canonical (seq) order; the
-  /// caller holds the shard's lock.  `chosen` is the posting list to scan
-  /// (empty = full by_seq scan).  `evaluated` accumulates the number of
-  /// candidate records tested.
-  std::vector<Posting> shard_partial_locked(const Shard& shard,
-                                            const proto::SearchExpr& expr,
-                                            const std::string& chosen,
-                                            std::size_t limit,
-                                            std::uint64_t* evaluated) const;
-
-  /// Posting-list length of each (lowered) query word in one shard; the
-  /// caller holds the shard's lock.
-  static std::vector<std::uint64_t> counts_locked(
-      const Shard& shard, const std::vector<std::string>& words);
+  /// Append the first `limit` matches of one shard to `out` in canonical
+  /// (seq) order; the caller holds the shard's lock.  `chosen` is the
+  /// posting list to scan (empty = full by_seq scan).  `evaluated`
+  /// accumulates the number of candidate records tested.
+  static void shard_partial_locked(const Shard& shard,
+                                   const proto::SearchExpr& expr,
+                                   const std::string& chosen,
+                                   std::size_t limit, std::vector<Posting>& out,
+                                   std::uint64_t& evaluated);
 
   void update_size_gauges(std::size_t shard) const;
   void update_all_gauges() const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
+  std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> next_seq_{1};
-
-  std::size_t cache_capacity_ = 0;
-  mutable std::mutex cache_mutex_;
-  mutable std::list<std::string> cache_lru_;  // front = most recent
-  mutable std::unordered_map<std::string, CacheEntry> cache_;
-  mutable CacheStats cache_stats_;  // guarded by cache_mutex_
 
   Metrics metrics_;
 };

@@ -5,9 +5,7 @@
 namespace dtr::server {
 
 EdonkeyServer::EdonkeyServer(ServerConfig config)
-    : config_(std::move(config)),
-      index_(FileIndexConfig{config_.index_shards,
-                             config_.search_cache_entries}) {
+    : config_(std::move(config)) {
   // The wire count field is a u8; a larger configured cap would silently
   // truncate on encode, so clamp here and keep every layer consistent.
   config_.max_sources_per_answer =

@@ -38,10 +38,6 @@ struct ServerConfig {
   std::size_t max_files_per_publish = 200;
   std::size_t max_published_per_client = 1'000'000;  // effectively unlimited
   std::vector<proto::Endpoint> known_servers;  // answer to GetServerList
-  /// Index shards (rounded to a power of two, clamped to [1, 64]).
-  std::size_t index_shards = 4;
-  /// LRU keyword-search cache entries; 0 disables the cache.
-  std::size_t search_cache_entries = 0;
   /// First low ID handed out; lets tests start next to the 2^24 boundary.
   proto::ClientId first_low_id = 1;
 };
@@ -49,8 +45,8 @@ struct ServerConfig {
 /// Statistics the server keeps about the traffic it processed.  Counters
 /// are atomic so concurrent handle() calls can bump them; reads are
 /// monotonic per counter but not a consistent cross-counter snapshot while
-/// serving is in flight — quiesce (drain the worker pool) before
-/// reconciling totals.
+/// serving is in flight — quiesce (join every thread calling handle())
+/// before reconciling totals.
 struct ServerStats {
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> answers{0};

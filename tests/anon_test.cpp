@@ -10,6 +10,7 @@
 #include "anon/client_table.hpp"
 #include "anon/fileid_store.hpp"
 #include "anon/rejected_schemes.hpp"
+#include "anon/sharded.hpp"
 #include "common/rng.hpp"
 #include "hash/md4.hpp"
 #include "hash/md5.hpp"
@@ -101,63 +102,44 @@ TEST(DirectClientTable, PagesAllocatedLazily) {
             2ull * DirectClientTable::kPageEntries * sizeof(std::uint32_t));
 }
 
-TEST(DirectClientTable, FlatModePreallocatesTheConfiguredSpan) {
-  // bits=12 -> 2^12 IDs over 2^10-entry pages = 4 pages up front, resident
-  // in kilobytes rather than the paper's 16 GB.
-  DirectClientTable table(DirectClientTable::PageMode::kFlat, 12);
-  EXPECT_EQ(table.page_mode(), DirectClientTable::PageMode::kFlat);
-  EXPECT_EQ(table.pages_allocated(), 4u);
-  const std::uint64_t upfront = table.memory_bytes();
-  EXPECT_EQ(upfront, 4ull * DirectClientTable::kPageEntries *
-                         sizeof(std::uint32_t));
-  // Touches inside the span never allocate.
-  table.anonymise(0);
-  table.anonymise((1u << 12) - 1);
-  EXPECT_EQ(table.pages_allocated(), 4u);
-  // An ID beyond the pre-allocated span still works: its page materialises
-  // on demand, exactly like paged mode.
-  EXPECT_EQ(table.anonymise(0xFFFFFFFFu), 2u);
-  EXPECT_EQ(table.pages_allocated(), 5u);
-  EXPECT_GT(table.memory_bytes(), upfront);
-}
-
-TEST(DirectClientTable, FlatAndPagedAssignIdenticalIds) {
-  DirectClientTable flat(DirectClientTable::PageMode::kFlat, 16);
-  DirectClientTable paged;
-  workload::ClientIdStream stream({50'000, 0.8, 5});
-  for (int i = 0; i < 100'000; ++i) {
-    proto::ClientId id = stream.next();
-    ASSERT_EQ(flat.anonymise(id), paged.anonymise(id));
+// The concurrent table mirrors the paper's one: same IDs, same snapshot
+// bytes, and the same page count, which both keep as they make pages
+// (and reset on restore) instead of scanning all 2^22 page slots.
+TEST(ShardedClientTable, MatchesDirectTableIdsPagesAndSnapshot) {
+  DirectClientTable direct;
+  ShardedClientTable sharded;
+  workload::ClientIdStream stream({20'000, 0.8, 5});
+  for (int i = 0; i < 40'000; ++i) {
+    const proto::ClientId id = stream.next();
+    ASSERT_EQ(sharded.anonymise(id), direct.anonymise(id));
   }
-  EXPECT_EQ(flat.distinct(), paged.distinct());
-}
+  EXPECT_EQ(sharded.anonymise(0xFFFFFFFFu), direct.anonymise(0xFFFFFFFFu));
+  EXPECT_EQ(sharded.distinct(), direct.distinct());
+  EXPECT_GT(direct.pages_allocated(), 1u);
+  EXPECT_EQ(sharded.pages_allocated(), direct.pages_allocated());
 
-TEST(DirectClientTable, SnapshotsRestoreAcrossPageModes) {
-  // The checkpoint codec stores populated cells only, so a snapshot taken
-  // in either mode restores into either mode with identical lookups.
-  DirectClientTable flat(DirectClientTable::PageMode::kFlat, 12);
-  for (proto::ClientId id : {7u, 4096u, 90'000u, 0xFFFFFFFFu}) {
-    flat.anonymise(id);
-  }
-  ByteWriter w;
-  flat.save_state(w);
-  const Bytes state = std::move(w).take();
+  ByteWriter direct_out;
+  direct.save_state(direct_out);
+  ByteWriter sharded_out;
+  sharded.save_state(sharded_out);
+  ASSERT_EQ(sharded_out.bytes(), direct_out.bytes());
 
-  DirectClientTable paged;
-  ByteReader r1(state);
-  ASSERT_TRUE(paged.restore_state(r1));
-  DirectClientTable flat_again(DirectClientTable::PageMode::kFlat, 12);
-  ByteReader r2(state);
-  ASSERT_TRUE(flat_again.restore_state(r2));
-  for (proto::ClientId id : {7u, 4096u, 90'000u, 0xFFFFFFFFu}) {
-    EXPECT_EQ(paged.lookup(id), flat.lookup(id));
-    EXPECT_EQ(flat_again.lookup(id), flat.lookup(id));
+  // Restore into tables that already hold other pages: the count is of
+  // the restored contents only.
+  DirectClientTable direct_restored;
+  ShardedClientTable sharded_restored;
+  for (proto::ClientId id : {3u, 1u << 20, 1u << 30}) {
+    direct_restored.anonymise(id);
+    sharded_restored.anonymise(id);
   }
-  EXPECT_EQ(paged.distinct(), flat.distinct());
-  EXPECT_EQ(flat_again.distinct(), flat.distinct());
-  // Restore keeps the flat table's pre-allocated span resident (restore
-  // wipes cells, it does not demote the mode).
-  EXPECT_GE(flat_again.pages_allocated(), 4u);
+  ByteReader r1(direct_out.view());
+  ASSERT_TRUE(direct_restored.restore_state(r1));
+  ByteReader r2(direct_out.view());
+  ASSERT_TRUE(sharded_restored.restore_state(r2));
+  EXPECT_EQ(direct_restored.pages_allocated(), direct.pages_allocated());
+  EXPECT_EQ(sharded_restored.pages_allocated(),
+            direct_restored.pages_allocated());
+  EXPECT_EQ(sharded_restored.memory_bytes(), sharded.memory_bytes());
 }
 
 TEST(DirectClientTable, AgreesWithHashTableOnRandomStream) {

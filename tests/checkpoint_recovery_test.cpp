@@ -66,7 +66,6 @@ core::RunnerConfig small_config(std::uint64_t seed) {
 
 struct RunOptions {
   std::size_t workers = 0;
-  std::size_t anon_shards = 8;
   bool background = false;
   std::string pcap_path;
   std::string checkpoint_dir;
@@ -122,7 +121,6 @@ std::string series_jsonl_without(const obs::TimeSeriesRecorder& series,
 RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
   core::RunnerConfig cfg = small_config(seed);
   cfg.workers = opt.workers;
-  cfg.anon_shards = opt.anon_shards;
   cfg.pcap_path = opt.pcap_path;
   cfg.checkpoint_dir = opt.checkpoint_dir;
   cfg.checkpoint_interval = kHour;
@@ -305,39 +303,6 @@ TEST(CheckpointRecovery, ParallelBackgroundResumeKeepsFeederCounters) {
   }
 }
 
-// The anonymiser shard count is a pure concurrency knob: the sharded
-// tables snapshot to the same bytes as the unsharded ones and the knob is
-// deliberately left out of the config fingerprint, so a campaign
-// checkpointed under one shard count resumes under another — byte for
-// byte.  (Contrast with the worker count, which shapes the snapshot and
-// is rejected on mismatch below.)
-TEST(CheckpointRecovery, ResumeWithDifferentShardCountIsByteIdentical) {
-  const fs::path dir = scratch_dir("shards");
-  RunOptions checkpointed;
-  checkpointed.workers = 3;
-  checkpointed.anon_shards = 8;
-  checkpointed.pcap_path = (dir / "ckpt.pcap").string();
-  checkpointed.checkpoint_dir = (dir / "snaps").string();
-  const RunArtifacts baseline = run_campaign(16, checkpointed);
-
-  const std::vector<fs::path> snaps = checkpoint_files(dir / "snaps");
-  ASSERT_FALSE(snaps.empty());
-  for (std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
-    SCOPED_TRACE(::testing::Message() << "resume with anon_shards=" << shards);
-    const fs::path resumed_pcap =
-        dir / ("resumed_" + std::to_string(shards) + ".pcap");
-    fs::copy_file(checkpointed.pcap_path, resumed_pcap,
-                  fs::copy_options::overwrite_existing);
-    RunOptions resume;
-    resume.workers = 3;
-    resume.anon_shards = shards;
-    resume.pcap_path = resumed_pcap.string();
-    resume.resume_from = snaps.back().string();
-    const RunArtifacts resumed = run_campaign(16, resume);
-    expect_identical(baseline, resumed);
-  }
-}
-
 // ---- rejection paths -------------------------------------------------
 
 /// One checkpointed run shared by the rejection tests (none of them get as
@@ -409,38 +374,44 @@ TEST(CheckpointRecovery, CorruptSnapshotIsRejected) {
       << art.report.pipeline.error;
 }
 
-// A version-1 snapshot predates the feeder decoder's section layout: it is
-// refused by the container, not misread.  Re-stamp a valid snapshot as
-// version 1 (with a fresh digest, so only the version is wrong).
+// A snapshot from an earlier version is refused by the container, not
+// misread: version 1 predates the feeder decoder's section layout, version
+// 2 the file index without shard count and search-cache counters.
+// Re-stamp a valid snapshot with each old version (with a fresh digest, so
+// only the version is wrong).
 TEST(CheckpointRecovery, VersionOneSnapshotIsRejected) {
   const fs::path dir = scratch_dir("version1");
   const fs::path snap = shared_snapshot();
   ASSERT_FALSE(snap.empty());
-  Bytes bytes = read_all(snap);
-  ASSERT_GT(bytes.size(), sizeof(core::kCheckpointMagic) + 4 + 16);
-  const std::size_t at = sizeof(core::kCheckpointMagic);
-  bytes[at] = 1;
-  bytes[at + 1] = 0;
-  bytes[at + 2] = 0;
-  bytes[at + 3] = 0;
-  const std::size_t body = bytes.size() - 16;
-  const Digest128 digest = Md5::digest(BytesView(bytes).subspan(0, body));
-  std::copy(digest.bytes.begin(), digest.bytes.end(),
-            bytes.begin() + static_cast<std::ptrdiff_t>(body));
-  const fs::path old = dir / "v1.ckpt";
-  {
-    std::ofstream out(old, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  for (const std::uint8_t version : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "version " << int{version});
+    Bytes bytes = read_all(snap);
+    ASSERT_GT(bytes.size(), sizeof(core::kCheckpointMagic) + 4 + 16);
+    const std::size_t at = sizeof(core::kCheckpointMagic);
+    bytes[at] = version;
+    bytes[at + 1] = 0;
+    bytes[at + 2] = 0;
+    bytes[at + 3] = 0;
+    const std::size_t body = bytes.size() - 16;
+    const Digest128 digest = Md5::digest(BytesView(bytes).subspan(0, body));
+    std::copy(digest.bytes.begin(), digest.bytes.end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(body));
+    const fs::path old = dir / ("v" + std::to_string(version) + ".ckpt");
+    {
+      std::ofstream out(old, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    RunOptions resume;
+    resume.workers = 2;
+    resume.resume_from = old.string();
+    const RunArtifacts art = run_campaign(14, resume);
+    EXPECT_FALSE(art.report.pipeline.ok());
+    EXPECT_NE(art.report.pipeline.error.find(
+                  "unsupported checkpoint version " + std::to_string(version)),
+              std::string::npos)
+        << art.report.pipeline.error;
   }
-  RunOptions resume;
-  resume.workers = 2;
-  resume.resume_from = old.string();
-  const RunArtifacts art = run_campaign(14, resume);
-  EXPECT_FALSE(art.report.pipeline.ok());
-  EXPECT_NE(art.report.pipeline.error.find("unsupported checkpoint version 1"),
-            std::string::npos)
-      << art.report.pipeline.error;
 }
 
 // ---- container and codec units ---------------------------------------
@@ -554,13 +525,17 @@ TEST(CheckpointRecovery, GoldenEndToEndPins) {
 
   EXPECT_EQ(Sha256::digest(art.xml).hex(),
             "cae9a34ca1820e6bbc3ca96dbae1931a818fcf66661fdb530f121c16d378a4c3");
+  // The series before the index's shard count and search cache became
+  // constants (aa713b25…), less its server.index.cache.* counters and
+  // server.index.shards gauge.
   EXPECT_EQ(Sha256::digest(art.series_jsonl).hex(),
-            "aa713b257351742ee16e1c6bd036fc3beef73de60ba060746c6246f61512bff8");
+            "591788a2a3b6ca01fee610a6734bc8fad2754e6d90b0df8168ae2c42c22b4393");
   // The series the serial pipeline recorded before --workers 0/1 moved to
-  // the one-worker data plane: identical but for the pipeline.batch.*
-  // histograms, which that pipeline did not have.
+  // the one-worker data plane (bffda09a…, less the same index
+  // instruments): identical but for the pipeline.batch.* histograms,
+  // which that pipeline did not have.
   EXPECT_EQ(Sha256::digest(art.series_jsonl_without_batch).hex(),
-            "bffda09a5b6f841e677a2d96f04daece6f3704c7a0cc2b5797df631c65aefbc2");
+            "432c0505139ff721c60a3935019283e4aa58f25385b32dfb7f4a07d854015e5b");
   EXPECT_EQ(Sha256::digest(BytesView(art.pcap)).hex(),
             "c1169f26fb2be62861054e9f3f7aa90ed581ddb30ab4834ed8c14119c8585a61");
 }

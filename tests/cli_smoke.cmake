@@ -492,36 +492,55 @@ foreach(i 0 1 2)
   endif()
 endforeach()
 
-# Flat clientID table (paper §2.4's 16 GB array, bounded to a 2^20 span for
-# the smoke): the paging mode must never change the dataset bytes.
+# Options that no longer exist are only unknown: the campaign warns about
+# them and writes the dataset a plain run writes.
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
-          --hours 3 --workers 2 --client-table flat --client-table-bits 20
-          --xml smoke_flat.xml
+          --hours 3 --workers 2 --search-cache 8 --anon-shards 2
+          --xml smoke_deleted_flags.xml
   WORKING_DIRECTORY ${WORKDIR}
-  RESULT_VARIABLE rc_flat)
-if(NOT rc_flat EQUAL 0)
-  message(FATAL_ERROR "flat-table campaign failed: ${rc_flat}")
+  RESULT_VARIABLE rc_deleted
+  ERROR_VARIABLE err_deleted)
+if(NOT rc_deleted EQUAL 0)
+  message(FATAL_ERROR "campaign with deleted flags failed: ${rc_deleted}")
+endif()
+if(NOT err_deleted MATCHES "warning: unknown option --search-cache")
+  message(FATAL_ERROR "deleted flag not reported as unknown: ${err_deleted}")
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORKDIR}/smoke_flat.xml ${WORKDIR}/smoke_ck.xml
-  RESULT_VARIABLE rc_flat_cmp)
-if(NOT rc_flat_cmp EQUAL 0)
-  message(FATAL_ERROR "flat-table dataset differs from the paged run")
+          ${WORKDIR}/smoke_deleted_flags.xml ${WORKDIR}/smoke_ck.xml
+  RESULT_VARIABLE rc_deleted_cmp)
+if(NOT rc_deleted_cmp EQUAL 0)
+  message(FATAL_ERROR "deleted flags changed the dataset")
 endif()
-# An unknown table mode is a clean usage error.
+
+# A malformed value is an error before any work, never a silent default.
+file(REMOVE ${WORKDIR}/smoke_bad_hours.xml)
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 20 --files 100
-          --hours 1 --client-table sideways
+          --hours 2x --xml smoke_bad_hours.xml
   WORKING_DIRECTORY ${WORKDIR}
-  RESULT_VARIABLE rc_badtable
-  ERROR_VARIABLE err_badtable)
-if(NOT rc_badtable EQUAL 2)
-  message(FATAL_ERROR "unknown table mode exited ${rc_badtable}, expected 2")
+  RESULT_VARIABLE rc_bad_hours
+  ERROR_VARIABLE err_bad_hours)
+if(rc_bad_hours EQUAL 0 OR EXISTS ${WORKDIR}/smoke_bad_hours.xml)
+  message(FATAL_ERROR "--hours 2x exited ${rc_bad_hours} or wrote a dataset")
 endif()
-if(NOT err_badtable MATCHES "client-table")
-  message(FATAL_ERROR "unknown-table-mode error not reported: ${err_badtable}")
+if(NOT err_bad_hours MATCHES "invalid value for --hours: '2x'")
+  message(FATAL_ERROR "--hours 2x not reported: ${err_bad_hours}")
+endif()
+file(REMOVE ${WORKDIR}/smoke_bad_ip.xml)
+execute_process(
+  COMMAND ${DONKEYTRACE} decode --pcap smoke_dec.pcap
+          --server-ip 10.0.0.300 --xml smoke_bad_ip.xml
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_bad_ip
+  ERROR_VARIABLE err_bad_ip)
+if(rc_bad_ip EQUAL 0 OR EXISTS ${WORKDIR}/smoke_bad_ip.xml)
+  message(FATAL_ERROR "--server-ip 10.0.0.300 exited ${rc_bad_ip} or wrote")
+endif()
+if(NOT err_bad_ip MATCHES "invalid value for --server-ip: '10.0.0.300'")
+  message(FATAL_ERROR "--server-ip 10.0.0.300 not reported: ${err_bad_ip}")
 endif()
 
 execute_process(

@@ -41,12 +41,25 @@ TEST(CliArgs, BooleanFlags) {
   EXPECT_FALSE(args.has("verbose"));
 }
 
-TEST(CliArgs, FallbacksOnMissingOrMalformed) {
-  Args args = make_args({"campaign", "--seed", "notanumber"});
-  EXPECT_EQ(args.get_u64("seed", 42), 42u);
+TEST(CliArgs, FallbacksOnMissingRejectsMalformed) {
+  Args args = make_args({"campaign", "--seed", "notanumber", "--hours", "4B",
+                         "--tcp-quiet", "1.5x", "--server-ip", "10.0.0.300",
+                         "--workers"});
   EXPECT_EQ(args.get_u64("missing", 7), 7u);
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(args.get_f64("missing", 1.5), 1.5);
+  EXPECT_EQ(args.get_ipv4("missing", 0xC0A80001), 0xC0A80001u);
+  try {
+    (void)args.get_u64("seed", 42);
+    FAIL() << "malformed --seed accepted";
+  } catch (const InvalidValue& e) {
+    EXPECT_STREQ(e.what(), "invalid value for --seed: 'notanumber'");
+  }
+  EXPECT_THROW((void)args.get_u64("hours", 48), InvalidValue);
+  EXPECT_THROW((void)args.get_f64("tcp-quiet", 1.3), InvalidValue);
+  EXPECT_THROW((void)args.get_ipv4("server-ip", 0), InvalidValue);
+  // A typed option given without a value is malformed, not defaulted.
+  EXPECT_THROW((void)args.get_u64("workers", 0), InvalidValue);
 }
 
 TEST(CliArgs, FloatOptions) {

@@ -6,8 +6,6 @@
 // chunk-index order), and decompress to exactly the bytes an uncompressed
 // run writes.  Checkpoints cut the stream at frame boundaries, so a
 // compressed campaign killed mid-run resumes to a byte-identical container.
-// The flat client-table mode rides the same oracle: output and checkpoint
-// bytes never depend on the paging mode, so snapshots resume across modes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -233,7 +231,6 @@ struct CampaignOptions {
   std::size_t workers = 0;
   bool compress = false;
   std::size_t compress_chunk = 16 * 1024;
-  bool flat_table = false;
   std::string checkpoint_dir;
   std::string resume_from;
 };
@@ -243,8 +240,6 @@ std::string run_campaign_xml(std::uint64_t seed, const CampaignOptions& opt) {
   cfg.workers = opt.workers;
   cfg.compress = opt.compress;
   cfg.compress_chunk_bytes = opt.compress_chunk;
-  cfg.client_table_flat = opt.flat_table;
-  cfg.client_table_space_bits = 20;  // flat span in megabytes, not 16 GB
   cfg.checkpoint_dir = opt.checkpoint_dir;
   cfg.checkpoint_interval = 30 * kMinute;
   cfg.resume_from = opt.resume_from;
@@ -364,66 +359,6 @@ TEST(CompressedCampaign, CompressionOffIsStrictNoop) {
   const std::string a = run_campaign_xml(seed, one_worker);
   EXPECT_EQ(a, run_campaign_xml(seed, parallel));
   EXPECT_FALSE(xmlio::is_chunked_container(view_of(a)));
-}
-
-// ---------------------------------------------------------------------------
-// Flat client-table mode.
-// ---------------------------------------------------------------------------
-
-// Paging mode never affects the output bytes — at one worker or two.
-TEST(FlatClientTable, OutputMatchesPagedMode) {
-  const std::uint64_t seed = 51;
-  CampaignOptions paged;
-  const std::string reference = run_campaign_xml(seed, paged);
-  for (std::size_t workers : {0u, 2u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    CampaignOptions flat;
-    flat.workers = workers;
-    flat.flat_table = true;
-    EXPECT_EQ(run_campaign_xml(seed, flat), reference);
-  }
-}
-
-// plain == checkpointed == resumed, all in flat mode — and a snapshot
-// written by a paged run resumes under flat mode (and vice versa), because
-// the table codec is mode-independent.
-TEST(FlatClientTable, CheckpointResumeParityAndCrossModeResume) {
-  const std::uint64_t seed = 53;
-  const fs::path dir = scratch_dir("flat_resume");
-
-  CampaignOptions plain;
-  plain.flat_table = true;
-  const std::string baseline = run_campaign_xml(seed, plain);
-
-  CampaignOptions checkpointed;
-  checkpointed.flat_table = true;
-  checkpointed.checkpoint_dir = (dir / "snaps").string();
-  EXPECT_EQ(run_campaign_xml(seed, checkpointed), baseline);
-
-  const std::vector<fs::path> snaps = checkpoint_files(dir / "snaps");
-  ASSERT_GE(snaps.size(), 1u);
-
-  CampaignOptions resume_flat;
-  resume_flat.flat_table = true;
-  resume_flat.resume_from = snaps.front().string();
-  EXPECT_EQ(run_campaign_xml(seed, resume_flat), baseline);
-
-  // Cross-mode: the flat run's snapshot resumed by a paged run.
-  CampaignOptions resume_paged;
-  resume_paged.resume_from = snaps.front().string();
-  EXPECT_EQ(run_campaign_xml(seed, resume_paged), baseline);
-
-  // Cross-mode the other way: a paged run's snapshot resumed flat.
-  const fs::path dir2 = scratch_dir("paged_resume");
-  CampaignOptions paged_ckpt;
-  paged_ckpt.checkpoint_dir = (dir2 / "snaps").string();
-  EXPECT_EQ(run_campaign_xml(seed, paged_ckpt), baseline);
-  const std::vector<fs::path> paged_snaps = checkpoint_files(dir2 / "snaps");
-  ASSERT_GE(paged_snaps.size(), 1u);
-  CampaignOptions flat_from_paged;
-  flat_from_paged.flat_table = true;
-  flat_from_paged.resume_from = paged_snaps.front().string();
-  EXPECT_EQ(run_campaign_xml(seed, flat_from_paged), baseline);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Differential battery for the sharded server index.
 //
 // The sharded FileIndex promises answers *byte-identical* to the
-// pre-sharding single-map index for any shard count.  This test keeps that
-// old index alive as a ReferenceIndex oracle, replays one seeded workload
-// (publishes, batched publishes, retracts, and every search shape the
-// query language supports) against the oracle and against sharded indexes
-// with N = 1, 2, 4, 8 — cache off and cache on — and compares a full
-// transcript of observable results: per-op publish booleans, per-op search
-// answers in order, and the end-state records (metadata + exact source
-// lists).
+// pre-sharding single-map index.  This test keeps that old index alive as
+// a ReferenceIndex oracle, replays one seeded workload (publishes, batched
+// publishes, retracts, and every search shape the query language
+// supports) against the oracle and against the sharded index, and
+// compares a full transcript of observable results: per-op publish
+// booleans, per-op search answers in order, and the end-state records
+// (metadata + exact source lists).
 //
 // The same file also hammers one sharded index and one EdonkeyServer from
 // several threads; those tests assert only invariants (the transcript is
@@ -355,72 +354,42 @@ std::vector<std::string> run_sharded(FileIndex& index,
   return transcript;
 }
 
-void expect_same_end_state(const ReferenceIndex& ref, const FileIndex& idx,
-                           const std::string& label) {
-  EXPECT_EQ(idx.file_count(), ref.file_count()) << label;
-  EXPECT_EQ(idx.source_count(), ref.source_count()) << label;
+void expect_same_end_state(const ReferenceIndex& ref, const FileIndex& idx) {
+  EXPECT_EQ(idx.file_count(), ref.file_count());
+  EXPECT_EQ(idx.source_count(), ref.source_count());
   for (const FileId& id : ref.publish_order()) {
     const FileRecord* expected = ref.find(id);
-    ASSERT_NE(expected, nullptr) << label;
+    ASSERT_NE(expected, nullptr);
     bool found = idx.visit(id, [&](const FileRecord& actual) {
-      EXPECT_EQ(actual.name, expected->name) << label << ' ' << id.hex();
-      EXPECT_EQ(actual.size, expected->size) << label << ' ' << id.hex();
-      EXPECT_EQ(actual.type, expected->type) << label << ' ' << id.hex();
+      EXPECT_EQ(actual.name, expected->name) << id.hex();
+      EXPECT_EQ(actual.size, expected->size) << id.hex();
+      EXPECT_EQ(actual.type, expected->type) << id.hex();
       EXPECT_EQ(actual.sources, expected->sources)
-          << label << ' ' << id.hex() << ": exact source list, exact order";
+          << id.hex() << ": exact source list, exact order";
     });
-    EXPECT_TRUE(found) << label << ": missing " << id.hex();
+    EXPECT_TRUE(found) << "missing " << id.hex();
   }
 }
 
 class IndexDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(IndexDifferential, ShardedMatchesReferenceForAllShardCounts) {
+TEST_P(IndexDifferential, ShardedMatchesReference) {
   const std::vector<Op> ops = make_workload(GetParam(), 2200);
 
   ReferenceIndex reference;
   const std::vector<std::string> expected = run_reference(reference, ops);
 
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (std::size_t cache : {0u, 64u}) {
-      FileIndexConfig cfg;
-      cfg.shards = shards;
-      cfg.search_cache_entries = cache;
-      FileIndex index(cfg);
-      ASSERT_EQ(index.shard_count(), shards);
-      const std::vector<std::string> actual = run_sharded(index, ops);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " cache=" + std::to_string(cache);
-      ASSERT_EQ(actual.size(), expected.size()) << label;
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(actual[i], expected[i]) << label << " diverged at op " << i;
-      }
-      expect_same_end_state(reference, index, label);
-      if (cache > 0) {
-        const FileIndex::CacheStats cs = index.cache_stats();
-        EXPECT_GT(cs.hits + cs.partial_hits + cs.misses, 0u)
-            << label << ": the cache was never consulted";
-      }
-    }
+  FileIndex index;
+  const std::vector<std::string> actual = run_sharded(index, ops);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << "diverged at op " << i;
   }
+  expect_same_end_state(reference, index);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential,
                          ::testing::Values(1u, 42u, 20260807u));
-
-TEST(IndexDifferential, TinyCacheEvictsAndStaysCorrect) {
-  const std::vector<Op> ops = make_workload(7u, 1200);
-  ReferenceIndex reference;
-  const std::vector<std::string> expected = run_reference(reference, ops);
-
-  FileIndexConfig cfg;
-  cfg.shards = 4;
-  cfg.search_cache_entries = 2;  // thrash: almost every lookup evicts
-  FileIndex index(cfg);
-  const std::vector<std::string> actual = run_sharded(index, ops);
-  EXPECT_EQ(actual, expected);
-  EXPECT_GT(index.cache_stats().evictions, 0u);
-}
 
 // A name that repeats a keyword gives its file one posting per occurrence.
 // Retracting the file must drop them all: a posting left behind would
@@ -477,21 +446,9 @@ TEST(IndexDifferential, RetractOfRepeatedKeywordsMatchesReference) {
 
   ReferenceIndex reference;
   const std::vector<std::string> expected = run_reference(reference, ops);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    FileIndexConfig cfg;
-    cfg.shards = shards;
-    FileIndex index(cfg);
-    const std::string label = "shards=" + std::to_string(shards);
-    EXPECT_EQ(run_sharded(index, ops), expected) << label;
-    expect_same_end_state(reference, index, label);
-  }
-}
-
-TEST(IndexDifferential, ShardCountIsRoundedAndClamped) {
-  EXPECT_EQ(FileIndex(FileIndexConfig{0, 0}).shard_count(), 1u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{3, 0}).shard_count(), 4u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{5, 0}).shard_count(), 8u);
-  EXPECT_EQ(FileIndex(FileIndexConfig{1000, 0}).shard_count(), 64u);
+  FileIndex index;
+  EXPECT_EQ(run_sharded(index, ops), expected);
+  expect_same_end_state(reference, index);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,10 +456,7 @@ TEST(IndexDifferential, ShardCountIsRoundedAndClamped) {
 // ---------------------------------------------------------------------------
 
 TEST(IndexConcurrency, ParallelPublishSearchRetractKeepsInvariants) {
-  FileIndexConfig cfg;
-  cfg.shards = 8;
-  cfg.search_cache_entries = 32;
-  FileIndex index(cfg);
+  FileIndex index;
 
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 400;
@@ -560,10 +514,7 @@ TEST(IndexConcurrency, ParallelPublishSearchRetractKeepsInvariants) {
 }
 
 TEST(ServerConcurrency, MixedTrafficReconciles) {
-  ServerConfig cfg;
-  cfg.index_shards = 8;
-  cfg.search_cache_entries = 32;
-  EdonkeyServer server(cfg);
+  EdonkeyServer server;
 
   Rng r(4242);
   std::vector<std::string> names;

@@ -339,7 +339,6 @@ struct SeriesRun {
 };
 
 struct DataPlaneTuning {
-  std::size_t anon_shards = 8;
   obs::Profiler* profiler = nullptr;
   /// Run a wall-clock ResourceSampler over the registry for the duration:
   /// its proc.* gauges land in the same registry the series samples, so
@@ -352,7 +351,6 @@ SeriesRun run_with_series(std::uint64_t seed, std::size_t workers,
   core::RunnerConfig cfg;
   cfg.campaign = campaign_config(seed);
   cfg.workers = workers;
-  cfg.anon_shards = tuning.anon_shards;
   cfg.profiler = tuning.profiler;
   obs::Registry registry;
   obs::TimeSeriesOptions options;
@@ -464,45 +462,13 @@ TEST(SeriesReconcile, ProfilerPresenceNeverChangesTheBytes) {
   }
 }
 
-// The anonymiser shard count spreads the workers' lock-free lookup tables;
-// dense IDs are still assigned by the merge thread in strict sequence
-// order, so the shard count must never reach the output: XML byte for
-// byte, counter series sample by sample, against a one-worker run at the
-// default shard count.
-TEST(SeriesReconcile, AnonShardCountNeverChangesTheBytes) {
-  const SeriesRun one = run_with_series(34, 0);
-  ASSERT_FALSE(one.xml.empty());
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    SCOPED_TRACE(::testing::Message() << "anon_shards=" << shards);
-    DataPlaneTuning tuning;
-    tuning.anon_shards = shards;
-    SeriesRun parallel = run_with_series(34, 3, tuning);
-    EXPECT_EQ(parallel.xml, one.xml);
-    ASSERT_EQ(parallel.samples.size(), one.samples.size());
-    for (std::size_t i = 0; i < one.samples.size(); ++i) {
-      EXPECT_EQ(parallel.samples[i].snapshot.counters,
-                one.samples[i].snapshot.counters)
-          << "sample " << i;
-    }
-  }
-}
-
-// --- Server-stage reconciliation (the sharded index, PR 3) --------------
+// --- Server-stage reconciliation ------------------------------------------
 //
 // ServerStats counters are atomic so concurrent handle() calls can bump
 // them; the invariant that makes them *meaningful* is that the totals are
-// a function of the workload, not of the shard count or the scheduling.
-// One workload, three servers: single-shard serial, eight-shard serial,
-// eight-shard behind a worker pool (phased so answer counts stay
-// deterministic) — every counter must agree.
-
-server::ServerConfig sharded_server_config(std::size_t shards) {
-  server::ServerConfig cfg;
-  cfg.index_shards = shards;
-  cfg.search_cache_entries = 32;
-  return cfg;
-}
+// a function of the workload, not of the scheduling.  One workload, two
+// servers: one handling it serially, one from four threads (phased so
+// answer counts stay deterministic) — every counter must agree.
 
 std::vector<proto::Message> server_workload(std::uint64_t seed,
                                             std::size_t ops) {
@@ -551,69 +517,6 @@ std::vector<proto::Message> server_workload(std::uint64_t seed,
   return queries;
 }
 
-/// Counter/gauge names the shard count may legitimately change (per-shard
-/// occupancy gauges and the shard-count gauge itself).
-bool shard_dependent(const std::string& name) {
-  return name == "server.index.shards" ||
-         name.rfind("server.index.shard.", 0) == 0;
-}
-
-TEST(ServerReconcile, StatsAndIndexCountersAreShardCountInvariant) {
-  const std::vector<proto::Message> queries = server_workload(5, 600);
-
-  auto run = [&](std::size_t shards) {
-    auto registry = std::make_unique<obs::Registry>();
-    server::EdonkeyServer server(sharded_server_config(shards));
-    server.bind_metrics(*registry);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const proto::ClientId client =
-          static_cast<proto::ClientId>(1 + i % 24);
-      server.handle(client, 4662, queries[i], static_cast<SimTime>(i));
-    }
-    return std::make_pair(server.stats(), registry->snapshot());
-  };
-
-  auto [stats1, metrics1] = run(1);
-  auto [stats8, metrics8] = run(8);
-
-  EXPECT_EQ(stats1.queries.load(), stats8.queries.load());
-  EXPECT_EQ(stats1.answers.load(), stats8.answers.load());
-  EXPECT_EQ(stats1.searches.load(), stats8.searches.load());
-  EXPECT_EQ(stats1.source_requests.load(), stats8.source_requests.load());
-  EXPECT_EQ(stats1.publishes.load(), stats8.publishes.load());
-  EXPECT_EQ(stats1.published_files_accepted.load(),
-            stats8.published_files_accepted.load());
-  EXPECT_EQ(stats1.published_files_rejected.load(),
-            stats8.published_files_rejected.load());
-  EXPECT_EQ(stats1.unanswerable.load(), stats8.unanswerable.load());
-
-  // Every server.index.* counter — including the cache hit/partial/miss
-  // split, which revalidates per shard — is shard-count invariant in a
-  // serial run.  (A query goes partial-hit exactly when *some* shard
-  // mutated since it was cached, which is true for one shard iff it is
-  // true for eight.)
-  for (const auto& [name, value] : metrics1.counters) {
-    EXPECT_EQ(metrics8.counter(name), value) << name;
-  }
-  for (const auto& [name, value] : metrics1.gauges) {
-    if (shard_dependent(name)) continue;
-    EXPECT_EQ(metrics8.gauge(name), value) << name;
-  }
-  EXPECT_GT(metrics1.counter("server.index.cache.hits") +
-                metrics1.counter("server.index.cache.partial_hits"),
-            0u)
-      << "the workload must actually exercise the cache";
-  // The candidates histogram is value-deterministic (not a span): one
-  // observation per search either way.  The *sum* is where sharding pays
-  // off — with the cache on, a publish dirties one shard out of eight, so
-  // clean shards are reused and fewer candidates are re-evaluated.
-  EXPECT_EQ(metrics1.histograms.at("server.index.search.candidates").count,
-            metrics8.histograms.at("server.index.search.candidates").count);
-  EXPECT_LT(metrics8.histograms.at("server.index.search.candidates").sum,
-            metrics1.histograms.at("server.index.search.candidates").sum)
-      << "eight shards must confine cache invalidation better than one";
-}
-
 TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
   // Phase the workload (all publishes, join, then all reads) so answer
   // counts are schedule-independent, then compare against a serial server
@@ -626,7 +529,7 @@ TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
     return std::holds_alternative<proto::PublishReq>(q) == publishes;
   };
 
-  server::EdonkeyServer serial(sharded_server_config(1));
+  server::EdonkeyServer serial;
   for (const bool publishes : {true, false}) {
     for (const proto::Message& q : queries) {
       if (in_phase(q, publishes)) serial.handle(client_of(q), 4662, q, 0);
@@ -635,14 +538,16 @@ TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
 
   // Four threads, each handling every fourth query of the phase.
   constexpr std::size_t kThreads = 4;
-  server::EdonkeyServer sharded(sharded_server_config(8));
+  server::EdonkeyServer concurrent;
   for (const bool publishes : {true, false}) {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (std::size_t i = t; i < queries.size(); i += kThreads) {
           const proto::Message& q = queries[i];
-          if (in_phase(q, publishes)) sharded.handle(client_of(q), 4662, q, 0);
+          if (in_phase(q, publishes)) {
+            concurrent.handle(client_of(q), 4662, q, 0);
+          }
         }
       });
     }
@@ -650,7 +555,7 @@ TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
   }
 
   const server::ServerStats a = serial.stats();
-  const server::ServerStats b = sharded.stats();
+  const server::ServerStats b = concurrent.stats();
   EXPECT_EQ(a.queries.load(), b.queries.load());
   EXPECT_EQ(a.answers.load(), b.answers.load());
   EXPECT_EQ(a.searches.load(), b.searches.load());
@@ -659,8 +564,8 @@ TEST(ServerReconcile, ConcurrentThreadsTotalsMatchSerialTotals) {
   EXPECT_EQ(a.published_files_accepted.load(),
             b.published_files_accepted.load());
   EXPECT_EQ(a.unanswerable.load(), b.unanswerable.load());
-  EXPECT_EQ(serial.index().file_count(), sharded.index().file_count());
-  EXPECT_EQ(serial.index().source_count(), sharded.index().source_count());
+  EXPECT_EQ(serial.index().file_count(), concurrent.index().file_count());
+  EXPECT_EQ(serial.index().source_count(), concurrent.index().source_count());
 }
 
 }  // namespace

@@ -26,34 +26,51 @@ Args::Args(int argc, char** argv) {
   }
 }
 
-bool Args::has(const std::string& name) const {
+const std::string* Args::value(const std::string& name) const {
   read_[name] = true;
-  return options_.count(name) != 0;
+  auto it = options_.find(name);
+  return it == options_.end() ? nullptr : &it->second;
+}
+
+bool Args::has(const std::string& name) const {
+  return value(name) != nullptr;
 }
 
 std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
-  read_[name] = true;
-  auto it = options_.find(name);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* raw = value(name);
+  return raw == nullptr ? fallback : *raw;
 }
 
 std::uint64_t Args::get_u64(const std::string& name,
                             std::uint64_t fallback) const {
-  std::string raw = get(name);
-  if (raw.empty()) return fallback;
-  std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
-  return ec == std::errc{} && ptr == raw.data() + raw.size() ? value
-                                                             : fallback;
+  const std::string* raw = value(name);
+  if (raw == nullptr) return fallback;
+  std::uint64_t parsed = 0;
+  const char* end = raw->data() + raw->size();
+  auto [ptr, ec] = std::from_chars(raw->data(), end, parsed);
+  if (ec != std::errc{} || ptr != end) throw InvalidValue(name, *raw);
+  return parsed;
 }
 
 double Args::get_f64(const std::string& name, double fallback) const {
-  std::string raw = get(name);
-  if (raw.empty()) return fallback;
+  const std::string* raw = value(name);
+  if (raw == nullptr) return fallback;
   char* end = nullptr;
-  double value = std::strtod(raw.c_str(), &end);
-  return end == raw.c_str() + raw.size() ? value : fallback;
+  const double parsed = std::strtod(raw->c_str(), &end);
+  if (raw->empty() || end != raw->c_str() + raw->size()) {
+    throw InvalidValue(name, *raw);
+  }
+  return parsed;
+}
+
+std::uint32_t Args::get_ipv4(const std::string& name,
+                             std::uint32_t fallback) const {
+  const std::string* raw = value(name);
+  if (raw == nullptr) return fallback;
+  const auto parsed = parse_ipv4(*raw);
+  if (!parsed) throw InvalidValue(name, *raw);
+  return *parsed;
 }
 
 std::vector<std::string> Args::unused() const {

@@ -7,10 +7,20 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace dtr::cli {
+
+/// A typed option whose value does not parse (including a flag given with
+/// no value); what() is "invalid value for --NAME: 'VALUE'".
+class InvalidValue : public std::runtime_error {
+ public:
+  InvalidValue(const std::string& name, const std::string& value)
+      : std::runtime_error("invalid value for --" + name + ": '" + value +
+                           "'") {}
+};
 
 class Args {
  public:
@@ -24,14 +34,22 @@ class Args {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback = "") const;
+  /// Typed getters: `fallback` when the option is absent; InvalidValue
+  /// when it is present but does not parse.
   [[nodiscard]] std::uint64_t get_u64(const std::string& name,
                                       std::uint64_t fallback) const;
   [[nodiscard]] double get_f64(const std::string& name, double fallback) const;
+  /// Dotted IPv4, host order.
+  [[nodiscard]] std::uint32_t get_ipv4(const std::string& name,
+                                       std::uint32_t fallback) const;
 
   /// Options that were passed but never read — typo detection.
   [[nodiscard]] std::vector<std::string> unused() const;
 
  private:
+  /// The option's value, or null when absent; marks the option read.
+  [[nodiscard]] const std::string* value(const std::string& name) const;
+
   std::string command_;
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;

@@ -54,10 +54,6 @@ commands:
               [--workers N] (decode worker threads; default 0 = 1;
                                       never changes output, joins the
                                       snapshot fingerprint)
-              [--anon-shards N] (anonymiser table shards, power of two;
-                                      default 8; never changes output)
-              [--server-shards N] (index shards, power of two; default 4)
-              [--search-cache N] (LRU search-cache entries; default 0 = off)
               [--checkpoint-dir DIR] (periodic resumable snapshots, one
                                       file per boundary)
               [--checkpoint-interval-hours H] (boundary spacing in
@@ -76,12 +72,6 @@ commands:
                                       decompress restores the XML)
               [--compress-chunk BYTES] (uncompressed chunk size; default
                                       262144; joins the snapshot fingerprint)
-              [--client-table MODE] (paged|flat clientID table, paper
-                                      §2.4; flat pre-allocates up front;
-                                      default paged; never changes output)
-              [--client-table-bits N] (flat pre-allocation span: pages for
-                                      clientIDs below 2^N; default 32 =
-                                      the paper's full 16 GB)
   decode      replay a pcap file through the offline decoder
               --pcap PATH [--xml PATH[.dtz]]
               [--server-ip A.B.C.D] [--server-port P]
@@ -401,25 +391,12 @@ int cmd_campaign(const cli::Args& args) {
   cfg.campaign.catalog.file_count =
       static_cast<std::uint32_t>(args.get_u64("files", 20000));
   cfg.campaign.duration = args.get_u64("hours", 48) * kHour;
-  cfg.campaign.server.index_shards = args.get_u64("server-shards", 4);
-  cfg.campaign.server.search_cache_entries = args.get_u64("search-cache", 0);
   cfg.workers = args.get_u64("workers", 0);
-  cfg.anon_shards = args.get_u64("anon-shards", 8);
   const std::string xml_path = args.get("xml");
   // A .dtz path always means the chunked container.
   cfg.compress = args.has("compress") || ends_with(xml_path, ".dtz");
   cfg.compress_chunk_bytes =
       args.get_u64("compress-chunk", xmlio::kDefaultChunkBytes);
-  const std::string table_mode = args.get("client-table", "paged");
-  if (table_mode == "flat") {
-    cfg.client_table_flat = true;
-    cfg.client_table_space_bits =
-        static_cast<std::uint32_t>(args.get_u64("client-table-bits", 32));
-  } else if (table_mode != "paged") {
-    std::cerr << "campaign: unknown --client-table mode '" << table_mode
-              << "' (paged|flat)\n";
-    return 2;
-  }
   cfg.pcap_path = args.get("pcap");
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume_from = args.get("resume-from");
@@ -589,15 +566,14 @@ int cmd_decode(const cli::Args& args) {
     std::cerr << "decode: --pcap required\n";
     return 2;
   }
+  const std::uint32_t server_ip = args.get_ipv4("server-ip", 0xC0A80001);
+  const auto server_port =
+      static_cast<std::uint16_t>(args.get_u64("server-port", 4665));
   net::PcapReader reader(pcap_path);
   if (!reader.ok()) {
     std::cerr << "cannot read " << pcap_path << "\n";
     return 1;
   }
-  std::uint32_t server_ip =
-      cli::parse_ipv4(args.get("server-ip", "192.168.0.1")).value_or(0xC0A80001);
-  auto server_port =
-      static_cast<std::uint16_t>(args.get_u64("server-port", 4665));
 
   anon::DirectClientTable clients;
   anon::BucketedFileIdStore files;
@@ -843,20 +819,26 @@ int main(int argc, char** argv) {
   dtr::cli::Args args(argc, argv);
 
   int rc;
-  if (args.command() == "campaign") {
-    rc = cmd_campaign(args);
-  } else if (args.command() == "decode") {
-    rc = cmd_decode(args);
-  } else if (args.command() == "analyze") {
-    rc = cmd_analyze(args);
-  } else if (args.command() == "compress") {
-    rc = cmd_compress(args, true);
-  } else if (args.command() == "decompress") {
-    rc = cmd_compress(args, false);
-  } else if (args.command() == "jsoncheck") {
-    rc = cmd_jsoncheck(args);
-  } else {
-    return usage();
+  try {
+    if (args.command() == "campaign") {
+      rc = cmd_campaign(args);
+    } else if (args.command() == "decode") {
+      rc = cmd_decode(args);
+    } else if (args.command() == "analyze") {
+      rc = cmd_analyze(args);
+    } else if (args.command() == "compress") {
+      rc = cmd_compress(args, true);
+    } else if (args.command() == "decompress") {
+      rc = cmd_compress(args, false);
+    } else if (args.command() == "jsoncheck") {
+      rc = cmd_jsoncheck(args);
+    } else {
+      return usage();
+    }
+  } catch (const dtr::cli::InvalidValue& e) {
+    // Every typed option is read before a command starts its work.
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   for (const std::string& name : args.unused()) {
