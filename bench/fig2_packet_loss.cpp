@@ -54,9 +54,7 @@ int main(int argc, char** argv) {
   // The loss curve now comes from the telemetry subsystem, not the
   // engine's private accumulator: a per-second TimeSeriesRecorder over the
   // `capture.dropped` counter, in sparse (store-only-on-change) mode so two
-  // days of mostly-zero seconds stay a handful of samples.  The capture
-  // counters are recorded synchronously on the feed thread, so no pipeline
-  // flush is needed at the one-second boundaries.
+  // days of mostly-zero seconds stay a handful of samples.
   obs::Registry registry;
   obs::TimeSeriesOptions series_options;
   series_options.interval = kSecond;
@@ -65,7 +63,6 @@ int main(int argc, char** argv) {
   obs::TimeSeriesRecorder series(registry, series_options);
   cfg.metrics = &registry;
   cfg.series = &series;
-  cfg.series_flush = false;
 
   core::CampaignRunner runner(cfg);
   core::CampaignReport report = runner.run();

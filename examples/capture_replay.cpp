@@ -2,13 +2,14 @@
 //
 // Stage 1 simulates a campaign and dumps the *captured* (post-loss) frames
 // to a standard pcap file, like the paper's capture machine would.
-// Stage 2 replays the file through the offline decoder + anonymiser, as a
-// researcher without access to the live server would, and verifies the two
-// passes agree.
+// Stage 2 replays the file through the same capture pipeline, as a
+// researcher without access to the live server would, and verifies that
+// the replay writes the live dataset byte for byte.
 //
 //   ./capture_replay [seed] [pcap-path]
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 
 #include "core/donkeytrace.hpp"
 
@@ -21,6 +22,8 @@ int main(int argc, char** argv) {
   // --- Stage 1: live capture ------------------------------------------------
   core::RunnerConfig cfg = core::RunnerConfig::tiny(seed);
   cfg.pcap_path = path;
+  std::ostringstream live_xml;
+  cfg.xml_out = &live_xml;
   core::CampaignRunner runner(cfg);
   core::CampaignReport live = runner.run();
 
@@ -39,35 +42,32 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  anon::DirectClientTable clients;
-  anon::BucketedFileIdStore files;
-  anon::Anonymiser anonymiser(clients, files);
-  analysis::CampaignStats stats;
-
-  decode::FrameDecoder decoder(
-      cfg.campaign.server_ip, cfg.campaign.server_port,
-      [&](decode::DecodedMessage&& msg) {
-        bool from_client = msg.dst_ip == cfg.campaign.server_ip;
-        std::uint32_t peer = from_client ? msg.src_ip : msg.dst_ip;
-        stats.consume(anonymiser.anonymise(msg.time, peer, msg.message));
-      });
+  std::ostringstream replay_xml;
+  core::ParallelPipelineConfig replay_cfg;
+  replay_cfg.server_ip = cfg.campaign.server_ip;
+  replay_cfg.server_port = cfg.campaign.server_port;
+  replay_cfg.xml_out = &replay_xml;
+  core::ParallelCapturePipeline pipeline(replay_cfg);
 
   std::uint64_t frames = 0;
   while (auto rec = reader.next()) {
-    decoder.push(sim::TimedFrame{rec->timestamp, rec->data});
+    pipeline.push(sim::TimedFrame{rec->timestamp, rec->data});
     ++frames;
   }
-  decoder.finish(cfg.campaign.duration);
+  const core::PipelineResult replay = pipeline.finish();
 
   std::cout << "Stage 2 (replay): " << with_thousands(frames) << " frames, "
-            << with_thousands(decoder.stats().decoded) << " messages decoded, "
-            << anonymiser.distinct_clients() << " distinct clients, "
-            << anonymiser.distinct_files() << " distinct fileIDs\n";
+            << with_thousands(replay.decode.decoded) << " messages decoded, "
+            << replay.distinct_clients << " distinct clients, "
+            << replay.distinct_files << " distinct fileIDs, "
+            << with_thousands(replay_xml.view().size()) << " dataset bytes\n";
 
-  bool ok = frames == live.frames_captured &&
-            decoder.stats().decoded == live.pipeline.decode.decoded &&
-            anonymiser.distinct_clients() == live.pipeline.distinct_clients &&
-            anonymiser.distinct_files() == live.pipeline.distinct_files;
+  bool ok = live.pipeline.ok() && replay.ok() &&
+            frames == live.frames_captured &&
+            replay.decode.decoded == live.pipeline.decode.decoded &&
+            replay.distinct_clients == live.pipeline.distinct_clients &&
+            replay.distinct_files == live.pipeline.distinct_files &&
+            replay_xml.view() == live_xml.view();
   std::cout << (ok ? "REPLAY MATCHES LIVE CAPTURE"
                    : "MISMATCH between live and replay!")
             << "\n";

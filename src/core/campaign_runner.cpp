@@ -547,7 +547,7 @@ CampaignReport CampaignRunner::run() {
   // interval.
   auto feed = [&](const sim::TimedFrame& f) {
     if (config_.series != nullptr && config_.series->due(f.time)) {
-      if (config_.series_flush) quiesce();
+      quiesce();
       do {
         config_.series->sample();
       } while (config_.series->due(f.time));

@@ -27,6 +27,9 @@ struct RunnerConfig {
   std::optional<sim::BackgroundConfig> background;  // engaged = mirror carries
                                                     // the TCP half too
   std::string pcap_path;     // non-empty = dump surviving frames to pcap
+  /// Dataset destination (null = none), any std::ostream: the CLI passes
+  /// the dataset file.  With checkpoints or a resume the runner buffers
+  /// the dataset (snapshots copy its prefix) and writes it here at the end.
   std::ostream* xml_out = nullptr;
   /// Compress the dataset as it streams (the paper's footnote-3 economics
   /// at campaign scale): `xml_out` receives the chunked DTZCHNK1 container
@@ -62,13 +65,10 @@ struct RunnerConfig {
   obs::Profiler* profiler = nullptr;
   /// Optional time-series recorder sampling `metrics` at its interval
   /// boundaries (simulated time).  Must be built over the same registry as
-  /// `metrics`; the runner calls finish() on it after the pipeline drains.
+  /// `metrics`.  The runner quiesces the pipeline before every sample, so
+  /// interval counters are exact and the same at every worker count, and
+  /// calls finish() on it after the pipeline drains.
   obs::TimeSeriesRecorder* series = nullptr;
-  /// Quiesce the pipeline before every series sample so interval counters
-  /// are exact and independent of thread scheduling (byte-reproducible
-  /// output, the same at every worker count).  Disable only for coarse
-  /// "roughly now" sampling where stalling the intake is not worth it.
-  bool series_flush = true;
   /// Checkpoint/resume — the crash-safe long-campaign story (the paper's
   /// horizon is ten weeks).  When `checkpoint_dir` is non-empty the runner
   /// quiesces the pipeline at every `checkpoint_interval` boundary of

@@ -196,16 +196,23 @@ foreach(pair
   endif()
 endforeach()
 
-# Resume from a file that does not exist: clean nonzero exit.
+# Resume from a file that does not exist: clean nonzero exit.  The run
+# fails after its dataset file was opened, so neither the dataset nor its
+# .part file may remain.
+file(REMOVE ${WORKDIR}/smoke_missing.xml ${WORKDIR}/smoke_missing.xml.part)
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
-          --hours 3 --workers 2
+          --hours 3 --workers 2 --xml smoke_missing.xml
           --resume-from ${WORKDIR}/smoke_ckpt/no-such-file.ckpt
   WORKING_DIRECTORY ${WORKDIR}
   RESULT_VARIABLE rc_missing
   ERROR_VARIABLE err_missing)
 if(rc_missing EQUAL 0)
   message(FATAL_ERROR "resume from a missing snapshot unexpectedly succeeded")
+endif()
+if(EXISTS ${WORKDIR}/smoke_missing.xml OR
+   EXISTS ${WORKDIR}/smoke_missing.xml.part)
+  message(FATAL_ERROR "failed resume left a dataset or its .part file")
 endif()
 if(NOT err_missing MATCHES "cannot resume")
   message(FATAL_ERROR "missing-snapshot error not reported: ${err_missing}")
@@ -542,6 +549,75 @@ endif()
 if(NOT err_bad_ip MATCHES "invalid value for --server-ip: '10.0.0.300'")
   message(FATAL_ERROR "--server-ip 10.0.0.300 not reported: ${err_bad_ip}")
 endif()
+
+# A value that parses but does not fit its field is rejected, never
+# wrapped (4294967356 is 2^32 + 60): exit 2 before any work, no dataset.
+file(REMOVE ${WORKDIR}/smoke_bad_clients.xml
+     ${WORKDIR}/smoke_bad_clients.xml.part)
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 4294967356 --files 100
+          --hours 1 --xml smoke_bad_clients.xml
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_bad_clients
+  ERROR_VARIABLE err_bad_clients)
+if(NOT rc_bad_clients EQUAL 2 OR EXISTS ${WORKDIR}/smoke_bad_clients.xml OR
+   EXISTS ${WORKDIR}/smoke_bad_clients.xml.part)
+  message(FATAL_ERROR "--clients 4294967356 exited ${rc_bad_clients} or "
+                      "wrote a dataset")
+endif()
+if(NOT err_bad_clients MATCHES "invalid value for --clients: '4294967356'")
+  message(FATAL_ERROR "--clients 4294967356 not reported: ${err_bad_clients}")
+endif()
+# An option given without a value is an error, never the path "true".
+file(REMOVE ${WORKDIR}/true ${WORKDIR}/true.part)
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 20 --files 100
+          --hours 1 --xml
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_bare_xml
+  ERROR_VARIABLE err_bare_xml)
+if(NOT rc_bare_xml EQUAL 2 OR EXISTS ${WORKDIR}/true OR
+   EXISTS ${WORKDIR}/true.part)
+  message(FATAL_ERROR "--xml without a value exited ${rc_bare_xml} or "
+                      "wrote a file named true")
+endif()
+if(NOT err_bare_xml MATCHES "invalid value for --xml: ''")
+  message(FATAL_ERROR "--xml without a value not reported: ${err_bare_xml}")
+endif()
+
+# decode of a campaign's pcap writes that campaign's dataset byte for
+# byte: the background TCP half is settled, the UDP half runs the same
+# pipeline.  Plain and .dtz (same default chunk grid) alike.
+foreach(ext xml xml.dtz)
+  execute_process(
+    COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
+            --hours 3 --background --pcap smoke_bg.pcap
+            --xml smoke_bg_campaign.${ext}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_bg_campaign)
+  if(NOT rc_bg_campaign EQUAL 0)
+    message(FATAL_ERROR "background campaign (${ext}) failed: ${rc_bg_campaign}")
+  endif()
+  execute_process(
+    COMMAND ${DONKEYTRACE} decode --pcap smoke_bg.pcap
+            --xml smoke_bg_decode.${ext}
+    WORKING_DIRECTORY ${WORKDIR}
+    RESULT_VARIABLE rc_bg_decode)
+  if(NOT rc_bg_decode EQUAL 0)
+    message(FATAL_ERROR "decode of the background pcap (${ext}) failed: "
+                        "${rc_bg_decode}")
+  endif()
+  if(EXISTS ${WORKDIR}/smoke_bg_decode.${ext}.part)
+    message(FATAL_ERROR "decode left smoke_bg_decode.${ext}.part behind")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/smoke_bg_campaign.${ext} ${WORKDIR}/smoke_bg_decode.${ext}
+    RESULT_VARIABLE rc_bg_cmp)
+  if(NOT rc_bg_cmp EQUAL 0)
+    message(FATAL_ERROR "decode (${ext}) differs from the campaign's dataset")
+  endif()
+endforeach()
 
 execute_process(
   COMMAND ${DONKEYTRACE} analyze smoke.xml.dtz

@@ -24,42 +24,71 @@ TEST(CliArgs, CommandAndPositional) {
 }
 
 TEST(CliArgs, SpaceSeparatedOptions) {
-  Args args = make_args({"campaign", "--seed", "7", "--clients", "100"});
-  EXPECT_EQ(args.get_u64("seed", 0), 7u);
-  EXPECT_EQ(args.get_u64("clients", 0), 100u);
+  Args args = make_args({"campaign", "--seed", "7", "--clients", "100",
+                         "--server-port", "65535"});
+  EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 7u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("clients", 0), 100u);
+  EXPECT_EQ(args.get_uint<std::uint16_t>("server-port", 0), 65535u);
 }
 
 TEST(CliArgs, EqualsSeparatedOptions) {
   Args args = make_args({"campaign", "--seed=9", "--xml=out.xml"});
-  EXPECT_EQ(args.get_u64("seed", 0), 9u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 9u);
   EXPECT_EQ(args.get("xml"), "out.xml");
 }
 
 TEST(CliArgs, BooleanFlags) {
-  Args args = make_args({"campaign", "--background", "--seed", "1"});
+  Args args = make_args({"campaign", "--background", "--seed", "1", "--xml"});
   EXPECT_TRUE(args.has("background"));
   EXPECT_FALSE(args.has("verbose"));
+  // A valued option given without a value is present, but reading its
+  // value is an error — never the path "true".
+  EXPECT_TRUE(args.has("xml"));
+  try {
+    (void)args.get("xml");
+    FAIL() << "--xml without a value read as a path";
+  } catch (const InvalidValue& e) {
+    EXPECT_STREQ(e.what(), "invalid value for --xml: ''");
+  }
+  EXPECT_THROW((void)args.get("background", "x"), InvalidValue);
+  EXPECT_THROW((void)args.get_f64("background", 1.0), InvalidValue);
+  EXPECT_THROW((void)args.get_ipv4("background", 0), InvalidValue);
+  // An explicitly empty value is a value.
+  Args empty = make_args({"campaign", "--xml="});
+  EXPECT_EQ(empty.get("xml", "dflt"), "");
 }
 
 TEST(CliArgs, FallbacksOnMissingRejectsMalformed) {
   Args args = make_args({"campaign", "--seed", "notanumber", "--hours", "4B",
                          "--tcp-quiet", "1.5x", "--server-ip", "10.0.0.300",
+                         "--clients", "4294967356", "--server-port", "65536",
                          "--workers"});
-  EXPECT_EQ(args.get_u64("missing", 7), 7u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("missing", 7), 7u);
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(args.get_f64("missing", 1.5), 1.5);
   EXPECT_EQ(args.get_ipv4("missing", 0xC0A80001), 0xC0A80001u);
   try {
-    (void)args.get_u64("seed", 42);
+    (void)args.get_uint<std::uint64_t>("seed", 42);
     FAIL() << "malformed --seed accepted";
   } catch (const InvalidValue& e) {
     EXPECT_STREQ(e.what(), "invalid value for --seed: 'notanumber'");
   }
-  EXPECT_THROW((void)args.get_u64("hours", 48), InvalidValue);
+  EXPECT_THROW((void)args.get_uint<std::uint64_t>("hours", 48), InvalidValue);
   EXPECT_THROW((void)args.get_f64("tcp-quiet", 1.3), InvalidValue);
   EXPECT_THROW((void)args.get_ipv4("server-ip", 0), InvalidValue);
   // A typed option given without a value is malformed, not defaulted.
-  EXPECT_THROW((void)args.get_u64("workers", 0), InvalidValue);
+  EXPECT_THROW((void)args.get_uint<std::uint64_t>("workers", 0), InvalidValue);
+  // A value that parses but does not fit the field is rejected, not
+  // wrapped (4294967356 is 2^32 + 60).
+  EXPECT_EQ(args.get_uint<std::uint64_t>("clients", 0), 4294967356u);
+  try {
+    (void)args.get_uint<std::uint32_t>("clients", 2000);
+    FAIL() << "out-of-range --clients accepted";
+  } catch (const InvalidValue& e) {
+    EXPECT_STREQ(e.what(), "invalid value for --clients: '4294967356'");
+  }
+  EXPECT_THROW((void)args.get_uint<std::uint16_t>("server-port", 4665),
+               InvalidValue);
 }
 
 TEST(CliArgs, FloatOptions) {
@@ -69,8 +98,8 @@ TEST(CliArgs, FloatOptions) {
 
 TEST(CliArgs, UnusedDetectsTypos) {
   Args args = make_args({"campaign", "--sead", "7", "--clients", "5"});
-  EXPECT_EQ(args.get_u64("seed", 0), 0u);
-  EXPECT_EQ(args.get_u64("clients", 0), 5u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 0u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("clients", 0), 5u);
   auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "sead");

@@ -1,6 +1,5 @@
 #include "cli_args.hpp"
 
-#include <charconv>
 #include <cstdlib>
 
 namespace dtr::cli {
@@ -16,7 +15,7 @@ Args::Args(int argc, char** argv) {
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         options_[body] = argv[++i];
       } else {
-        options_[body] = "true";
+        options_[body] = std::nullopt;
       }
     } else if (command_.empty()) {
       command_ = token;
@@ -29,28 +28,20 @@ Args::Args(int argc, char** argv) {
 const std::string* Args::value(const std::string& name) const {
   read_[name] = true;
   auto it = options_.find(name);
-  return it == options_.end() ? nullptr : &it->second;
+  if (it == options_.end()) return nullptr;
+  if (!it->second) throw InvalidValue(name, "");
+  return &*it->second;
 }
 
 bool Args::has(const std::string& name) const {
-  return value(name) != nullptr;
+  read_[name] = true;
+  return options_.count(name) != 0;
 }
 
 std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
   const std::string* raw = value(name);
   return raw == nullptr ? fallback : *raw;
-}
-
-std::uint64_t Args::get_u64(const std::string& name,
-                            std::uint64_t fallback) const {
-  const std::string* raw = value(name);
-  if (raw == nullptr) return fallback;
-  std::uint64_t parsed = 0;
-  const char* end = raw->data() + raw->size();
-  auto [ptr, ec] = std::from_chars(raw->data(), end, parsed);
-  if (ec != std::errc{} || ptr != end) throw InvalidValue(name, *raw);
-  return parsed;
 }
 
 double Args::get_f64(const std::string& name, double fallback) const {

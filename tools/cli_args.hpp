@@ -4,17 +4,20 @@
 // positional.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dtr::cli {
 
-/// A typed option whose value does not parse (including a flag given with
-/// no value); what() is "invalid value for --NAME: 'VALUE'".
+/// An option whose value does not parse or does not fit its field, or a
+/// valued option given without a value; what() is
+/// "invalid value for --NAME: 'VALUE'" (VALUE empty in the last case).
 class InvalidValue : public std::runtime_error {
  public:
   InvalidValue(const std::string& name, const std::string& value)
@@ -31,13 +34,26 @@ class Args {
     return positional_;
   }
 
+  /// The only reader of a flag (`--background`): true when given, with or
+  /// without a value.
   [[nodiscard]] bool has(const std::string& name) const;
+  /// Getters: `fallback` when the option is absent; InvalidValue when it is
+  /// given without a value or, for the typed ones, when its value does not
+  /// parse or does not fit the returned type.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback = "") const;
-  /// Typed getters: `fallback` when the option is absent; InvalidValue
-  /// when it is present but does not parse.
-  [[nodiscard]] std::uint64_t get_u64(const std::string& name,
-                                      std::uint64_t fallback) const;
+  /// An unsigned integer in the range of T, the field it fills.
+  template <class T>
+  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
+    static_assert(std::is_unsigned_v<T>);
+    const std::string* raw = value(name);
+    if (raw == nullptr) return fallback;
+    T parsed = 0;
+    const char* end = raw->data() + raw->size();
+    auto [ptr, ec] = std::from_chars(raw->data(), end, parsed);
+    if (ec != std::errc{} || ptr != end) throw InvalidValue(name, *raw);
+    return parsed;
+  }
   [[nodiscard]] double get_f64(const std::string& name, double fallback) const;
   /// Dotted IPv4, host order.
   [[nodiscard]] std::uint32_t get_ipv4(const std::string& name,
@@ -47,12 +63,14 @@ class Args {
   [[nodiscard]] std::vector<std::string> unused() const;
 
  private:
-  /// The option's value, or null when absent; marks the option read.
+  /// The option's value, or null when absent; InvalidValue when it was
+  /// given without one.  Marks the option read.
   [[nodiscard]] const std::string* value(const std::string& name) const;
 
   std::string command_;
   std::vector<std::string> positional_;
-  std::map<std::string, std::string> options_;
+  /// nullopt: given without a value.
+  std::map<std::string, std::optional<std::string>> options_;
   mutable std::map<std::string, bool> read_;
 };
 

@@ -8,15 +8,16 @@
 //   donkeytrace decompress file.xml.dtz       (-> file.xml)
 //
 // `campaign` runs the full measurement (Figure 1) at the requested scale;
-// `decode` replays a pcap capture offline; `analyze` recomputes the §3
-// statistics from a released dataset.  Files ending in .dtz are the
-// chunked DTZCHNK1 container (footnote 3 of the paper); analyze and
-// decompress recognise it by its magic.
+// `decode` replays a pcap capture offline through the same capture
+// pipeline; `analyze` recomputes the §3 statistics from a released
+// dataset.  Every dataset streams to PATH.part and is renamed to PATH only
+// when the run succeeds.  Files ending in .dtz are the chunked DTZCHNK1
+// container (footnote 3 of the paper); analyze and decompress recognise it
+// by its magic.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "analysis/campaign_stats.hpp"
@@ -72,7 +73,8 @@ commands:
                                       decompress restores the XML)
               [--compress-chunk BYTES] (uncompressed chunk size; default
                                       262144; joins the snapshot fingerprint)
-  decode      replay a pcap file through the offline decoder
+  decode      replay a pcap file through the capture pipeline (decode,
+              anonymise, write) that campaign runs
               --pcap PATH [--xml PATH[.dtz]]
               [--server-ip A.B.C.D] [--server-port P]
   analyze     recompute the paper's statistics from a dataset
@@ -83,6 +85,10 @@ commands:
               refuses anything else
   jsoncheck   validate JSON (or per-line JSONL) artifacts
               (positional paths; .jsonl files are checked line by line)
+
+Datasets (campaign and decode --xml, compress, decompress) stream to
+PATH.part while they are written and are renamed to PATH only when the run
+succeeds; a failed run leaves neither file.
 
 telemetry (campaign and decode):
   --metrics-out PATH      write a JSON metrics snapshot after the run
@@ -116,16 +122,22 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Create `path` and fill it through `fill(std::ostream&)`.  The file is
-/// closed before it is judged: a full disk often surfaces only in the last
-/// flush.
+/// Create `path`, fill it through `fill(std::ostream&)` and report "wrote
+/// PATH (what)", or "cannot write PATH" on stderr.  The file is closed
+/// before it is judged: a full disk often surfaces only in the last flush.
 template <class Fill>
-bool write_to(const std::string& path, Fill&& fill) {
+bool write_to(const std::string& path, const std::string& what, Fill&& fill) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  fill(out);
-  out.close();
-  return !out.fail();
+  if (out) {
+    fill(out);
+    out.close();
+    if (!out.fail()) {
+      std::cout << "wrote " << path << " (" << what << ")\n";
+      return true;
+    }
+  }
+  std::cerr << "cannot write " << path << "\n";
+  return false;
 }
 
 std::optional<Bytes> read_file(const std::string& path) {
@@ -194,25 +206,66 @@ class DatasetInput {
   std::unique_ptr<xmlio::DecompressingIstream> chunked_;
 };
 
-/// Store XML text to `path`: a .dtz path receives the chunked container.
-bool store_dataset(const std::string& path, std::string_view xml) {
-  const bool compressed = ends_with(path, ".dtz");
-  std::uint64_t stored = xml.size();
-  const bool ok = write_to(path, [&](std::ostream& out) {
-    if (!compressed) {
-      out << xml;
-      return;
-    }
-    xmlio::CompressingOstream z(out, dtz_config());
-    z << xml;
-    z.writer().finish();
-    stored = z.writer().compressed_bytes();
-  });
-  if (ok) {
-    std::cout << "wrote " << path << " (" << with_thousands(stored)
-              << (compressed ? " bytes, chunked-compressed)\n" : " bytes)\n");
+/// A dataset file streamed to `PATH.part` and renamed to `PATH` by
+/// commit(), so `PATH` appears only whole: a run that fails after open(),
+/// or a file that does not close cleanly, leaves neither `PATH` nor
+/// `PATH.part`.  With `compress` the stream feeds the chunked container
+/// at the default grid.
+class DatasetOutput {
+ public:
+  explicit DatasetOutput(std::string path)
+      : path_(std::move(path)), part_(path_ + ".part") {}
+  ~DatasetOutput() {
+    if (file_.is_open()) std::remove(part_.c_str());  // never committed
   }
-  return ok;
+
+  /// The stream to fill, or null (after "cannot write PATH") when the
+  /// file cannot be created.
+  std::ostream* open(bool compress) {
+    file_.open(part_, std::ios::binary);
+    if (!file_.is_open()) {
+      std::cerr << "cannot write " << path_ << "\n";
+      return nullptr;
+    }
+    if (!compress) return &file_;
+    zip_ = std::make_unique<xmlio::CompressingOstream>(file_, dtz_config());
+    return zip_.get();
+  }
+
+  /// Finish the container, close the file and give it its final name;
+  /// false (after "cannot write PATH") when any write failed.
+  bool commit() {
+    if (zip_) zip_->writer().finish();
+    const std::streamoff end = file_.tellp();
+    file_.close();
+    if (end < 0 || file_.fail() ||
+        std::rename(part_.c_str(), path_.c_str()) != 0) {
+      std::remove(part_.c_str());
+      std::cerr << "cannot write " << path_ << "\n";
+      return false;
+    }
+    bytes_ = static_cast<std::uint64_t>(end);
+    return true;
+  }
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+  /// Bytes in the file (valid after commit()).
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  std::string path_;
+  std::string part_;
+  std::ofstream file_;
+  std::unique_ptr<xmlio::CompressingOstream> zip_;
+  std::uint64_t bytes_ = 0;
+};
+
+/// Commit a dataset a command streamed and report "wrote PATH (N bytes)".
+bool commit_dataset(DatasetOutput& out, bool compressed) {
+  if (!out.commit()) return false;
+  std::cout << "wrote " << out.path() << " (" << with_thousands(out.bytes())
+            << (compressed ? " bytes, chunked-compressed)\n" : " bytes)\n");
+  return true;
 }
 
 /// Periodic metrics emitter driven by *simulated* time: call tick() with
@@ -241,24 +294,13 @@ class MetricsTicker {
   SimTime next_ = 0;
 };
 
-/// Write the registry's JSON snapshot to `path` ("-" = stdout).
-bool write_metrics_json(const obs::Registry& registry,
-                        const std::string& path) {
-  obs::Snapshot snap = registry.snapshot();
-  if (path == "-") {
-    snap.render_json(std::cout);
-    return true;
-  }
-  if (!write_to(path, [&](std::ostream& out) { snap.render_json(out); })) {
-    return false;
-  }
-  std::cout << "wrote " << path << " (metrics snapshot)\n";
-  return true;
-}
-
 /// The telemetry channels behind the shared campaign/decode flags
-/// (--series-out/--series-csv/--log-level/--flight-dump/--flight-events).
+/// (--metrics-out/--metrics-interval/--series-out/--series-csv/--log-level/
+/// --flight-dump/--flight-events).
 struct Telemetry {
+  obs::Registry registry;
+  std::string metrics_path;
+  std::unique_ptr<MetricsTicker> ticker;
   obs::StreamSink log_sink{std::cerr};
   obs::Logger logger;
   bool log_enabled = false;
@@ -269,14 +311,37 @@ struct Telemetry {
   std::string flight_path;
 
   obs::Logger* log() { return log_enabled ? &logger : nullptr; }
+
+  /// Hand the channels to a RunnerConfig or ParallelPipelineConfig: the
+  /// registry when an output reads it (or `cfg` already has it), the logger
+  /// bound to it, and the --metrics-interval ticker
+  /// chained onto the anonymised-event stream (event times are simulated
+  /// capture times, which keeps periodic emission deterministic).
+  template <class Config>
+  void attach(Config& cfg) {
+    if (!metrics_path.empty() || ticker || series) cfg.metrics = &registry;
+    if (ticker) {
+      cfg.extra_sink = [this](const anon::AnonEvent& ev) {
+        ticker->tick(ev.time);
+      };
+    }
+    if (log_enabled && cfg.metrics != nullptr) {
+      logger.bind_metrics(*cfg.metrics);
+    }
+    cfg.log = log();
+    cfg.flight = flight.get();
+  }
 };
 
 /// Parse the telemetry flags; returns a usage error code or 0.
 /// `always_flight` forces a flight recorder even without --flight-dump so
 /// a failing run can still produce a post-mortem.
-int setup_telemetry(const cli::Args& args, const obs::Registry& registry,
-                    double metrics_interval, bool always_flight,
-                    Telemetry& t) {
+int setup_telemetry(const cli::Args& args, bool always_flight, Telemetry& t) {
+  t.metrics_path = args.get("metrics-out");
+  const double metrics_interval = args.get_f64("metrics-interval", 0.0);
+  if (metrics_interval > 0.0) {
+    t.ticker = std::make_unique<MetricsTicker>(t.registry, metrics_interval);
+  }
   t.series_path = args.get("series-out");
   t.series_csv_path = args.get("series-csv");
   t.flight_path = args.get("flight-dump");
@@ -293,38 +358,16 @@ int setup_telemetry(const cli::Args& args, const obs::Registry& registry,
   }
   if (always_flight || !t.flight_path.empty()) {
     t.flight = std::make_unique<obs::FlightRecorder>(
-        args.get_u64("flight-events", 1024));
+        args.get_uint<std::size_t>("flight-events", 1024));
   }
   if (!t.series_path.empty() || !t.series_csv_path.empty()) {
     obs::TimeSeriesOptions options;
     options.interval = metrics_interval > 0.0
                            ? static_cast<SimTime>(metrics_interval * kSecond)
                            : kHour;
-    t.series = std::make_unique<obs::TimeSeriesRecorder>(registry, options);
+    t.series = std::make_unique<obs::TimeSeriesRecorder>(t.registry, options);
   }
   return 0;
-}
-
-/// Write the recorded series to the requested JSONL/CSV paths.
-bool write_series_files(const Telemetry& t) {
-  if (!t.series) return true;
-  if (!t.series_path.empty()) {
-    if (!write_to(t.series_path,
-                  [&](std::ostream& out) { t.series->write_jsonl(out); })) {
-      return false;
-    }
-    std::cout << "wrote " << t.series_path << " ("
-              << t.series->samples().size() << " samples)\n";
-  }
-  if (!t.series_csv_path.empty()) {
-    if (!write_to(t.series_csv_path,
-                  [&](std::ostream& out) { t.series->write_csv(out); })) {
-      return false;
-    }
-    std::cout << "wrote " << t.series_csv_path << " ("
-              << t.series->samples().size() << " samples)\n";
-  }
-  return true;
 }
 
 /// Dump the flight recorder: JSON to the --flight-dump path, or text to
@@ -340,12 +383,38 @@ bool dump_flight(const Telemetry& t) {
     t.flight->dump_text(std::cerr, kAll);
     return true;
   }
-  if (!write_to(t.flight_path,
-                [&](std::ostream& out) { t.flight->dump_json(out, kAll); })) {
+  return write_to(t.flight_path, "flight dump", [&](std::ostream& out) {
+    t.flight->dump_json(out, kAll);
+  });
+}
+
+/// Write the metrics snapshot ("-" = JSON on stdout), the series files and
+/// the flight dump that were asked for; false on the first failure.
+bool write_telemetry(const Telemetry& t) {
+  if (t.metrics_path == "-") {
+    t.registry.snapshot().render_json(std::cout);
+  } else if (!t.metrics_path.empty() &&
+             !write_to(t.metrics_path, "metrics snapshot",
+                       [&](std::ostream& out) {
+                         t.registry.snapshot().render_json(out);
+                       })) {
     return false;
   }
-  std::cout << "wrote " << t.flight_path << " (flight dump)\n";
-  return true;
+  if (t.series) {
+    const std::string samples =
+        std::to_string(t.series->samples().size()) + " samples";
+    if (!t.series_path.empty() &&
+        !write_to(t.series_path, samples,
+                  [&](std::ostream& out) { t.series->write_jsonl(out); })) {
+      return false;
+    }
+    if (!t.series_csv_path.empty() &&
+        !write_to(t.series_csv_path, samples,
+                  [&](std::ostream& out) { t.series->write_csv(out); })) {
+      return false;
+    }
+  }
+  return t.flight_path.empty() || dump_flight(t);
 }
 
 void print_dataset_summary(const analysis::CampaignStats& stats) {
@@ -385,18 +454,18 @@ void print_figures(const analysis::CampaignStats& stats) {
 
 int cmd_campaign(const cli::Args& args) {
   core::RunnerConfig cfg;
-  cfg.campaign.seed = args.get_u64("seed", 42);
+  cfg.campaign.seed = args.get_uint<std::uint64_t>("seed", 42);
   cfg.campaign.population.client_count =
-      static_cast<std::uint32_t>(args.get_u64("clients", 2000));
+      args.get_uint<std::uint32_t>("clients", 2000);
   cfg.campaign.catalog.file_count =
-      static_cast<std::uint32_t>(args.get_u64("files", 20000));
-  cfg.campaign.duration = args.get_u64("hours", 48) * kHour;
-  cfg.workers = args.get_u64("workers", 0);
+      args.get_uint<std::uint32_t>("files", 20000);
+  cfg.campaign.duration = args.get_uint<std::uint64_t>("hours", 48) * kHour;
+  cfg.workers = args.get_uint<std::size_t>("workers", 0);
   const std::string xml_path = args.get("xml");
   // A .dtz path always means the chunked container.
   cfg.compress = args.has("compress") || ends_with(xml_path, ".dtz");
   cfg.compress_chunk_bytes =
-      args.get_u64("compress-chunk", xmlio::kDefaultChunkBytes);
+      args.get_uint<std::size_t>("compress-chunk", xmlio::kDefaultChunkBytes);
   cfg.pcap_path = args.get("pcap");
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume_from = args.get("resume-from");
@@ -426,36 +495,13 @@ int cmd_campaign(const cli::Args& args) {
     cfg.campaign.scenario = *preset;
   }
 
-  std::ostringstream xml;
-  if (!xml_path.empty()) cfg.xml_out = &xml;
-
-  obs::Registry registry;
-  std::string metrics_path = args.get("metrics-out");
-  double metrics_interval = args.get_f64("metrics-interval", 0.0);
   Telemetry telemetry;
   // A campaign always carries a flight recorder: a mid-run pipeline
   // failure must leave a post-mortem even when --flight-dump was not
   // anticipated.
-  if (int rc = setup_telemetry(args, registry, metrics_interval,
-                               /*always_flight=*/true, telemetry)) {
+  if (int rc = setup_telemetry(args, /*always_flight=*/true, telemetry)) {
     return rc;
   }
-  std::unique_ptr<MetricsTicker> ticker;
-  if (!metrics_path.empty() || metrics_interval > 0.0 ||
-      telemetry.series != nullptr) {
-    cfg.metrics = &registry;
-  }
-  if (metrics_interval > 0.0) {
-    ticker = std::make_unique<MetricsTicker>(registry, metrics_interval);
-    // Chain onto the anonymised-event stream: event times are simulated
-    // capture times, which keeps periodic emission deterministic.
-    cfg.extra_sink = [&ticker](const anon::AnonEvent& ev) {
-      ticker->tick(ev.time);
-    };
-  }
-  cfg.log = telemetry.log();
-  cfg.flight = telemetry.flight.get();
-  cfg.series = telemetry.series.get();
 
   // --profile-out: attribute thread time and sample resources.  Purely
   // wall-clock observers — the profiled run's XML/series/checkpoint bytes
@@ -464,7 +510,7 @@ int cmd_campaign(const cli::Args& args) {
   std::unique_ptr<obs::Profiler> profiler;
   std::unique_ptr<obs::ResourceSampler> sampler;
   if (!profile_path.empty()) {
-    cfg.metrics = &registry;  // the occupancy gauges the sampler tracks
+    cfg.metrics = &telemetry.registry;  // the gauges the sampler tracks
     profiler = std::make_unique<obs::Profiler>();
     cfg.profiler = profiler.get();
     obs::ResourceSamplerOptions opts;
@@ -472,11 +518,15 @@ int cmd_campaign(const cli::Args& args) {
     opts.gauges = {{"capture.occupancy", "capture.buffer.occupancy"},
                    {"pipeline.queue.merge", ""},
                    {"pipeline.queue.writer", ""}};
-    sampler = std::make_unique<obs::ResourceSampler>(&registry, opts);
+    sampler = std::make_unique<obs::ResourceSampler>(cfg.metrics, opts);
   }
-  if (telemetry.log_enabled && cfg.metrics != nullptr) {
-    telemetry.logger.bind_metrics(registry);
-  }
+  telemetry.attach(cfg);
+  cfg.series = telemetry.series.get();
+
+  // The runner compresses itself (on the --compress-chunk grid), so the
+  // file takes its output as is.
+  DatasetOutput dataset(xml_path);
+  if (!xml_path.empty() && !(cfg.xml_out = dataset.open(false))) return 1;
 
   core::CampaignRunner runner(cfg);
   if (sampler) sampler->start();
@@ -510,32 +560,11 @@ int cmd_campaign(const cli::Args& args) {
     analysis::print_scenario_summary(std::cout, *scenario_summary);
   }
 
-  if (!xml_path.empty()) {
-    // The buffer already holds the final bytes: the chunked container when
-    // compressing, plain XML otherwise.
-    if (!write_to(xml_path, [&](std::ostream& out) { out << xml.view(); })) {
-      std::cerr << "cannot write " << xml_path << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << xml_path << " ("
-              << with_thousands(xml.view().size())
-              << (cfg.compress ? " bytes, chunked-compressed)\n" : " bytes)\n");
-  }
+  if (!xml_path.empty() && !commit_dataset(dataset, cfg.compress)) return 1;
   if (!cfg.pcap_path.empty()) {
     std::cout << "wrote " << cfg.pcap_path << "\n";
   }
-  if (!metrics_path.empty() && !write_metrics_json(registry, metrics_path)) {
-    std::cerr << "cannot write " << metrics_path << "\n";
-    return 1;
-  }
-  if (!write_series_files(telemetry)) {
-    std::cerr << "cannot write series files\n";
-    return 1;
-  }
-  if (!telemetry.flight_path.empty() && !dump_flight(telemetry)) {
-    std::cerr << "cannot write " << telemetry.flight_path << "\n";
-    return 1;
-  }
+  if (!write_telemetry(telemetry)) return 1;
   if (profiler) {
     const obs::BottleneckReport bottleneck =
         obs::build_bottleneck_report(*profiler, sampler.get());
@@ -543,15 +572,12 @@ int cmd_campaign(const cli::Args& args) {
     if (profile_path == "-") {
       bottleneck.render_json(std::cout);
       std::cout << "\n";
-    } else {
-      if (!write_to(profile_path, [&](std::ostream& out) {
-            bottleneck.render_json(out);
-            out << "\n";
-          })) {
-        std::cerr << "cannot write " << profile_path << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << profile_path << " (bottleneck report)\n";
+    } else if (!write_to(profile_path, "bottleneck report",
+                         [&](std::ostream& out) {
+                           bottleneck.render_json(out);
+                           out << "\n";
+                         })) {
+      return 1;
     }
   }
   return 0;
@@ -566,74 +592,53 @@ int cmd_decode(const cli::Args& args) {
     std::cerr << "decode: --pcap required\n";
     return 2;
   }
-  const std::uint32_t server_ip = args.get_ipv4("server-ip", 0xC0A80001);
-  const auto server_port =
-      static_cast<std::uint16_t>(args.get_u64("server-port", 4665));
+  core::ParallelPipelineConfig cfg;
+  cfg.server_ip = args.get_ipv4("server-ip", cfg.server_ip);
+  cfg.server_port =
+      args.get_uint<std::uint16_t>("server-port", cfg.server_port);
+  const std::string xml_path = args.get("xml");
+  Telemetry telemetry;
+  if (int rc = setup_telemetry(args, /*always_flight=*/false, telemetry)) {
+    return rc;
+  }
+  telemetry.attach(cfg);
   net::PcapReader reader(pcap_path);
   if (!reader.ok()) {
     std::cerr << "cannot read " << pcap_path << "\n";
     return 1;
   }
-
-  anon::DirectClientTable clients;
-  anon::BucketedFileIdStore files;
-  anon::Anonymiser anonymiser(clients, files);
-  analysis::CampaignStats stats;
-  std::ostringstream xml;
-  std::unique_ptr<xmlio::DatasetWriter> writer;
-  std::string xml_path = args.get("xml");
-  if (!xml_path.empty()) writer = std::make_unique<xmlio::DatasetWriter>(xml);
-
-  decode::FrameDecoder decoder(
-      server_ip, server_port, [&](decode::DecodedMessage&& msg) {
-        bool from_client = msg.dst_ip == server_ip;
-        anon::AnonEvent ev = anonymiser.anonymise(
-            msg.time, from_client ? msg.src_ip : msg.dst_ip, msg.message);
-        stats.consume(ev);
-        if (writer) writer->write(ev);
-      });
-
-  obs::Registry registry;
-  std::string metrics_path = args.get("metrics-out");
-  double metrics_interval = args.get_f64("metrics-interval", 0.0);
-  Telemetry telemetry;
-  if (int rc = setup_telemetry(args, registry, metrics_interval,
-                               /*always_flight=*/false, telemetry)) {
-    return rc;
-  }
-  std::unique_ptr<MetricsTicker> ticker;
-  if (!metrics_path.empty() || metrics_interval > 0.0 ||
-      telemetry.series != nullptr) {
-    decoder.bind_metrics(registry);
-    anonymiser.bind_metrics(registry);
-    stats.bind_metrics(registry);
-    if (telemetry.log_enabled) telemetry.logger.bind_metrics(registry);
-  }
-  decoder.bind_telemetry(telemetry.log(), telemetry.flight.get());
-  anonymiser.bind_telemetry(telemetry.log());
-  if (metrics_interval > 0.0) {
-    ticker = std::make_unique<MetricsTicker>(registry, metrics_interval);
+  const bool compressed = ends_with(xml_path, ".dtz");
+  DatasetOutput dataset(xml_path);
+  if (!xml_path.empty() && !(cfg.xml_out = dataset.open(compressed))) {
+    return 1;
   }
 
+  core::ParallelCapturePipeline pipeline(cfg);
   std::uint64_t frames = 0;
   SimTime last = 0;
   while (auto rec = reader.next()) {
-    // Offline replay is single-threaded, so sampling straight off the frame
-    // timestamp is already exact — no pipeline to quiesce.
-    while (telemetry.series && telemetry.series->due(rec->timestamp)) {
-      telemetry.series->sample();
+    if (telemetry.series && telemetry.series->due(rec->timestamp)) {
+      // Quiesce first, as the campaign runner does, so every sample counts
+      // exactly the frames before its boundary.
+      pipeline.flush();
+      do {
+        telemetry.series->sample();
+      } while (telemetry.series->due(rec->timestamp));
     }
-    decoder.push(sim::TimedFrame{rec->timestamp, rec->data});
+    pipeline.push(sim::TimedFrame{rec->timestamp, rec->data});
     last = rec->timestamp;
     ++frames;
-    if (ticker) ticker->tick(rec->timestamp);
   }
-  decoder.finish(last);
-  if (writer) writer->finish();
+  const core::PipelineResult result = pipeline.finish();
   if (telemetry.series) telemetry.series->finish(last);
   if (telemetry.log_enabled) telemetry.logger.emit_suppressed_summary(last);
+  if (!result.ok()) {
+    std::cerr << "pipeline failed: " << result.error << "\n";
+    dump_flight(telemetry);
+    return 1;
+  }
 
-  const decode::DecodeStats& d = decoder.stats();
+  const decode::DecodeStats& d = result.decode;
   analysis::print_table(
       std::cout, "decode",
       {
@@ -644,24 +649,9 @@ int cmd_decode(const cli::Args& args) {
           {"decoded", with_thousands(d.decoded)},
           {"undecoded", with_thousands(d.undecoded())},
       });
-  print_dataset_summary(stats);
-  if (!xml_path.empty() && !store_dataset(xml_path, xml.view())) {
-    std::cerr << "cannot write " << xml_path << "\n";
-    return 1;
-  }
-  if (!metrics_path.empty() && !write_metrics_json(registry, metrics_path)) {
-    std::cerr << "cannot write " << metrics_path << "\n";
-    return 1;
-  }
-  if (!write_series_files(telemetry)) {
-    std::cerr << "cannot write series files\n";
-    return 1;
-  }
-  if (!telemetry.flight_path.empty() && !dump_flight(telemetry)) {
-    std::cerr << "cannot write " << telemetry.flight_path << "\n";
-    return 1;
-  }
-  return 0;
+  print_dataset_summary(pipeline.stats());
+  if (!xml_path.empty() && !commit_dataset(dataset, compressed)) return 1;
+  return write_telemetry(telemetry) ? 0 : 1;
 }
 
 int cmd_analyze(const cli::Args& args) {
@@ -724,24 +714,17 @@ int decompress_file(const std::string& path) {
     std::cerr << path << " is not a DTZCHNK1 container\n";
     return 1;
   }
-  const std::string out_path = ends_with(path, ".dtz")
-                                   ? path.substr(0, path.size() - 4)
-                                   : path + ".out";
-  const std::string part_path = out_path + ".part";
-  std::uint64_t bytes = 0;
-  const bool written = write_to(part_path, [&](std::ostream& out) {
-    bytes = copy_blocks(*input.stream().rdbuf(), out);
-  });
+  DatasetOutput out(ends_with(path, ".dtz") ? path.substr(0, path.size() - 4)
+                                            : path + ".out");
+  std::ostream* sink = out.open(/*compress=*/false);
+  if (sink == nullptr) return 1;
+  const std::uint64_t bytes = copy_blocks(*input.stream().rdbuf(), *sink);
   if (!input.finish()) {
-    std::remove(part_path.c_str());
     std::cerr << path << " is not a valid compressed file\n";
     return 1;
   }
-  if (!written || std::rename(part_path.c_str(), out_path.c_str()) != 0) {
-    std::remove(part_path.c_str());
-    return 1;
-  }
-  std::printf("%s -> %s (%s bytes)\n", path.c_str(), out_path.c_str(),
+  if (!out.commit()) return 1;
+  std::printf("%s -> %s (%s bytes)\n", path.c_str(), out.path().c_str(),
               with_thousands(bytes).c_str());
   return 0;
 }
@@ -754,24 +737,14 @@ int compress_file(const std::string& path) {
     std::cerr << "cannot read " << path << "\n";
     return 1;
   }
-  const std::string out_path = path + ".dtz";
-  std::uint64_t original = 0;
-  std::uint64_t compressed = 0;
-  const bool written = write_to(out_path, [&](std::ostream& out) {
-    xmlio::CompressingOstream z(out, dtz_config());
-    copy_blocks(*in.rdbuf(), z);
-    z.writer().finish();
-    original = z.writer().uncompressed_bytes();
-    compressed = z.writer().compressed_bytes();
-  });
-  if (!written) {
-    std::remove(out_path.c_str());
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out_path.c_str(),
+  DatasetOutput out(path + ".dtz");
+  std::ostream* sink = out.open(/*compress=*/true);
+  if (sink == nullptr) return 1;
+  const std::uint64_t original = copy_blocks(*in.rdbuf(), *sink);
+  if (!out.commit()) return 1;
+  std::printf("%s -> %s (%.1f%%)\n", path.c_str(), out.path().c_str(),
               original == 0 ? 100.0
-                            : 100.0 * static_cast<double>(compressed) /
+                            : 100.0 * static_cast<double>(out.bytes()) /
                                   static_cast<double>(original));
   return 0;
 }
