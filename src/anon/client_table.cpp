@@ -1,58 +1,96 @@
 #include "anon/client_table.hpp"
 
-#include <cstring>
-
 namespace dtr::anon {
 
-DirectClientTable::DirectClientTable() : pages_(kPageCount) {}
+DirectClientTable::~DirectClientTable() { release_pages(); }
 
-std::uint32_t* DirectClientTable::page_for(proto::ClientId id, bool create) {
-  const std::uint32_t index = id >> kPageBits;
-  auto& page = pages_[index];
-  if (!page) {
-    if (!create) return nullptr;
-    page = std::make_unique<std::uint32_t[]>(kPageEntries);
-    std::memset(page.get(), 0xFF, kPageEntries * sizeof(std::uint32_t));
-    ++page_count_;
+void DirectClientTable::release_pages() {
+  for (auto& slot : leaves_) {
+    Leaf* leaf = slot.load(std::memory_order_relaxed);
+    if (leaf == nullptr) continue;
+    for (auto& page : *leaf) delete[] page.load(std::memory_order_relaxed);
+    delete leaf;
+    slot.store(nullptr, std::memory_order_relaxed);
   }
-  return page.get();
+  leaf_count_.store(0, std::memory_order_relaxed);
+  page_count_.store(0, std::memory_order_relaxed);
+}
+
+DirectClientTable::Cell* DirectClientTable::page_for(proto::ClientId id) {
+  // Single writer: no CAS needed, just publish each leaf and page after
+  // initialising it.
+  const std::uint32_t p = id >> kPageBits;
+  auto& leaf_slot = leaves_[p >> kLeafBits];
+  Leaf* leaf = leaf_slot.load(std::memory_order_relaxed);
+  if (leaf == nullptr) {
+    leaf = new Leaf();  // all null
+    leaf_slot.store(leaf, std::memory_order_release);
+    leaf_count_.store(leaf_count_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+  }
+  auto& page_slot = (*leaf)[p & (kLeafEntries - 1)];
+  Cell* page = page_slot.load(std::memory_order_relaxed);
+  if (page == nullptr) {
+    page = new Cell[kPageEntries]();  // all zero: not seen
+    page_slot.store(page, std::memory_order_release);
+    page_count_.store(page_count_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+  }
+  return page;
 }
 
 AnonClientId DirectClientTable::anonymise(proto::ClientId id) {
-  std::uint32_t* page = page_for(id, /*create=*/true);
-  std::uint32_t& cell = page[id & (kPageEntries - 1)];
-  if (cell == kClientNotSeen) cell = next_++;
-  return cell;
+  Cell& cell = page_for(id)[id & (kPageEntries - 1)];
+  std::uint32_t v = cell.load(std::memory_order_relaxed);
+  if (v == 0) {
+    v = next_.load(std::memory_order_relaxed) + 1;
+    cell.store(v, std::memory_order_release);
+    next_.store(v, std::memory_order_release);
+  }
+  return v - 1;
 }
 
 AnonClientId DirectClientTable::lookup(proto::ClientId id) const {
-  const auto& page = pages_[id >> kPageBits];
-  if (!page) return kClientNotSeen;
-  return page[id & (kPageEntries - 1)];
+  const std::uint32_t p = id >> kPageBits;
+  const Leaf* leaf = leaves_[p >> kLeafBits].load(std::memory_order_acquire);
+  if (leaf == nullptr) return kClientNotSeen;
+  const Cell* page =
+      (*leaf)[p & (kLeafEntries - 1)].load(std::memory_order_acquire);
+  if (page == nullptr) return kClientNotSeen;
+  // An unseen cell holds 0, which wraps to kClientNotSeen.
+  return page[id & (kPageEntries - 1)].load(std::memory_order_acquire) - 1;
 }
 
 std::uint64_t DirectClientTable::memory_bytes() const {
-  return static_cast<std::uint64_t>(pages_allocated()) * kPageEntries *
-         sizeof(std::uint32_t);
+  return static_cast<std::uint64_t>(
+             leaf_count_.load(std::memory_order_relaxed)) *
+             sizeof(Leaf) +
+         static_cast<std::uint64_t>(pages_allocated()) * kPageEntries *
+             sizeof(Cell);
 }
 
 void DirectClientTable::save_state(ByteWriter& out) const {
-  out.u32le(next_);
-  for (std::uint32_t p = 0; p < kPageCount; ++p) {
-    const auto& page = pages_[p];
-    if (!page) continue;
-    for (std::uint32_t o = 0; o < kPageEntries; ++o) {
-      if (page[o] == kClientNotSeen) continue;
-      out.u32le((p << kPageBits) | o);
-      out.u32le(page[o]);
+  out.u32le(next_.load(std::memory_order_relaxed));
+  for (std::uint32_t l = 0; l < kLeafCount; ++l) {
+    const Leaf* leaf = leaves_[l].load(std::memory_order_relaxed);
+    if (leaf == nullptr) continue;
+    for (std::uint32_t s = 0; s < kLeafEntries; ++s) {
+      const Cell* page = (*leaf)[s].load(std::memory_order_relaxed);
+      if (page == nullptr) continue;
+      const std::uint32_t base = ((l << kLeafBits) | s) << kPageBits;
+      for (std::uint32_t o = 0; o < kPageEntries; ++o) {
+        const std::uint32_t v = page[o].load(std::memory_order_relaxed);
+        if (v == 0) continue;
+        out.u32le(base | o);
+        out.u32le(v - 1);
+      }
     }
   }
 }
 
 bool DirectClientTable::restore_state(ByteReader& in) {
-  for (auto& page : pages_) page.reset();
-  page_count_ = 0;
-  next_ = 0;
+  release_pages();
+  next_.store(0, std::memory_order_relaxed);
   const std::uint32_t count = in.u32le();
   // Exactly `count` dense anon IDs were assigned, one pair each.
   if (static_cast<std::uint64_t>(count) * 8 > in.remaining()) return false;
@@ -60,12 +98,13 @@ bool DirectClientTable::restore_state(ByteReader& in) {
     const std::uint32_t id = in.u32le();
     const std::uint32_t anon = in.u32le();
     if (anon >= count) return false;
-    std::uint32_t* page = page_for(id, /*create=*/true);
-    std::uint32_t& cell = page[id & (kPageEntries - 1)];
-    if (cell != kClientNotSeen) return false;  // duplicate clientID
-    cell = anon;
+    Cell& cell = page_for(id)[id & (kPageEntries - 1)];
+    if (cell.load(std::memory_order_relaxed) != 0) {
+      return false;  // duplicate clientID
+    }
+    cell.store(anon + 1, std::memory_order_relaxed);
   }
-  next_ = count;
+  next_.store(count, std::memory_order_release);
   return in.ok();
 }
 

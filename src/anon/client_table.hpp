@@ -12,7 +12,9 @@
 //   * DirectClientTable  — the paper's structure.  It allocates its 16 GB
 //     virtual array lazily in pages (materialised on first touch), which
 //     preserves the O(1) direct memory access while the resident set
-//     follows the number of distinct clients.
+//     follows the number of distinct clients.  Cells are atomic and pages
+//     are published by release store, so one writer can assign IDs while
+//     any number of threads look them up (the parallel pipeline's workers).
 //   * HashClientTable / TreeClientTable — the "classical data structures
 //     (like hashtables or trees)" the paper dismisses as too slow and/or too
 //     space consuming; kept as ablation baselines.
@@ -20,11 +22,11 @@
 // All tables share the ClientAnonymiser interface so benches can swap them.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "proto/opcodes.hpp"
@@ -58,22 +60,46 @@ class ClientAnonymiser {
 };
 
 /// The paper's direct-index array over the full 32-bit clientID space.
+///
+/// One writer, many readers: anonymise() and restore_state() belong to a
+/// single writer thread; lookup(), distinct(), pages_allocated() and
+/// memory_bytes() are safe from any thread concurrently with it.  Dense IDs
+/// are assigned in the order the writer calls anonymise().  A reader racing
+/// with an insertion may miss it (kClientNotSeen) but never sees a partial
+/// value.
+///
+/// The page directory has two levels: a fixed top array of kLeafCount leaf
+/// pointers, and leaves of kLeafEntries page pointers that the writer
+/// allocates on first touch.  An empty table holds only the top array
+/// (16 KiB); clientIDs packed into one 2^21-ID range touch one leaf.
 class DirectClientTable final : public ClientAnonymiser {
  public:
-  DirectClientTable();
+  DirectClientTable() = default;
+  ~DirectClientTable() override;
+
+  DirectClientTable(const DirectClientTable&) = delete;
+  DirectClientTable& operator=(const DirectClientTable&) = delete;
 
   AnonClientId anonymise(proto::ClientId id) override;
   [[nodiscard]] AnonClientId lookup(proto::ClientId id) const override;
-  [[nodiscard]] std::uint64_t distinct() const override { return next_; }
+  [[nodiscard]] std::uint64_t distinct() const override {
+    return next_.load(std::memory_order_acquire);
+  }
+  /// Leaves plus pages; the fixed top array is not counted.
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] const char* name() const override { return "direct-array"; }
 
-  /// Pages materialised so far (counted as they are made, not scanned).
-  [[nodiscard]] std::size_t pages_allocated() const { return page_count_; }
+  /// Pages materialised so far (counted by the writer as it makes them,
+  /// not scanned).
+  [[nodiscard]] std::size_t pages_allocated() const {
+    return page_count_.load(std::memory_order_relaxed);
+  }
 
-  /// Checkpoint codec: every populated (clientID, anon) cell.  Restore
-  /// replaces the table's contents; it fails (and leaves the table
-  /// unusable for resume) on duplicate cells or out-of-range indices.
+  /// Checkpoint codec: every populated (clientID, anon) cell in ascending
+  /// clientID order.  Restore replaces the table's contents; it fails (and
+  /// leaves the table unusable for resume) on duplicate cells or
+  /// out-of-range indices.  Quiesce first: neither may overlap anonymise(),
+  /// and restore_state() may not overlap lookup().
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -84,16 +110,25 @@ class DirectClientTable final : public ClientAnonymiser {
   /// the flat 16 GB once.
   static constexpr std::uint32_t kPageBits = 10;
   static constexpr std::uint32_t kPageEntries = 1u << kPageBits;
-  static constexpr std::uint32_t kPageCount =
-      1u << (32 - kPageBits);
+  static constexpr std::uint32_t kPageCount = 1u << (32 - kPageBits);
+  /// Page pointers per leaf: 2^11 = 16 KiB per leaf, 2^11 leaves.
+  static constexpr std::uint32_t kLeafBits = 11;
+  static constexpr std::uint32_t kLeafEntries = 1u << kLeafBits;
+  static constexpr std::uint32_t kLeafCount = kPageCount / kLeafEntries;
 
  private:
-  std::uint32_t* page_for(proto::ClientId id, bool create);
+  // A cell holds anon + 1, so a zero-filled page is all "not seen".
+  using Cell = std::atomic<std::uint32_t>;
+  using Leaf = std::array<std::atomic<Cell*>, kLeafEntries>;
 
-  // nullptr until first touch.
-  std::vector<std::unique_ptr<std::uint32_t[]>> pages_;
-  std::size_t page_count_ = 0;  // non-null entries of pages_
-  AnonClientId next_ = 0;
+  Cell* page_for(proto::ClientId id);  // writer only: creates on first touch
+  void release_pages();
+
+  // Raw leaves and pages published through atomic pointers; owned here.
+  std::array<std::atomic<Leaf*>, kLeafCount> leaves_{};
+  std::atomic<std::size_t> leaf_count_{0};  // non-null entries of leaves_
+  std::atomic<std::size_t> page_count_{0};  // non-null page pointers
+  std::atomic<AnonClientId> next_{0};
 };
 
 /// Baseline: std::unordered_map (the "too slow and/or too space consuming"

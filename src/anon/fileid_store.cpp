@@ -1,7 +1,10 @@
 #include "anon/fileid_store.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
+
+#include "obs/profiler.hpp"
 
 namespace dtr::anon {
 
@@ -16,18 +19,48 @@ BucketedFileIdStore::BucketedFileIdStore(unsigned index_byte_0,
         "yields 256 distinct buckets)");
 }
 
+namespace {
+
+// try_lock first: the uncontended path must stay clock-free even on a
+// profiled thread (see obs/profiler.hpp's hot-path contract).
+template <typename Lock>
+Lock lock_stripe(std::shared_mutex& mutex) {
+  Lock lock(mutex, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    obs::ProfScope prof(obs::ThreadState::kLockWait);
+    lock.lock();
+  }
+  return lock;
+}
+
+}  // namespace
+
 AnonFileId BucketedFileIdStore::anonymise(const FileId& id) {
-  auto& bucket = buckets_[bucket_of(id)];
+  const std::size_t bucket_index = bucket_of(id);
+  auto& bucket = buckets_[bucket_index];
+  // The writer is the only thread that changes the store, so its probe
+  // needs no lock and `it` stays valid until the insert below.
   auto it = std::lower_bound(
       bucket.begin(), bucket.end(), id,
       [](const Entry& e, const FileId& key) { return e.id < key; });
   if (it != bucket.end() && it->id == id) return it->anon;
-  it = bucket.insert(it, Entry{id, next_});
-  return next_++;
+  const AnonFileId v = next_.load(std::memory_order_relaxed);
+  Shard& shard = shards_[shard_of_bucket(bucket_index)];
+  {
+    const auto lock =
+        lock_stripe<std::unique_lock<std::shared_mutex>>(shard.mutex);
+    bucket.insert(it, Entry{id, v});
+  }
+  next_.store(v + 1, std::memory_order_release);
+  shard.distinct.fetch_add(1, std::memory_order_relaxed);
+  return v;
 }
 
 AnonFileId BucketedFileIdStore::lookup(const FileId& id) const {
-  const auto& bucket = buckets_[bucket_of(id)];
+  const std::size_t bucket_index = bucket_of(id);
+  const auto& bucket = buckets_[bucket_index];
+  const auto lock = lock_stripe<std::shared_lock<std::shared_mutex>>(
+      shards_[shard_of_bucket(bucket_index)].mutex);
   auto it = std::lower_bound(
       bucket.begin(), bucket.end(), id,
       [](const Entry& e, const FileId& key) { return e.id < key; });
@@ -38,7 +71,7 @@ AnonFileId BucketedFileIdStore::lookup(const FileId& id) const {
 void BucketedFileIdStore::save_state(ByteWriter& out) const {
   out.u8(static_cast<std::uint8_t>(b0_));
   out.u8(static_cast<std::uint8_t>(b1_));
-  out.u64le(next_);
+  out.u64le(next_.load(std::memory_order_relaxed));
   for (const auto& bucket : buckets_) {
     for (const Entry& e : bucket) {
       out.raw(e.id.bytes.data(), e.id.bytes.size());
@@ -49,7 +82,10 @@ void BucketedFileIdStore::save_state(ByteWriter& out) const {
 
 bool BucketedFileIdStore::restore_state(ByteReader& in) {
   for (auto& bucket : buckets_) bucket.clear();
-  next_ = 0;
+  for (auto& shard : shards_) {
+    shard.distinct.store(0, std::memory_order_relaxed);
+  }
+  next_.store(0, std::memory_order_relaxed);
   if (in.u8() != b0_ || in.u8() != b1_) return false;
   const std::uint64_t count = in.u64le();
   if (count > in.remaining() / 24) return false;  // 16-byte id + u64 anon
@@ -60,11 +96,14 @@ bool BucketedFileIdStore::restore_state(ByteReader& in) {
     std::copy(id.begin(), id.end(), e.id.bytes.begin());
     e.anon = in.u64le();
     if (e.anon >= count) return false;
-    auto& bucket = buckets_[bucket_of(e.id)];
+    const std::size_t bucket_index = bucket_of(e.id);
+    auto& bucket = buckets_[bucket_index];
     if (!bucket.empty() && !(bucket.back().id < e.id)) return false;
     bucket.push_back(e);
+    shards_[shard_of_bucket(bucket_index)].distinct.fetch_add(
+        1, std::memory_order_relaxed);
   }
-  next_ = count;
+  next_.store(count, std::memory_order_release);
   return in.ok();
 }
 

@@ -15,8 +15,11 @@
 // rejected strawman with O(n) insertion), a hashtable, and a tree.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +49,15 @@ class FileIdAnonymiser {
 };
 
 /// The paper's bucketed sorted-array store.
+///
+/// One writer, many readers: anonymise() and restore_state() belong to a
+/// single writer thread; lookup() and distinct() are safe from any thread
+/// concurrently with it.  The 65 536 buckets are split into kShards
+/// contiguous ranges, each guarded by a shared_mutex.  Readers take the
+/// shared lock; the writer probes its bucket with no lock (it is the only
+/// thread that changes the store) and takes the exclusive lock only to
+/// insert on first sight.  A reader racing with an insertion may miss it
+/// (kFileNotSeen).
 class BucketedFileIdStore final : public FileIdAnonymiser {
  public:
   /// `index_byte_0/1` select which fileID bytes form the 16-bit bucket
@@ -56,12 +68,23 @@ class BucketedFileIdStore final : public FileIdAnonymiser {
 
   AnonFileId anonymise(const FileId& id) override;
   [[nodiscard]] AnonFileId lookup(const FileId& id) const override;
-  [[nodiscard]] std::uint64_t distinct() const override { return next_; }
+  [[nodiscard]] std::uint64_t distinct() const override {
+    return next_.load(std::memory_order_acquire);
+  }
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] const char* name() const override { return "bucketed-sorted"; }
 
   static constexpr std::size_t kBucketCount = 65536;
+  /// Lock stripes: contiguous bucket ranges, one shared_mutex each.
+  static constexpr std::size_t kShards = 8;
 
+  /// Entries inserted into lock stripe `s` (< kShards).
+  [[nodiscard]] std::uint64_t shard_distinct(std::size_t s) const {
+    return shards_[s].distinct.load(std::memory_order_relaxed);
+  }
+
+  // Figure 3 inspection.  Not safe against a concurrent writer; quiesce
+  // first.
   [[nodiscard]] std::size_t bucket_size(std::size_t bucket) const {
     return buckets_[bucket].size();
   }
@@ -75,7 +98,9 @@ class BucketedFileIdStore final : public FileIdAnonymiser {
 
   /// Checkpoint codec: entries in bucket-major order, so restore rebuilds
   /// each sorted bucket with plain appends.  Restore fails when the
-  /// snapshot was taken with a different index-byte pair.
+  /// snapshot was taken with a different index-byte pair.  Quiesce first:
+  /// neither may overlap anonymise(), and restore_state() may not overlap
+  /// lookup().
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -84,14 +109,22 @@ class BucketedFileIdStore final : public FileIdAnonymiser {
     FileId id;
     AnonFileId anon;
   };
+  struct alignas(64) Shard {
+    mutable std::shared_mutex mutex;
+    std::atomic<std::uint64_t> distinct{0};
+  };
 
   [[nodiscard]] std::size_t bucket_of(const FileId& id) const {
     return static_cast<std::size_t>(id.byte(b0_)) << 8 | id.byte(b1_);
   }
+  [[nodiscard]] static std::size_t shard_of_bucket(std::size_t bucket) {
+    return bucket / (kBucketCount / kShards);
+  }
 
   unsigned b0_, b1_;
   std::vector<std::vector<Entry>> buckets_;
-  AnonFileId next_ = 0;
+  std::array<Shard, kShards> shards_;
+  std::atomic<AnonFileId> next_{0};
 };
 
 /// Strawman: one global sorted array; dichotomic search is fast but every

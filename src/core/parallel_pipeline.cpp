@@ -441,7 +441,7 @@ void ParallelCapturePipeline::merge_loop() {
   auto update_shard_gauges = [&] {
     if (metrics_.shard_files_max == nullptr) return;
     std::int64_t fmax = 0;
-    for (std::size_t s = 0; s < anon::ShardedFileIdStore::kShards; ++s) {
+    for (std::size_t s = 0; s < anon::BucketedFileIdStore::kShards; ++s) {
       fmax = std::max(fmax,
                       static_cast<std::int64_t>(files_.shard_distinct(s)));
     }

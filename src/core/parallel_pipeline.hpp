@@ -32,7 +32,8 @@
 //
 // Anonymisation itself is parallel (the change that broke the merge-thread
 // bottleneck): workers optimistically anonymise each decoded message with
-// read-only lookups against the sharded tables (anon/sharded.hpp) and
+// read-only lookups against the §2.4 tables (anon/client_table.hpp,
+// anon/fileid_store.hpp), which allow one writer and many readers, and
 // pre-render its XML bytes.  The merge thread stays the only *writer* of
 // the tables and processes frames strictly in sequence order, so:
 //
@@ -95,7 +96,7 @@
 #include "analysis/campaign_stats.hpp"
 #include "anon/anonymiser.hpp"
 #include "anon/client_table.hpp"
-#include "anon/sharded.hpp"
+#include "anon/fileid_store.hpp"
 #include "core/pipeline.hpp"
 #include "core/pool.hpp"
 #include "core/spsc_ring.hpp"
@@ -173,7 +174,7 @@ class ParallelCapturePipeline {
   [[nodiscard]] const analysis::CampaignStats& stats() const { return stats_; }
   /// The fileID table (valid after finish(); exposed for the Figure 3
   /// bucket inspection).
-  [[nodiscard]] const anon::ShardedFileIdStore& fileid_store() const {
+  [[nodiscard]] const anon::BucketedFileIdStore& fileid_store() const {
     return files_;
   }
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
@@ -349,8 +350,8 @@ class ParallelCapturePipeline {
   RingSignal merge_signal_;  // fans in every worker's out ring
   std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // iff xml_
 
-  anon::ShardedClientTable clients_;
-  anon::ShardedFileIdStore files_;
+  anon::DirectClientTable clients_;
+  anon::BucketedFileIdStore files_;
   anon::Anonymiser anonymiser_;            // merge-side inserting slow path
   anon::ReadOnlyAnonymiser read_anonymiser_;  // worker-side fast path
   analysis::CampaignStats stats_;

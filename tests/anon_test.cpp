@@ -5,12 +5,12 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "anon/anonymiser.hpp"
 #include "anon/client_table.hpp"
 #include "anon/fileid_store.hpp"
 #include "anon/rejected_schemes.hpp"
-#include "anon/sharded.hpp"
 #include "common/rng.hpp"
 #include "hash/md4.hpp"
 #include "hash/md5.hpp"
@@ -98,48 +98,62 @@ TEST(DirectClientTable, PagesAllocatedLazily) {
   EXPECT_EQ(table.pages_allocated(), 1u);
   table.anonymise(0xFFFFFFFF);  // far page
   EXPECT_EQ(table.pages_allocated(), 2u);
+  // Two pages in two leaves.
   EXPECT_EQ(table.memory_bytes(),
-            2ull * DirectClientTable::kPageEntries * sizeof(std::uint32_t));
+            2ull * DirectClientTable::kLeafEntries * sizeof(void*) +
+                2ull * DirectClientTable::kPageEntries * sizeof(std::uint32_t));
 }
 
-// The concurrent table mirrors the paper's one: same IDs, same snapshot
-// bytes, and the same page count, which both keep as they make pages
-// (and reset on restore) instead of scanning all 2^22 page slots.
-TEST(ShardedClientTable, MatchesDirectTableIdsPagesAndSnapshot) {
+// IDs agree with the hash baseline; a snapshot restores to the same
+// bytes, pages and lookups; and the two-level page directory makes leaves
+// only where IDs land.  The page count is kept as pages are made (and
+// reset on restore), not scanned.
+TEST(DirectClientTable, SnapshotRoundTripAndDirectory) {
+  static_assert(sizeof(DirectClientTable) <= 64 * 1024);
   DirectClientTable direct;
-  ShardedClientTable sharded;
+  EXPECT_EQ(direct.memory_bytes(), 0u);
+  HashClientTable hash;
   workload::ClientIdStream stream({20'000, 0.8, 5});
+  std::vector<proto::ClientId> seen;
   for (int i = 0; i < 40'000; ++i) {
     const proto::ClientId id = stream.next();
-    ASSERT_EQ(sharded.anonymise(id), direct.anonymise(id));
+    ASSERT_EQ(direct.anonymise(id), hash.anonymise(id));
+    seen.push_back(id);
   }
-  EXPECT_EQ(sharded.anonymise(0xFFFFFFFFu), direct.anonymise(0xFFFFFFFFu));
-  EXPECT_EQ(sharded.distinct(), direct.distinct());
+  EXPECT_EQ(direct.anonymise(0xFFFFFFFFu), hash.anonymise(0xFFFFFFFFu));
+  EXPECT_EQ(direct.distinct(), hash.distinct());
   EXPECT_GT(direct.pages_allocated(), 1u);
-  EXPECT_EQ(sharded.pages_allocated(), direct.pages_allocated());
 
-  ByteWriter direct_out;
-  direct.save_state(direct_out);
-  ByteWriter sharded_out;
-  sharded.save_state(sharded_out);
-  ASSERT_EQ(sharded_out.bytes(), direct_out.bytes());
+  ByteWriter out;
+  direct.save_state(out);
 
-  // Restore into tables that already hold other pages: the count is of
+  // Restore into a table that already holds other pages: the count is of
   // the restored contents only.
-  DirectClientTable direct_restored;
-  ShardedClientTable sharded_restored;
-  for (proto::ClientId id : {3u, 1u << 20, 1u << 30}) {
-    direct_restored.anonymise(id);
-    sharded_restored.anonymise(id);
+  DirectClientTable restored;
+  for (proto::ClientId id : {3u, 1u << 20, 1u << 30}) restored.anonymise(id);
+  ByteReader in(out.view());
+  ASSERT_TRUE(restored.restore_state(in));
+  EXPECT_EQ(restored.pages_allocated(), direct.pages_allocated());
+  EXPECT_EQ(restored.memory_bytes(), direct.memory_bytes());
+  EXPECT_EQ(restored.distinct(), direct.distinct());
+  ByteWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.bytes(), out.bytes());
+  for (proto::ClientId id : seen) {
+    ASSERT_EQ(restored.lookup(id), hash.lookup(id));
   }
-  ByteReader r1(direct_out.view());
-  ASSERT_TRUE(direct_restored.restore_state(r1));
-  ByteReader r2(direct_out.view());
-  ASSERT_TRUE(sharded_restored.restore_state(r2));
-  EXPECT_EQ(direct_restored.pages_allocated(), direct.pages_allocated());
-  EXPECT_EQ(sharded_restored.pages_allocated(),
-            direct_restored.pages_allocated());
-  EXPECT_EQ(sharded_restored.memory_bytes(), sharded.memory_bytes());
+  EXPECT_EQ(restored.lookup(3), kClientNotSeen);
+
+  // Pages 0 and 2047 share leaf 0; page 2048 opens leaf 1 and the last
+  // page leaf 2047.
+  DirectClientTable sparse;
+  for (proto::ClientId id : {0u, 0x001FFFFFu, 0x00200000u, 0xFFFFFFFFu}) {
+    sparse.anonymise(id);
+  }
+  EXPECT_EQ(sparse.pages_allocated(), 4u);
+  EXPECT_EQ(sparse.memory_bytes(),
+            3ull * DirectClientTable::kLeafEntries * sizeof(void*) +
+                4ull * DirectClientTable::kPageEntries * sizeof(std::uint32_t));
 }
 
 TEST(DirectClientTable, AgreesWithHashTableOnRandomStream) {

@@ -585,6 +585,29 @@ if(NOT err_bare_xml MATCHES "invalid value for --xml: ''")
   message(FATAL_ERROR "--xml without a value not reported: ${err_bare_xml}")
 endif()
 
+# "-" means stdout for every telemetry file flag: decode with the
+# documented `--metrics-out - --series-out -` prints the snapshot and the
+# series' JSONL lines, announces no "wrote -" and leaves no file named "-".
+file(REMOVE ${WORKDIR}/-)
+execute_process(
+  COMMAND ${DONKEYTRACE} decode --pcap smoke_dec.pcap
+          --metrics-out - --series-out -
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_dash
+  OUTPUT_VARIABLE out_dash)
+if(NOT rc_dash EQUAL 0 OR EXISTS ${WORKDIR}/-)
+  message(FATAL_ERROR "decode --series-out - exited ${rc_dash} or wrote a "
+                      "file named -")
+endif()
+if(out_dash MATCHES "wrote -")
+  message(FATAL_ERROR "decode --series-out - announced a file: ${out_dash}")
+endif()
+if(NOT out_dash MATCHES "\n{\"t\": [^\n]*\"decode\\.frames\"" OR
+   NOT out_dash MATCHES "\"counters\"")
+  message(FATAL_ERROR "decode --series-out - printed no series or metrics: "
+                      "${out_dash}")
+endif()
+
 # decode of a campaign's pcap writes that campaign's dataset byte for
 # byte: the background TCP half is settled, the UDP half runs the same
 # pipeline.  Plain and .dtz (same default chunk grid) alike.

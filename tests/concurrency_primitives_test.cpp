@@ -1,7 +1,6 @@
 // Concurrency property tests for the pipeline's hand-off primitives:
-// ObjectPool retention and the SPSC ring +
-// RingSignal fan-in protocol introduced by the sharded-anonymisation
-// pipeline.  Runs under the `concurrency` ctest label so the tsan preset
+// ObjectPool retention, the SPSC ring + RingSignal fan-in protocol, and the
+// §2.4 anonymiser tables' one-writer/many-readers contract.  Runs under the `concurrency` ctest label so the tsan preset
 // hammers every interleaving it can find; the assertions themselves are
 // scheduling-independent (conservation, ordering, termination).
 #include <gtest/gtest.h>
@@ -10,10 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "anon/client_table.hpp"
+#include "anon/fileid_store.hpp"
+#include "common/rng.hpp"
 #include "core/pool.hpp"
 #include "core/spsc_ring.hpp"
 
@@ -190,6 +194,74 @@ TEST(RingSignalFanIn, OneConsumerOverManyRingsNeverMissesAWakeup) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(received, kRings * kPerRing);
+}
+
+// ---------------------------------------------------------------------------
+// Anonymiser tables: one writer, concurrent readers (the pipeline's merge
+// thread and its workers)
+// ---------------------------------------------------------------------------
+
+// The writer assigns IDs 0, 1, 2, ... to distinct keys in order while three
+// readers look the keys up.  A reader may miss an insertion in flight, but
+// must never see any value other than "not seen" or the key's final ID.
+template <typename Table, typename Key>
+void one_writer_three_readers(Table& table, const std::vector<Key>& keys,
+                              std::uint64_t not_seen) {
+  std::atomic<bool> writer_done{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t local_bad = 0;
+      while (!writer_done.load(std::memory_order_acquire)) {
+        for (std::size_t i = r; i < keys.size(); i += 97) {
+          const std::uint64_t v = table.lookup(keys[i]);
+          if (v != i && v != not_seen) ++local_bad;
+        }
+      }
+      bad.fetch_add(local_bad);
+    });
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (table.anonymise(keys[i]) != i) bad.fetch_add(1);
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(table.distinct(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(table.lookup(keys[i]), i);
+  }
+}
+
+TEST(AnonTablesConcurrency, ClientTableReadersSeeNothingOrTheFinalId) {
+  // Packed IDs (as the simulator's population) plus every 1000th scattered
+  // over the whole 32-bit space, so readers walk freshly published leaves
+  // and pages.
+  std::vector<proto::ClientId> keys;
+  std::unordered_set<proto::ClientId> unique;
+  for (std::uint32_t i = 0; keys.size() < 100'000; ++i) {
+    const proto::ClientId id = i % 1000 == 0 ? i * 2654435761u : i * 7;
+    if (unique.insert(id).second) keys.push_back(id);
+  }
+  anon::DirectClientTable table;
+  one_writer_three_readers(table, keys, anon::kClientNotSeen);
+  EXPECT_GT(table.pages_allocated(), 100u);
+}
+
+TEST(AnonTablesConcurrency, FileStoreReadersSeeNothingOrTheFinalId) {
+  std::vector<FileId> keys(100'000);
+  std::uint64_t state = 20260807;
+  for (FileId& id : keys) {
+    const std::uint64_t hi = splitmix64(state), lo = splitmix64(state);
+    std::memcpy(id.bytes.data(), &hi, 8);
+    std::memcpy(id.bytes.data() + 8, &lo, 8);
+  }
+  anon::BucketedFileIdStore store;
+  one_writer_three_readers(store, keys, anon::kFileNotSeen);
+  for (std::size_t s = 0; s < anon::BucketedFileIdStore::kShards; ++s) {
+    EXPECT_GT(store.shard_distinct(s), 0u) << "stripe " << s;
+  }
 }
 
 }  // namespace

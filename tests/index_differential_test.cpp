@@ -373,7 +373,7 @@ void expect_same_end_state(const ReferenceIndex& ref, const FileIndex& idx) {
 
 class IndexDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(IndexDifferential, ShardedMatchesReference) {
+TEST_P(IndexDifferential, FileIndexMatchesReference) {
   const std::vector<Op> ops = make_workload(GetParam(), 2200);
 
   ReferenceIndex reference;

@@ -1,11 +1,13 @@
 // ReferencePipeline: the capture -> decode -> anonymise path of paper
 // Figure 1 on the calling thread, the differential oracle for
-// ParallelCapturePipeline.  One FrameDecoder, an Anonymiser over the
-// paper's unsharded tables (DirectClientTable, BucketedFileIdStore),
-// CampaignStats and a DatasetWriter; push() runs each frame to completion
-// before it returns.  No settling, routing, batching, optimistic pass,
-// merge or writer hand-off: whatever those add, the pipeline must still
-// produce this object's bytes and counters.
+// ParallelCapturePipeline.  One FrameDecoder, an Anonymiser over the §2.4
+// baselines (HashClientTable, HashFileIdStore), CampaignStats and a
+// DatasetWriter; push() runs each frame to completion before it returns.
+// No settling, routing, batching, optimistic pass, merge or writer
+// hand-off: whatever those add, the pipeline must still produce this
+// object's bytes and counters.  The hash baselines assign the same
+// order-of-appearance IDs as the paper's tables the pipeline runs, but
+// share no code with them, so a table bug cannot hide in both.
 //
 // It binds the same decode.*, anon.*, analysis.*, pipeline.frames and
 // pipeline.messages instruments the pipeline does, and observes one
@@ -98,8 +100,8 @@ class ReferencePipeline {
   std::uint32_t server_ip_;
   std::uint16_t server_port_;
   decode::FrameDecoder decoder_;
-  anon::DirectClientTable clients_;
-  anon::BucketedFileIdStore files_;
+  anon::HashClientTable clients_;
+  anon::HashFileIdStore files_;
   anon::Anonymiser anonymiser_;
   analysis::CampaignStats stats_;
   std::unique_ptr<xmlio::DatasetWriter> xml_;

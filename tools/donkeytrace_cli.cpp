@@ -90,12 +90,15 @@ Datasets (campaign and decode --xml, compress, decompress) stream to
 PATH.part while they are written and are renamed to PATH only when the run
 succeeds; a failed run leaves neither file.
 
-telemetry (campaign and decode):
+telemetry (campaign and decode; PATH "-" = stdout for --metrics-out,
+--series-out, --series-csv and --profile-out):
   --metrics-out PATH      write a JSON metrics snapshot after the run
   --metrics-interval S    sample every S simulated seconds: print a
-                          metrics table to stderr and set the series
-                          interval (deterministic: driven by event/frame
-                          timestamps, not wall clock)
+                          progress table of the live metrics to stderr
+                          and set the series interval (ticks follow event
+                          timestamps, but the tables are read while
+                          workers still count, so their values vary run
+                          to run; the series is the deterministic record)
   --series-out PATH       write the metrics time series as JSONL (one
                           sample per interval; default interval 1 hour)
   --series-csv PATH       write the same series as wide CSV
@@ -110,8 +113,8 @@ telemetry (campaign and decode):
                           attribution (working/queue_wait/park/lock_wait),
                           wall-clock RSS/allocation/occupancy sampling and
                           checkpoint costs; writes the bottleneck report
-                          as JSON to PATH ("-" = stdout) and a summary
-                          table to stderr.  Wall-clock only: output bytes
+                          as JSON to PATH and a summary table to
+                          stderr.  Wall-clock only: output bytes
                           (XML, series, checkpoints) are unchanged
 )";
   return 2;
@@ -122,13 +125,16 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Create `path`, fill it through `fill(std::ostream&)` and report "wrote
-/// PATH (what)", or "cannot write PATH" on stderr.  The file is closed
-/// before it is judged: a full disk often surfaces only in the last flush.
+/// Create `path` ("-" = stdout), fill it through `fill(std::ostream&)` and
+/// report "wrote PATH (what)" (not for stdout), or "cannot write PATH" on
+/// stderr.  The file is closed before it is judged: a full disk often
+/// surfaces only in the last flush.
 template <class Fill>
 bool write_to(const std::string& path, const std::string& what, Fill&& fill) {
-  std::ofstream out(path, std::ios::binary);
-  if (out) {
+  if (path == "-") {
+    fill(std::cout);
+    if (std::cout.flush()) return true;
+  } else if (std::ofstream out(path, std::ios::binary); out) {
     fill(out);
     out.close();
     if (!out.fail()) {
@@ -270,7 +276,10 @@ bool commit_dataset(DatasetOutput& out, bool compressed) {
 
 /// Periodic metrics emitter driven by *simulated* time: call tick() with
 /// each event/frame timestamp and a snapshot table goes to stderr whenever
-/// another interval has elapsed.  Deterministic — wall clock never read.
+/// another interval has elapsed.  Ticks fall at the same simulated times in
+/// every run, but the table is read while pipeline workers still count, so
+/// it is a progress view whose values vary run to run; the series
+/// (--series-out) is the deterministic record.
 class MetricsTicker {
  public:
   MetricsTicker(const obs::Registry& registry, double interval_s)
@@ -316,7 +325,8 @@ struct Telemetry {
   /// registry when an output reads it (or `cfg` already has it), the logger
   /// bound to it, and the --metrics-interval ticker
   /// chained onto the anonymised-event stream (event times are simulated
-  /// capture times, which keeps periodic emission deterministic).
+  /// capture times; the tables it prints are progress views, not a
+  /// deterministic record).
   template <class Config>
   void attach(Config& cfg) {
     if (!metrics_path.empty() || ticker || series) cfg.metrics = &registry;
@@ -388,16 +398,13 @@ bool dump_flight(const Telemetry& t) {
   });
 }
 
-/// Write the metrics snapshot ("-" = JSON on stdout), the series files and
-/// the flight dump that were asked for; false on the first failure.
+/// Write the metrics snapshot, the series files (any of them "-" = stdout)
+/// and the flight dump that were asked for; false on the first failure.
 bool write_telemetry(const Telemetry& t) {
-  if (t.metrics_path == "-") {
-    t.registry.snapshot().render_json(std::cout);
-  } else if (!t.metrics_path.empty() &&
-             !write_to(t.metrics_path, "metrics snapshot",
-                       [&](std::ostream& out) {
-                         t.registry.snapshot().render_json(out);
-                       })) {
+  if (!t.metrics_path.empty() &&
+      !write_to(t.metrics_path, "metrics snapshot", [&](std::ostream& out) {
+        t.registry.snapshot().render_json(out);
+      })) {
     return false;
   }
   if (t.series) {
@@ -569,14 +576,10 @@ int cmd_campaign(const cli::Args& args) {
     const obs::BottleneckReport bottleneck =
         obs::build_bottleneck_report(*profiler, sampler.get());
     bottleneck.render_text(std::cerr);
-    if (profile_path == "-") {
-      bottleneck.render_json(std::cout);
-      std::cout << "\n";
-    } else if (!write_to(profile_path, "bottleneck report",
-                         [&](std::ostream& out) {
-                           bottleneck.render_json(out);
-                           out << "\n";
-                         })) {
+    if (!write_to(profile_path, "bottleneck report", [&](std::ostream& out) {
+          bottleneck.render_json(out);
+          out << "\n";
+        })) {
       return 1;
     }
   }
