@@ -11,6 +11,14 @@
 //
 // Workloads replay the anonymiser's reality: Zipf-repeating lookups over a
 // growing universe (billions of searches, millions of insertions).
+//
+// Each repetition builds and destroys its table and ID stream with the
+// timer paused, so only the insert/lookup loop is timed.  Heap state still
+// carries from one row to the next: glibc raises its dynamic trim threshold
+// when a large mmapped block is freed, which keeps later rows' heap
+// resident.  Compare rows run alone, one per process:
+//
+//   anon_ablation --benchmark_filter='^BM_ClientHashTable/100000$'
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -41,17 +49,21 @@ void client_table_bench(benchmark::State& state, std::uint64_t ops_per_distinct,
                         double zipf_skew) {
   const auto distinct = static_cast<std::uint64_t>(state.range(0));
   workload::ClientIdStreamConfig cfg{distinct, zipf_skew, 42};
+  std::unique_ptr<Table> table;
+  std::unique_ptr<workload::ClientIdStream> stream;
   for (auto _ : state) {
     state.PauseTiming();
-    Table table;
-    workload::ClientIdStream stream(cfg);
+    table.reset();
+    stream.reset();
+    table = std::make_unique<Table>();
+    stream = std::make_unique<workload::ClientIdStream>(cfg);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < distinct * ops_per_distinct; ++i) {
-      benchmark::DoNotOptimize(table.anonymise(stream.next()));
+      benchmark::DoNotOptimize(table->anonymise(stream->next()));
     }
-    state.counters["distinct"] = static_cast<double>(table.distinct());
+    state.counters["distinct"] = static_cast<double>(table->distinct());
     state.counters["MiB"] =
-        static_cast<double>(table.memory_bytes()) / (1024.0 * 1024.0);
+        static_cast<double>(table->memory_bytes()) / (1024.0 * 1024.0);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -94,17 +106,21 @@ template <typename Store>
 void fileid_store_bench(benchmark::State& state, double forged_fraction) {
   const auto distinct = static_cast<std::uint64_t>(state.range(0));
   workload::FileIdStreamConfig cfg{distinct, 0.9, forged_fraction, 7};
+  std::unique_ptr<Store> store;
+  std::unique_ptr<workload::FileIdStream> stream;
   for (auto _ : state) {
     state.PauseTiming();
-    Store store;
-    workload::FileIdStream stream(cfg);
+    store.reset();
+    stream.reset();
+    store = std::make_unique<Store>();
+    stream = std::make_unique<workload::FileIdStream>(cfg);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < distinct * 3; ++i) {
-      benchmark::DoNotOptimize(store.anonymise(stream.next()));
+      benchmark::DoNotOptimize(store->anonymise(stream->next()));
     }
-    state.counters["distinct"] = static_cast<double>(store.distinct());
+    state.counters["distinct"] = static_cast<double>(store->distinct());
     state.counters["MiB"] =
-        static_cast<double>(store.memory_bytes()) / (1024.0 * 1024.0);
+        static_cast<double>(store->memory_bytes()) / (1024.0 * 1024.0);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 3));
@@ -137,16 +153,20 @@ BENCHMARK(BM_FileTree)->Arg(100'000)->Arg(1'000'000);
 void bucketed_bytepair_bench(benchmark::State& state, unsigned b0, unsigned b1) {
   const auto distinct = static_cast<std::uint64_t>(state.range(0));
   workload::FileIdStreamConfig cfg{distinct, 0.9, /*forged=*/0.35, 7};
+  std::unique_ptr<anon::BucketedFileIdStore> store;
+  std::unique_ptr<workload::FileIdStream> stream;
   for (auto _ : state) {
     state.PauseTiming();
-    anon::BucketedFileIdStore store(b0, b1);
-    workload::FileIdStream stream(cfg);
+    store.reset();
+    stream.reset();
+    store = std::make_unique<anon::BucketedFileIdStore>(b0, b1);
+    stream = std::make_unique<workload::FileIdStream>(cfg);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < distinct * 3; ++i) {
-      benchmark::DoNotOptimize(store.anonymise(stream.next()));
+      benchmark::DoNotOptimize(store->anonymise(stream->next()));
     }
     state.counters["largest_bucket"] =
-        static_cast<double>(store.largest_bucket());
+        static_cast<double>(store->largest_bucket());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 3));

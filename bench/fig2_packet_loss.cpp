@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fig_common.hpp"
-#include "obs/timeseries.hpp"
 
 int main(int argc, char** argv) {
   using namespace dtr;
@@ -51,52 +50,17 @@ int main(int argc, char** argv) {
   bg.mean_burst_s = 10;
   cfg.background = bg;
 
-  // The loss curve now comes from the telemetry subsystem, not the
-  // engine's private accumulator: a per-second TimeSeriesRecorder over the
-  // `capture.dropped` counter, in sparse (store-only-on-change) mode so two
-  // days of mostly-zero seconds stay a handful of samples.
-  obs::Registry registry;
-  obs::TimeSeriesOptions series_options;
-  series_options.interval = kSecond;
-  series_options.include_prefixes = {"capture.dropped"};
-  series_options.store_only_on_change = true;
-  obs::TimeSeriesRecorder series(registry, series_options);
-  cfg.metrics = &registry;
-  cfg.series = &series;
-
   core::CampaignRunner runner(cfg);
   core::CampaignReport report = runner.run();
 
   const std::uint64_t captured = report.frames_captured;
   const std::uint64_t lost = report.frames_lost;
+  // The capture engine's per-second accumulator: one point per second with
+  // at least one loss.  capture_test holds the per-second `capture.dropped`
+  // series of a registry-bound engine to these points.
+  const std::vector<capture::LossPoint>& losses = report.loss_series;
 
-  // Regenerate Figure 2's per-second loss series from the recorded
-  // telemetry.  A sample at boundary t covers frames in [t-1s, t), so the
-  // engine's "loss second s" is the recorder's boundary s+1; sparse mode
-  // attributes each delta to exactly the second the drops happened in.
-  struct LossSample {
-    std::uint64_t second;
-    std::uint64_t lost;
-  };
-  std::vector<LossSample> losses;
-  for (const auto& [time, delta] : series.counter_deltas("capture.dropped")) {
-    if (delta == 0) continue;  // the first stored sample can be all-zero
-    losses.push_back(LossSample{to_seconds(time) - 1, delta});
-  }
-
-  // Cross-check telemetry against the engine's own accumulator — the
-  // series is only a valid Figure 2 source if the two agree exactly.
-  bool series_matches = losses.size() == report.loss_series.size();
-  if (series_matches) {
-    for (std::size_t i = 0; i < losses.size(); ++i) {
-      series_matches = series_matches &&
-                       losses[i].second == report.loss_series[i].second &&
-                       losses[i].lost == report.loss_series[i].lost;
-    }
-  }
-
-  std::cout << "# per-second losses from telemetry (non-zero seconds; main "
-               "plot)\n";
+  std::cout << "# per-second losses (non-zero seconds; main plot)\n";
   std::cout << "# second\tlost\n";
   std::size_t printed = 0;
   for (const auto& p : losses) {
@@ -130,7 +94,7 @@ int main(int argc, char** argv) {
             << with_thousands(lost) << "\n";
   std::printf("  loss rate            paper 7.9e-06         | measured %.1e\n",
               measured_rate);
-  std::cout << "  loss seconds         " << report.loss_series.size()
+  std::cout << "  loss seconds         " << losses.size()
             << " distinct seconds with loss out of "
             << to_seconds(cfg.campaign.duration) << " simulated\n";
   std::cout << "  peak buffer pressure " << report.buffer_high_water << " / "
@@ -140,8 +104,6 @@ int main(int argc, char** argv) {
                 losses.size() < to_seconds(cfg.campaign.duration) / 100;
   std::cout << "  shape check          losses "
             << (rare ? "rare" : "NOT RARE (mismatch)") << ", "
-            << (bursty ? "bursty/isolated" : "NOT bursty (mismatch)")
-            << ", telemetry series "
-            << (series_matches ? "matches engine" : "MISMATCH") << "\n";
-  return rare && bursty && series_matches ? 0 : 1;
+            << (bursty ? "bursty/isolated" : "NOT bursty (mismatch)") << "\n";
+  return rare && bursty ? 0 : 1;
 }

@@ -259,8 +259,7 @@ CampaignReport CampaignRunner::run() {
 
   // scenario.* instruments: which wave (if any) the campaign is in and the
   // intensity multipliers it applies.  Pure functions of simulated time, so
-  // unlike the operational checkpoint.* family they ARE sampled into the
-  // time series (byte-reproducible across worker counts and resume).
+  // they are measured: byte-reproducible across worker counts and resume.
   const sim::Scenario* scenario = simulator_.scenario();
   obs::Gauge* sc_phase = nullptr;
   obs::Gauge* sc_arrival = nullptr;
@@ -277,19 +276,22 @@ CampaignReport CampaignRunner::run() {
   // Only rewritten when the frame clock crosses a wave edge.
   int scenario_last_phase = -2;
 
-  // checkpoint.* instruments (excluded from the series by default:
-  // checkpointing is operational, not part of the measured campaign).
+  // checkpoint.* instruments: whether and when a run checkpoints is
+  // operational, not part of the measured campaign.  A snapshot saves only
+  // measured instruments, so these count since this process started.
   obs::Counter* ckpt_writes = nullptr;
   obs::Counter* ckpt_write_failures = nullptr;
   obs::Counter* ckpt_bytes = nullptr;
   obs::Counter* ckpt_restores = nullptr;
   obs::Gauge* ckpt_last_time = nullptr;
   if (config_.metrics != nullptr && (checkpointing || resuming)) {
-    ckpt_writes = &config_.metrics->counter("checkpoint.writes");
-    ckpt_write_failures = &config_.metrics->counter("checkpoint.write_failures");
-    ckpt_bytes = &config_.metrics->counter("checkpoint.bytes");
-    ckpt_restores = &config_.metrics->counter("checkpoint.restores");
-    ckpt_last_time = &config_.metrics->gauge("checkpoint.last_time");
+    obs::Registry& r = *config_.metrics;
+    constexpr auto kOps = obs::Determinism::kOperational;
+    ckpt_writes = &r.counter("checkpoint.writes", kOps);
+    ckpt_write_failures = &r.counter("checkpoint.write_failures", kOps);
+    ckpt_bytes = &r.counter("checkpoint.bytes", kOps);
+    ckpt_restores = &r.counter("checkpoint.restores", kOps);
+    ckpt_last_time = &r.gauge("checkpoint.last_time", kOps);
   }
 
   // When checkpoint/resume is in play and an XML sink is attached, the
@@ -466,7 +468,7 @@ CampaignReport CampaignRunner::run() {
     }
     if (config_.metrics != nullptr) {
       ByteWriter w;
-      config_.metrics->snapshot().save_state(w);
+      config_.metrics->measured_snapshot().save_state(w);
       builder.add("metrics", std::move(w).take());
     }
     if (config_.series != nullptr) {

@@ -41,8 +41,10 @@ namespace dtr::core {
 /// (the counters of every frame settled on the pushing thread) and one
 /// pipeline clock instead of one per worker.  Version 3: the server's file
 /// index no longer stores its shard count or search-cache counters.
-/// Earlier versions are rejected.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// Version 4: the `metrics` section holds only measured instruments and the
+/// `series` section no longer stores a last-stored snapshot.  Earlier
+/// versions are rejected.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 inline constexpr char kCheckpointMagic[8] = {'D', 'T', 'R', 'C',
                                              'K', 'P', 'T', '1'};
 

@@ -57,7 +57,6 @@ ParallelCapturePipeline::ParallelCapturePipeline(
       chunk_pool_(kWriterRingChunks + 8),
       feeder_decoder_(config.server_ip, config.server_port,
                       decode::MessageSink{}),
-      files_(config.fileid_index_byte_0, config.fileid_index_byte_1),
       anonymiser_(clients_, files_),
       read_anonymiser_(clients_, files_) {
   if (config_.xml_out != nullptr) {
@@ -562,39 +561,47 @@ bool ParallelCapturePipeline::restore_state(ByteReader& in) {
 }
 
 void ParallelCapturePipeline::bind_metrics(obs::Registry& registry) {
+  // Pool recycling, writer chunk shapes, ring parks, queue depths and the
+  // fast/deferred anonymisation split depend on thread scheduling; the
+  // clientID table's footprint on its page layout; spans on wall time.
+  constexpr auto kOps = obs::Determinism::kOperational;
   metrics_.frames = &registry.counter("pipeline.frames");
   metrics_.messages = &registry.counter("pipeline.messages");
   metrics_.dropped_on_close = &registry.counter("pipeline.dropped_on_close");
-  metrics_.pool_hits = &registry.counter("pipeline.pool.hits");
-  metrics_.pool_misses = &registry.counter("pipeline.pool.misses");
-  metrics_.writer_chunks = &registry.counter("pipeline.writer.chunks");
-  metrics_.writer_events = &registry.counter("pipeline.writer.events");
+  metrics_.pool_hits = &registry.counter("pipeline.pool.hits", kOps);
+  metrics_.pool_misses = &registry.counter("pipeline.pool.misses", kOps);
+  metrics_.writer_chunks = &registry.counter("pipeline.writer.chunks", kOps);
+  metrics_.writer_events = &registry.counter("pipeline.writer.events", kOps);
   // Same instruments the Anonymiser binds: striped counters merge the
   // worker-side fast-path increments with the merge-side slow path.
   metrics_.anon_events = &registry.counter("anon.events");
   metrics_.anon_client_lookups = &registry.counter("anon.client_lookups");
   metrics_.anon_file_lookups = &registry.counter("anon.file_lookups");
-  metrics_.fast_events = &registry.counter("anon.shard.fast_events");
-  metrics_.deferred_events = &registry.counter("anon.shard.deferred_events");
-  metrics_.push_parks = &registry.counter("pipeline.ring.parks.push");
-  metrics_.worker_parks = &registry.counter("pipeline.ring.parks.worker");
-  metrics_.merge_parks = &registry.counter("pipeline.ring.parks.merge");
-  metrics_.writer_parks = &registry.counter("pipeline.ring.parks.writer");
-  metrics_.merge_queue_depth = &registry.gauge("pipeline.queue.merge");
-  metrics_.merge_pending = &registry.gauge("pipeline.merge.pending");
-  metrics_.writer_queue_depth = &registry.gauge("pipeline.queue.writer");
-  // Resident clientID-table footprint (series-excluded: see
-  // TimeSeriesOptions::exclude_prefixes).
-  metrics_.table_pages = &registry.gauge("anon.table.pages");
-  metrics_.table_bytes = &registry.gauge("anon.table.bytes");
-  metrics_.shard_files_max = &registry.gauge("anon.shard.files.max");
+  metrics_.fast_events = &registry.counter("anon.shard.fast_events", kOps);
+  metrics_.deferred_events =
+      &registry.counter("anon.shard.deferred_events", kOps);
+  metrics_.push_parks = &registry.counter("pipeline.ring.parks.push", kOps);
+  metrics_.worker_parks =
+      &registry.counter("pipeline.ring.parks.worker", kOps);
+  metrics_.merge_parks = &registry.counter("pipeline.ring.parks.merge", kOps);
+  metrics_.writer_parks =
+      &registry.counter("pipeline.ring.parks.writer", kOps);
+  metrics_.merge_queue_depth = &registry.gauge("pipeline.queue.merge", kOps);
+  metrics_.merge_pending = &registry.gauge("pipeline.merge.pending", kOps);
+  metrics_.writer_queue_depth = &registry.gauge("pipeline.queue.writer", kOps);
+  metrics_.table_pages = &registry.gauge("anon.table.pages", kOps);
+  metrics_.table_bytes = &registry.gauge("anon.table.bytes", kOps);
+  metrics_.shard_files_max = &registry.gauge("anon.shard.files.max", kOps);
   metrics_.batch_frames =
       &registry.histogram("pipeline.batch.frames", obs::size_buckets());
   metrics_.batch_messages =
       &registry.histogram("pipeline.batch.messages", obs::size_buckets());
-  metrics_.decode_span = &registry.histogram("span.decode.seconds");
-  metrics_.anonymise_span = &registry.histogram("span.anonymise.seconds");
-  metrics_.write_span = &registry.histogram("span.write.seconds");
+  metrics_.decode_span = &registry.histogram(
+      "span.decode.seconds", obs::latency_buckets_s(), kOps);
+  metrics_.anonymise_span = &registry.histogram(
+      "span.anonymise.seconds", obs::latency_buckets_s(), kOps);
+  metrics_.write_span = &registry.histogram(
+      "span.write.seconds", obs::latency_buckets_s(), kOps);
   for (auto& worker : workers_) worker->decoder->bind_metrics(registry);
   feeder_decoder_.bind_metrics(registry);
   anonymiser_.bind_metrics(registry);

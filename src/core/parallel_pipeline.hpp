@@ -117,10 +117,6 @@ struct ParallelPipelineConfig {
   /// Decode workers; 0 means 1.  Never changes the output bytes, but it
   /// shapes the checkpoint (see save_state()).
   std::size_t workers = 1;
-  /// fileID anonymisation index bytes (paper §2.4: (0,1) is pathological
-  /// under forged IDs; the default is the fixed choice).
-  unsigned fileid_index_byte_0 = 5;
-  unsigned fileid_index_byte_1 = 11;
   std::ostream* xml_out = nullptr;  ///< optional dataset destination
   /// Optional extra consumer of the anonymised stream: runs on the merge
   /// thread, in event order — e.g. an ActivityTracker or FileSpreadTracker.
@@ -325,8 +321,8 @@ class ParallelCapturePipeline {
     obs::Gauge* merge_queue_depth = nullptr;
     obs::Gauge* merge_pending = nullptr;
     obs::Gauge* writer_queue_depth = nullptr;
-    obs::Gauge* table_pages = nullptr;  // anon.table.pages (series-excluded)
-    obs::Gauge* table_bytes = nullptr;  // anon.table.bytes (series-excluded)
+    obs::Gauge* table_pages = nullptr;
+    obs::Gauge* table_bytes = nullptr;
     obs::Gauge* shard_files_max = nullptr;
     obs::Histogram* batch_frames = nullptr;
     obs::Histogram* batch_messages = nullptr;

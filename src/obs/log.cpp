@@ -109,7 +109,9 @@ void Logger::log(LogLevel level, std::string_view component, SimTime time,
 }
 
 void Logger::bind_metrics(Registry& registry) {
-  Counter& counter = registry.counter("log.suppressed");
+  // Depends on which levels and sinks the operator enabled.
+  Counter& counter =
+      registry.counter("log.suppressed", Determinism::kOperational);
   // Carry forward drops that happened before binding.
   const std::uint64_t already =
       suppressed_total_.load(std::memory_order_relaxed);

@@ -123,7 +123,7 @@ class Logger {
   }
 
   /// Mirror the suppression tally into a `log.suppressed` counter so the
-  /// metrics snapshot carries it ("log." is series-excluded by default).
+  /// metrics snapshot carries it.
   void bind_metrics(Registry& registry);
 
   /// Shutdown flush: emit one "N records rate-limited" summary line

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dtr::obs {
 
@@ -102,36 +103,33 @@ std::vector<double> lock_wait_buckets_s() {
   return bounds;
 }
 
-Counter& Registry::counter(std::string_view name) {
+template <class T, class... Args>
+T& Registry::find_or_add(Instruments<T>& instruments, std::string_view name,
+                         Determinism cls, Args&&... args) {
   std::lock_guard lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
+  auto it = instruments.find(name);
+  if (it == instruments.end()) {
+    it = instruments
+             .emplace(std::string(name),
+                      Entry<T>{std::make_unique<T>(std::forward<Args>(args)...),
+                               cls})
              .first;
   }
-  return *it->second;
+  return *it->second.instrument;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
+Counter& Registry::counter(std::string_view name, Determinism cls) {
+  return find_or_add(counters_, name, cls);
+}
+
+Gauge& Registry::gauge(std::string_view name, Determinism cls) {
+  return find_or_add(gauges_, name, cls);
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> upper_bounds) {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
-             .first;
-  }
-  return *it->second;
+                               std::vector<double> upper_bounds,
+                               Determinism cls) {
+  return find_or_add(histograms_, name, cls, std::move(upper_bounds));
 }
 
 bool Registry::restore(const Snapshot& snap) {
@@ -143,13 +141,24 @@ bool Registry::restore(const Snapshot& snap) {
   return true;
 }
 
-Snapshot Registry::snapshot() const {
+Snapshot Registry::snapshot() const { return collect(false); }
+
+Snapshot Registry::measured_snapshot() const { return collect(true); }
+
+Snapshot Registry::collect(bool measured_only) const {
+  auto keep = [measured_only](const auto& entry) {
+    return !measured_only || entry.cls == Determinism::kMeasured;
+  };
   std::lock_guard lock(mutex_);
   Snapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms[name] = h->snapshot();
+  for (const auto& [name, e] : counters_) {
+    if (keep(e)) snap.counters[name] = e.instrument->value();
+  }
+  for (const auto& [name, e] : gauges_) {
+    if (keep(e)) snap.gauges[name] = e.instrument->value();
+  }
+  for (const auto& [name, e] : histograms_) {
+    if (keep(e)) snap.histograms[name] = e.instrument->snapshot();
   }
   return snap;
 }

@@ -137,6 +137,15 @@ std::vector<double> size_buckets();
 /// is tens of nanoseconds, not microseconds.
 std::vector<double> lock_wait_buckets_s();
 
+/// Whether an instrument belongs to the measurement.  A measured value is a
+/// function of the input alone (the seed, the frames), so it is the same at
+/// every worker count and across checkpoint/resume.  An operational value
+/// depends on wall time, thread scheduling or configuration (which outputs,
+/// sinks or observers the operator enabled): snapshot() shows it, while
+/// measured_snapshot(), which the time series samples and a checkpoint
+/// saves, leaves it out.  Declared where the instrument is registered.
+enum class Determinism { kMeasured, kOperational };
+
 /// Named instruments.  Thread-safe; instruments live as long as the
 /// Registry and keep stable addresses, so callers cache the references.
 class Registry {
@@ -145,27 +154,46 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  /// Bounds are fixed on first registration; later calls with the same name
-  /// return the existing histogram regardless of `upper_bounds`.
+  /// The class, like a histogram's bounds, is fixed on first registration;
+  /// later calls with the same name return the existing instrument
+  /// regardless of `cls` or `upper_bounds`.
+  Counter& counter(std::string_view name,
+                   Determinism cls = Determinism::kMeasured);
+  Gauge& gauge(std::string_view name,
+               Determinism cls = Determinism::kMeasured);
   Histogram& histogram(std::string_view name,
-                       std::vector<double> upper_bounds = latency_buckets_s());
+                       std::vector<double> upper_bounds = latency_buckets_s(),
+                       Determinism cls = Determinism::kMeasured);
 
   /// Point-in-time copy of every instrument.
   [[nodiscard]] Snapshot snapshot() const;
+  /// Point-in-time copy of the kMeasured instruments only.
+  [[nodiscard]] Snapshot measured_snapshot() const;
 
-  /// Checkpoint restore: overwrite (or register) every instrument named in
-  /// `snap` with its snapshot value.  Instruments not named keep their
-  /// current values.  Returns false if a histogram exists with different
-  /// bounds.  Callers must quiesce recording threads first.
+  /// Checkpoint restore: overwrite (or register, as kMeasured) every
+  /// instrument named in `snap` with its snapshot value.  Instruments not
+  /// named keep their current values.  Returns false if a histogram exists
+  /// with different bounds.  Callers must quiesce recording threads first.
   bool restore(const Snapshot& snap);
 
  private:
+  template <class T>
+  struct Entry {
+    std::unique_ptr<T> instrument;
+    Determinism cls;
+  };
+  template <class T>
+  using Instruments = std::map<std::string, Entry<T>, std::less<>>;
+
+  template <class T, class... Args>
+  T& find_or_add(Instruments<T>& instruments, std::string_view name,
+                 Determinism cls, Args&&... args);
+  [[nodiscard]] Snapshot collect(bool measured_only) const;
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  Instruments<Counter> counters_;
+  Instruments<Gauge> gauges_;
+  Instruments<Histogram> histograms_;
 };
 
 // Null-tolerant helpers: instrumented components keep instrument pointers

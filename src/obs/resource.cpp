@@ -50,17 +50,13 @@ ResourceSampler::~ResourceSampler() { stop(); }
 void ResourceSampler::resolve_instruments() {
   if (resolved_) return;
   resolved_ = true;
-  if (registry_ == nullptr) return;
-  for (const std::string& name : options_.counters)
-    tracked_counters_.push_back(&registry_->counter(name));
-  for (const TrackedGauge& gauge : options_.gauges)
-    tracked_gauges_.push_back(&registry_->gauge(gauge.name));
-  if (options_.publish_gauges) {
-    rss_gauge_ = &registry_->gauge("proc.rss.bytes");
-    peak_rss_gauge_ = &registry_->gauge("proc.rss.peak.bytes");
-    alloc_count_gauge_ = &registry_->gauge("proc.alloc.count");
-    alloc_bytes_gauge_ = &registry_->gauge("proc.alloc.bytes");
-  }
+  if (registry_ == nullptr || !options_.publish_gauges) return;
+  // Wall-clock valued.
+  constexpr auto kOps = Determinism::kOperational;
+  rss_gauge_ = &registry_->gauge("proc.rss.bytes", kOps);
+  peak_rss_gauge_ = &registry_->gauge("proc.rss.peak.bytes", kOps);
+  alloc_count_gauge_ = &registry_->gauge("proc.alloc.count", kOps);
+  alloc_bytes_gauge_ = &registry_->gauge("proc.alloc.bytes", kOps);
 }
 
 void ResourceSampler::start() {
@@ -115,12 +111,17 @@ void ResourceSampler::sample_now() {
   sample.peak_rss_bytes = read_peak_rss_bytes();
   sample.alloc_count = allocation_count();
   sample.alloc_bytes = allocation_bytes();
-  sample.counters.reserve(tracked_counters_.size());
-  for (Counter* counter : tracked_counters_)
-    sample.counters.push_back(counter->value());
-  sample.gauges.reserve(tracked_gauges_.size());
-  for (Gauge* gauge : tracked_gauges_)
-    sample.gauges.push_back(gauge->value());
+  // Tracked instruments are read by name, never registered here: the
+  // component that owns one declares its class when it binds, which may
+  // be after the sampler starts.
+  if (registry_ != nullptr &&
+      !(options_.counters.empty() && options_.gauges.empty())) {
+    const Snapshot snap = registry_->snapshot();
+    for (const std::string& name : options_.counters)
+      sample.counters.push_back(snap.counter(name));
+    for (const TrackedGauge& gauge : options_.gauges)
+      sample.gauges.push_back(snap.gauge(gauge.name));
+  }
 
   set(rss_gauge_, static_cast<std::int64_t>(sample.rss_bytes));
   set(peak_rss_gauge_, static_cast<std::int64_t>(sample.peak_rss_bytes));

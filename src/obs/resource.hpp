@@ -15,8 +15,9 @@
 // translation unit — everywhere else allocation_count() reads zero.
 //
 // Determinism contract: the sampler runs on *wall* time and publishes only
-// under the "proc." prefix, which TimeSeriesOptions excludes by default —
-// a profiled run's series/XML/checkpoint bytes match an unprofiled run's.
+// operational proc.* gauges, which neither the series nor a checkpoint
+// records — a profiled run's series/XML/checkpoint bytes match an
+// unprofiled run's.
 #pragma once
 
 #include <atomic>
@@ -62,13 +63,13 @@ struct ResourceSamplerOptions {
   /// Wall-clock sampling interval.
   std::chrono::milliseconds interval{100};
   /// Registry counters whose running totals join each sample (throughput
-  /// trajectories: "pipeline.messages", ...).  Resolved at start().
+  /// trajectories: "pipeline.messages", ...).  Read by name; a name not
+  /// registered yet reads 0.
   std::vector<std::string> counters;
   /// Registry gauges to track (occupancy trajectories).
   std::vector<TrackedGauge> gauges;
   /// Publish proc.rss.bytes / proc.rss.peak.bytes / proc.alloc.count /
-  /// proc.alloc.bytes gauges into the registry ("proc." is series-excluded
-  /// by default, so this is visible in snapshots but not in series bytes).
+  /// proc.alloc.bytes gauges into the registry.
   bool publish_gauges = true;
 };
 
@@ -82,8 +83,7 @@ struct ResourceSample {
   std::vector<std::int64_t> gauges;     ///< parallel to options().gauges
 };
 
-/// Background wall-clock sampler.  start() resolves the tracked instrument
-/// pointers (registering absent names — fine: profiled runs only) and
+/// Background wall-clock sampler.  start() registers the proc.* gauges and
 /// launches the thread; stop() takes a final sample and joins.  The
 /// registry may be null (process-only samples).
 class ResourceSampler {
@@ -113,8 +113,6 @@ class ResourceSampler {
   Registry* registry_;
   ResourceSamplerOptions options_;
 
-  std::vector<Counter*> tracked_counters_;
-  std::vector<Gauge*> tracked_gauges_;
   Gauge* rss_gauge_ = nullptr;
   Gauge* peak_rss_gauge_ = nullptr;
   Gauge* alloc_count_gauge_ = nullptr;

@@ -1,6 +1,5 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "obs/json.hpp"
@@ -9,66 +8,21 @@ namespace dtr::obs {
 
 namespace {
 
-bool starts_with_any(const std::string& name,
-                     const std::vector<std::string>& prefixes) {
-  return std::any_of(prefixes.begin(), prefixes.end(),
-                     [&name](const std::string& p) {
-                       return name.compare(0, p.size(), p) == 0;
-                     });
-}
-
-std::string quantile_label(double q) {
-  // 0.5 -> "p50", 0.95 -> "p95", 0.999 -> "p99.9".
-  double pct = q * 100.0;
-  auto rounded = static_cast<std::uint64_t>(pct);
-  if (static_cast<double>(rounded) == pct) {
-    return "p" + std::to_string(rounded);
-  }
-  std::string s = json_double(pct);
-  return "p" + s;
-}
+// The quantiles derived per histogram per sample, with their labels.
+constexpr std::pair<double, const char*> kQuantiles[] = {
+    {0.5, "p50"}, {0.95, "p95"}, {0.99, "p99"}};
 
 }  // namespace
 
 TimeSeriesRecorder::TimeSeriesRecorder(const Registry& registry,
-                                       TimeSeriesOptions options)
-    : registry_(registry), options_(std::move(options)) {
-  if (options_.interval == 0) options_.interval = kSecond;
-  next_ = options_.interval;
-}
-
-bool TimeSeriesRecorder::included(const std::string& name) const {
-  if (!options_.include_prefixes.empty() &&
-      !starts_with_any(name, options_.include_prefixes)) {
-    return false;
-  }
-  return !starts_with_any(name, options_.exclude_prefixes);
-}
-
-Snapshot TimeSeriesRecorder::filtered_snapshot() const {
-  Snapshot full = registry_.snapshot();
-  Snapshot kept;
-  for (auto& [name, v] : full.counters) {
-    if (included(name)) kept.counters.emplace(name, v);
-  }
-  for (auto& [name, v] : full.gauges) {
-    if (included(name)) kept.gauges.emplace(name, v);
-  }
-  for (auto& [name, h] : full.histograms) {
-    if (included(name)) kept.histograms.emplace(name, std::move(h));
-  }
-  return kept;
-}
+                                       SimTime interval)
+    : registry_(registry),
+      interval_(interval == 0 ? kSecond : interval),
+      next_(interval_) {}
 
 void TimeSeriesRecorder::sample() {
-  Snapshot snap = filtered_snapshot();
-  const SimTime boundary = next_;
-  next_ += options_.interval;
-  if (options_.store_only_on_change && snap.counters == last_stored_.counters) {
-    return;
-  }
-  samples_.push_back(Sample{boundary, snap});
-  last_stored_ = std::move(snap);
+  samples_.push_back(Sample{next_, registry_.measured_snapshot()});
+  next_ += interval_;
 }
 
 void TimeSeriesRecorder::finish(SimTime end) {
@@ -122,9 +76,8 @@ void TimeSeriesRecorder::write_jsonl(std::ostream& out) const {
       first = false;
       json_string(out, name);
       out << ": {\"count\": " << h.count << ", \"d\": " << h.count - prev_count;
-      for (double q : options_.quantiles) {
-        out << ", \"" << quantile_label(q) << "\": "
-            << json_double(h.quantile(q));
+      for (const auto& [q, label] : kQuantiles) {
+        out << ", \"" << label << "\": " << json_double(h.quantile(q));
       }
       out << "}";
     }
@@ -149,8 +102,8 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
       case 'g': out << "," << name; break;
       case 'h':
         out << "," << name << ".count," << name << ".count.delta";
-        for (double q : options_.quantiles) {
-          out << "," << name << "." << quantile_label(q);
+        for (const auto& [q, label] : kQuantiles) {
+          out << "," << name << "." << label;
         }
         break;
     }
@@ -185,8 +138,8 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
             }
           }
           out << "," << h.count << "," << h.count - prev_count;
-          for (double q : options_.quantiles) {
-            out << "," << json_double(h.quantile(q));
+          for (const auto& quantile : kQuantiles) {
+            out << "," << json_double(h.quantile(quantile.first));
           }
           break;
         }
@@ -198,7 +151,6 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
 
 void TimeSeriesRecorder::save_state(ByteWriter& out) const {
   out.u64le(next_);
-  last_stored_.save_state(out);
   out.u64le(samples_.size());
   for (const Sample& s : samples_) {
     out.u64le(s.time);
@@ -208,7 +160,6 @@ void TimeSeriesRecorder::save_state(ByteWriter& out) const {
 
 bool TimeSeriesRecorder::restore_state(ByteReader& in) {
   next_ = in.u64le();
-  if (!last_stored_.restore_state(in)) return false;
   samples_.clear();
   const std::uint64_t n = in.u64le();
   if (n > in.remaining() / 32) return false;

@@ -2,7 +2,9 @@
 // feeds it into a latency Histogram, so every pipeline stage gets a
 // per-stage latency distribution for free.
 //
-//   obs::Histogram* h = &registry.histogram("span.decode.seconds");
+//   obs::Histogram* h = &registry.histogram(
+//       "span.decode.seconds", obs::latency_buckets_s(),
+//       obs::Determinism::kOperational);
 //   ...
 //   { DTR_SPAN(h); decoder.push(frame); }       // hot path: cached pointer
 //   { DTR_SPAN(&registry, "flush"); flush(); }  // cold path: by name
@@ -25,12 +27,14 @@ class SpanTimer {
   }
 
   /// Cold-path convenience: resolves "span.<name>.seconds" in `registry`
-  /// (nullptr registry = disabled span).
+  /// as an operational (wall-clock) histogram; nullptr registry = disabled
+  /// span.
   SpanTimer(Registry* registry, const char* name)
       : SpanTimer(registry == nullptr
                       ? nullptr
-                      : &registry->histogram("span." + std::string(name) +
-                                             ".seconds")) {}
+                      : &registry->histogram(
+                            "span." + std::string(name) + ".seconds",
+                            latency_buckets_s(), Determinism::kOperational)) {}
 
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;

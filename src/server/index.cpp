@@ -484,10 +484,10 @@ void FileIndex::bind_metrics(obs::Registry& registry) {
   metrics_.sources = &registry.gauge("server.index.sources");
   metrics_.candidates = &registry.histogram("server.index.search.candidates",
                                             obs::size_buckets());
-  // span.-prefixed so the wall-clock-dependent waits stay out of the
-  // deterministic time series (TimeSeriesOptions excludes span.*).
+  // Lock waits are wall-clock valued.
   metrics_.lock_wait = &registry.histogram(
-      "span.server.index.lock_wait.seconds", obs::lock_wait_buckets_s());
+      "span.server.index.lock_wait.seconds", obs::lock_wait_buckets_s(),
+      obs::Determinism::kOperational);
   for (std::size_t i = 0; i < kShards; ++i) {
     metrics_.shard_files[i] = &registry.gauge(
         "server.index.shard." + std::to_string(i) + ".files");

@@ -113,13 +113,16 @@ struct ChunkedWriter::Impl {
             kChunkedVersion, static_cast<std::uint32_t>(cfg.chunk_bytes))),
         scratch_pool(/*max_retained=*/cfg.threads + 2) {
     if (config.metrics != nullptr) {
+      // Present only in compressed runs, and the pool split depends on
+      // thread scheduling.
       obs::Registry& r = *config.metrics;
-      metrics.chunks = &r.counter("writer.compress.chunks");
-      metrics.bytes_in = &r.counter("writer.compress.bytes_in");
-      metrics.bytes_out = &r.counter("writer.compress.bytes_out");
-      metrics.pool_hits = &r.counter("writer.compress.pool_hits");
-      metrics.pool_misses = &r.counter("writer.compress.pool_misses");
-      metrics.threads = &r.gauge("writer.compress.threads");
+      constexpr auto kOps = obs::Determinism::kOperational;
+      metrics.chunks = &r.counter("writer.compress.chunks", kOps);
+      metrics.bytes_in = &r.counter("writer.compress.bytes_in", kOps);
+      metrics.bytes_out = &r.counter("writer.compress.bytes_out", kOps);
+      metrics.pool_hits = &r.counter("writer.compress.pool_hits", kOps);
+      metrics.pool_misses = &r.counter("writer.compress.pool_misses", kOps);
+      metrics.threads = &r.gauge("writer.compress.threads", kOps);
       obs::set(metrics.threads,
                static_cast<std::int64_t>(config.threads));
     }

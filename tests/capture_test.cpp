@@ -2,11 +2,14 @@
 // Figure 2) and the capture engine's loss accounting.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "capture/engine.hpp"
 #include "capture/kernel_buffer.hpp"
 #include "net/pcap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/timeseries.hpp"
 
 namespace dtr::capture {
 namespace {
@@ -205,6 +208,47 @@ TEST(Engine, LossSeriesSumsToTotalLost) {
   EXPECT_EQ(series_sum, engine.lost());
   EXPECT_GT(engine.lost(), 0u);
   EXPECT_EQ(engine.loss_series().size(), 5u) << "one loss point per burst second";
+}
+
+// Figure 2's cross-check: a one-second series over `capture.dropped`,
+// sampled the way CampaignRunner samples (every boundary at or before a
+// frame's time, before that frame), holds exactly the engine's own loss
+// points.  A sample at boundary s+1 covers frames in [s, s+1), so it holds
+// the losses of second s.
+TEST(Engine, PerSecondDroppedSeriesMatchesTheLossSeries) {
+  KernelBufferConfig cfg;
+  cfg.capacity = 100;
+  cfg.drain_rate = 2000.0;
+  cfg.stall_per_hour = 360.0;  // a half-second stall every ~10 s
+  cfg.stall_mean = 500 * kMillisecond;
+  cfg.seed = 5;
+  CaptureEngine engine(cfg);
+  obs::Registry registry;
+  engine.bind_metrics(registry);
+  obs::TimeSeriesRecorder series(registry, kSecond);
+
+  constexpr SimTime kEnd = 120 * kSecond;
+  for (SimTime t = 0; t < kEnd; t += kMillisecond) {
+    while (series.due(t)) series.sample();
+    engine.offer(frame_at(t));
+  }
+  series.finish(kEnd);
+
+  std::vector<LossPoint> from_series;
+  for (const auto& [time, delta] : series.counter_deltas("capture.dropped")) {
+    if (delta != 0) from_series.push_back(LossPoint{time / kSecond - 1, delta});
+  }
+  const std::vector<LossPoint>& points = engine.loss_series();
+  ASSERT_FALSE(points.empty());
+  ASSERT_LT(points.size(), 60u) << "losses must leave quiet seconds between";
+  ASSERT_EQ(from_series.size(), points.size());
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(from_series[i].second, points[i].second) << "point " << i;
+    EXPECT_EQ(from_series[i].lost, points[i].lost) << "point " << i;
+    total += points[i].lost;
+  }
+  EXPECT_EQ(total, engine.lost());
 }
 
 TEST(Engine, CumulativeLossesMonotonic) {

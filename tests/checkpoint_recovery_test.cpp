@@ -64,6 +64,8 @@ core::RunnerConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
+constexpr SimTime kSeriesInterval = 30 * kMinute;
+
 struct RunOptions {
   std::size_t workers = 0;
   bool background = false;
@@ -82,10 +84,9 @@ struct RunArtifacts {
   core::CampaignReport report;
 };
 
-/// The JSONL `series` would have written had it also excluded `prefix`:
-/// its stored samples minus that prefix's instruments, restored into a
-/// second recorder through the recorder's own codec (boundary cursor, last
-/// stored snapshot, samples) and rendered there.
+/// The JSONL `series` would have written without `prefix`'s instruments:
+/// its samples minus those, restored into a second recorder through the
+/// recorder's own codec (boundary cursor, samples) and rendered there.
 std::string series_jsonl_without(const obs::TimeSeriesRecorder& series,
                                  const std::string& prefix) {
   auto strip = [&](obs::Snapshot snap) {
@@ -102,15 +103,13 @@ std::string series_jsonl_without(const obs::TimeSeriesRecorder& series,
   const auto& samples = series.samples();
   ByteWriter w;
   w.u64le(series.next_sample_time());
-  strip(samples.empty() ? obs::Snapshot{} : samples.back().snapshot)
-      .save_state(w);
   w.u64le(samples.size());
   for (const auto& sample : samples) {
     w.u64le(sample.time);
     strip(sample.snapshot).save_state(w);
   }
   obs::Registry unused;
-  obs::TimeSeriesRecorder stripped(unused, series.options());
+  obs::TimeSeriesRecorder stripped(unused, kSeriesInterval);
   ByteReader r(w.view());
   EXPECT_TRUE(stripped.restore_state(r));
   std::ostringstream out;
@@ -137,9 +136,7 @@ RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
   cfg.xml_out = &xml;
   obs::Registry registry;
   cfg.metrics = &registry;
-  obs::TimeSeriesOptions series_options;
-  series_options.interval = 30 * kMinute;
-  obs::TimeSeriesRecorder series(registry, series_options);
+  obs::TimeSeriesRecorder series(registry, kSeriesInterval);
   cfg.series = &series;
 
   core::CampaignRunner runner(cfg);
@@ -376,14 +373,15 @@ TEST(CheckpointRecovery, CorruptSnapshotIsRejected) {
 
 // A snapshot from an earlier version is refused by the container, not
 // misread: version 1 predates the feeder decoder's section layout, version
-// 2 the file index without shard count and search-cache counters.
+// 2 the file index without shard count and search-cache counters, version
+// 3 the series section without a last-stored snapshot.
 // Re-stamp a valid snapshot with each old version (with a fresh digest, so
 // only the version is wrong).
 TEST(CheckpointRecovery, VersionOneSnapshotIsRejected) {
   const fs::path dir = scratch_dir("version1");
   const fs::path snap = shared_snapshot();
   ASSERT_FALSE(snap.empty());
-  for (const std::uint8_t version : {1, 2}) {
+  for (const std::uint8_t version : {1, 2, 3}) {
     SCOPED_TRACE(::testing::Message() << "version " << int{version});
     Bytes bytes = read_all(snap);
     ASSERT_GT(bytes.size(), sizeof(core::kCheckpointMagic) + 4 + 16);

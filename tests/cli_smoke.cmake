@@ -141,6 +141,37 @@ if(NOT rc_ckseries_cmp EQUAL 0)
   message(FATAL_ERROR "resumed series differs from the uninterrupted run")
 endif()
 
+# A snapshot saves only measured state (its metrics section leaves the
+# operational instruments out), so the same checkpointed command run twice
+# writes byte-identical snapshots, telemetry flags included.
+file(REMOVE_RECURSE ${WORKDIR}/smoke_ckpt2)
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
+          --hours 3 --workers 2 --xml smoke_ck2.xml
+          --checkpoint-dir smoke_ckpt2 --checkpoint-interval-hours 1
+          --series-out smoke_ck2_series.jsonl
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_ckpt2)
+if(NOT rc_ckpt2 EQUAL 0)
+  message(FATAL_ERROR "second checkpointing campaign failed: ${rc_ckpt2}")
+endif()
+file(GLOB snapshots2 ${WORKDIR}/smoke_ckpt2/checkpoint-*.ckpt)
+list(LENGTH snapshots2 snapshot2_count)
+if(NOT snapshot2_count EQUAL snapshot_count)
+  message(FATAL_ERROR "second run wrote ${snapshot2_count} snapshots, "
+                      "the first ${snapshot_count}")
+endif()
+foreach(snapshot ${snapshots})
+  get_filename_component(snapshot_name ${snapshot} NAME)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${snapshot} ${WORKDIR}/smoke_ckpt2/${snapshot_name}
+    RESULT_VARIABLE rc_snapshot_cmp)
+  if(NOT rc_snapshot_cmp EQUAL 0)
+    message(FATAL_ERROR "same-seed runs wrote different ${snapshot_name}")
+  endif()
+endforeach()
+
 # --workers 0 and --workers 1 both run the one-worker pipeline: the same
 # dataset and series bytes (and the same dataset as the two-worker runs
 # above), and a snapshot taken at --workers 0 resumes at --workers 1 to
@@ -504,16 +535,19 @@ endforeach()
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
           --hours 3 --workers 2 --search-cache 8 --anon-shards 2
-          --xml smoke_deleted_flags.xml
+          --flight-events 16 --xml smoke_deleted_flags.xml
   WORKING_DIRECTORY ${WORKDIR}
   RESULT_VARIABLE rc_deleted
   ERROR_VARIABLE err_deleted)
 if(NOT rc_deleted EQUAL 0)
   message(FATAL_ERROR "campaign with deleted flags failed: ${rc_deleted}")
 endif()
-if(NOT err_deleted MATCHES "warning: unknown option --search-cache")
-  message(FATAL_ERROR "deleted flag not reported as unknown: ${err_deleted}")
-endif()
+foreach(flag search-cache anon-shards flight-events)
+  if(NOT err_deleted MATCHES "warning: unknown option --${flag}")
+    message(FATAL_ERROR "deleted --${flag} not reported as unknown: "
+                        "${err_deleted}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORKDIR}/smoke_deleted_flags.xml ${WORKDIR}/smoke_ck.xml

@@ -341,8 +341,8 @@ struct SeriesRun {
 struct DataPlaneTuning {
   obs::Profiler* profiler = nullptr;
   /// Run a wall-clock ResourceSampler over the registry for the duration:
-  /// its proc.* gauges land in the same registry the series samples, so
-  /// this is the live test of the series' proc. exclusion.
+  /// its operational proc.* gauges land in the same registry the series
+  /// samples, so this is the live test that they stay out of it.
   bool sample_resources = false;
 };
 
@@ -353,9 +353,7 @@ SeriesRun run_with_series(std::uint64_t seed, std::size_t workers,
   cfg.workers = workers;
   cfg.profiler = tuning.profiler;
   obs::Registry registry;
-  obs::TimeSeriesOptions options;
-  options.interval = 30 * kMinute;
-  obs::TimeSeriesRecorder series(registry, options);
+  obs::TimeSeriesRecorder series(registry, 30 * kMinute);
   cfg.metrics = &registry;
   cfg.series = &series;
   std::ostringstream xml;

@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <sstream>
 
+#include "anon/anonymiser.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "decode/decoder.hpp"
 #include "xmlio/schema.hpp"
 
 namespace dtr::core {
@@ -191,34 +193,51 @@ TEST_F(EndToEnd, PcapDumpReplaysThroughOfflineDecoder) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineFileStore, PollutersSkewNaiveBucketsEndToEnd) {
-  // Run the same campaign through two pipelines differing only in the
-  // fileID index byte pair; the naive one must develop hot buckets 0/256
-  // in the pipeline's own (sharded) fileID table.
+  // Decode one polluted campaign once and anonymise its messages into two
+  // standalone stores differing only in the fileID index byte pair: the
+  // naive (0, 1) store must develop hot buckets 0/256.  The pipeline,
+  // fed the same frames, must build exactly the (5, 11) store.
   sim::CampaignConfig sim_cfg = RunnerConfig::tiny(33).campaign;
   sim_cfg.population.polluter_fraction = 0.10;  // amplify for a tiny run
   sim_cfg.population.casual_fraction = 0.70;
 
-  auto run_with = [&](unsigned b0, unsigned b1) {
-    sim::CampaignSimulator simulator(sim_cfg);
-    ParallelPipelineConfig cfg;
-    cfg.server_ip = sim_cfg.server_ip;
-    cfg.server_port = sim_cfg.server_port;
-    cfg.fileid_index_byte_0 = b0;
-    cfg.fileid_index_byte_1 = b1;
-    ParallelCapturePipeline pipeline(cfg);
-    simulator.run(
-        [&](const sim::TimedFrame& f) { pipeline.push(f); });
-    pipeline.finish();
-    const auto& store = pipeline.fileid_store();
-    return std::make_pair(store.bucket_size(0) + store.bucket_size(256),
-                          store.distinct());
-  };
+  anon::HashClientTable naive_clients, fixed_clients;
+  anon::BucketedFileIdStore naive(0, 1), fixed(5, 11);
+  anon::Anonymiser naive_anon(naive_clients, naive);
+  anon::Anonymiser fixed_anon(fixed_clients, fixed);
+  decode::FrameDecoder decoder(
+      sim_cfg.server_ip, sim_cfg.server_port,
+      [&](decode::DecodedMessage&& msg) {
+        naive_anon.anonymise(msg.time, msg.src_ip, msg.message);
+        fixed_anon.anonymise(msg.time, msg.src_ip, msg.message);
+      });
 
-  auto [naive_hot, naive_distinct] = run_with(0, 1);
-  auto [fixed_hot, fixed_distinct] = run_with(5, 11);
-  EXPECT_EQ(naive_distinct, fixed_distinct);
-  EXPECT_GT(naive_hot, fixed_hot * 10)
+  ParallelPipelineConfig cfg;
+  cfg.server_ip = sim_cfg.server_ip;
+  cfg.server_port = sim_cfg.server_port;
+  ParallelCapturePipeline pipeline(cfg);
+  sim::CampaignSimulator simulator(sim_cfg);
+  SimTime last = 0;
+  simulator.run([&](const sim::TimedFrame& f) {
+    decoder.push(f);
+    pipeline.push(f);
+    last = f.time;
+  });
+  decoder.finish(last);
+  pipeline.finish();
+
+  auto hot = [](const anon::BucketedFileIdStore& store) {
+    return store.bucket_size(0) + store.bucket_size(256);
+  };
+  ASSERT_GT(fixed.distinct(), 0u);
+  EXPECT_EQ(naive.distinct(), fixed.distinct());
+  EXPECT_GT(hot(naive), hot(fixed) * 10)
       << "first-two-byte indexing must concentrate forged IDs";
+
+  const anon::BucketedFileIdStore& piped = pipeline.fileid_store();
+  EXPECT_EQ(piped.distinct(), fixed.distinct());
+  EXPECT_EQ(piped.bucket_size(0), fixed.bucket_size(0));
+  EXPECT_EQ(piped.bucket_size(256), fixed.bucket_size(256));
 }
 
 }  // namespace

@@ -50,8 +50,11 @@ class ReferencePipeline {
     if (metrics != nullptr) {
       frames_ = &metrics->counter("pipeline.frames");
       messages_ = &metrics->counter("pipeline.messages");
-      decode_span_ = &metrics->histogram("span.decode.seconds");
-      anonymise_span_ = &metrics->histogram("span.anonymise.seconds");
+      constexpr auto kOps = obs::Determinism::kOperational;
+      decode_span_ = &metrics->histogram("span.decode.seconds",
+                                         obs::latency_buckets_s(), kOps);
+      anonymise_span_ = &metrics->histogram("span.anonymise.seconds",
+                                            obs::latency_buckets_s(), kOps);
       decoder_.bind_metrics(*metrics);
       anonymiser_.bind_metrics(*metrics);
       stats_.bind_metrics(*metrics);

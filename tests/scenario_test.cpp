@@ -115,9 +115,7 @@ RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
   cfg.xml_out = &xml;
   obs::Registry registry;
   cfg.metrics = &registry;
-  obs::TimeSeriesOptions series_options;
-  series_options.interval = 30 * kMinute;
-  obs::TimeSeriesRecorder series(registry, series_options);
+  obs::TimeSeriesRecorder series(registry, 30 * kMinute);
   cfg.series = &series;
 
   core::CampaignRunner runner(cfg);

@@ -5,11 +5,18 @@
 // surface as PipelineResult::error plus a time-ordered flight dump, never
 // a hang or a crash).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/campaign_runner.hpp"
@@ -17,7 +24,10 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/scenario.hpp"
 
 namespace dtr {
 namespace {
@@ -256,9 +266,7 @@ TEST(FlightRecorder, DumpJsonIsValidJson) {
 TEST(TimeSeriesRecorder, SamplesValuesAndDeltas) {
   obs::Registry registry;
   obs::Counter& c = registry.counter("decode.frames");
-  obs::TimeSeriesOptions options;
-  options.interval = kSecond;
-  obs::TimeSeriesRecorder series(registry, options);
+  obs::TimeSeriesRecorder series(registry, kSecond);
 
   EXPECT_FALSE(series.due(kSecond - 1));
   c.inc(10);
@@ -278,54 +286,43 @@ TEST(TimeSeriesRecorder, SamplesValuesAndDeltas) {
 TEST(TimeSeriesRecorder, FinishRecordsTheTail) {
   obs::Registry registry;
   registry.counter("a").inc();
-  obs::TimeSeriesOptions options;
-  options.interval = kHour;
-  obs::TimeSeriesRecorder series(registry, options);
+  obs::TimeSeriesRecorder series(registry, kHour);
   series.finish(6 * kHour + kSecond);  // boundaries 1h..6h inclusive
   EXPECT_EQ(series.samples().size(), 6u);
   EXPECT_EQ(series.samples().back().time, 6 * kHour);
 }
 
-TEST(TimeSeriesRecorder, FiltersAndExcludesPrefixes) {
+TEST(Determinism, OperationalInstrumentsStayOutOfTheMeasuredView) {
+  constexpr auto kOps = obs::Determinism::kOperational;
   obs::Registry registry;
   registry.counter("decode.frames").inc(3);
-  registry.counter("span.decode").inc(9);        // excluded by default
-  registry.gauge("pipeline.queue.frames").set(7);  // excluded by default
-  obs::TimeSeriesRecorder series(registry, {});
-  series.finish(kHour);
-  const obs::Snapshot& snap = series.samples().front().snapshot;
-  EXPECT_TRUE(snap.has_counter("decode.frames"));
-  EXPECT_FALSE(snap.has_counter("span.decode"));
-  EXPECT_TRUE(snap.gauges.empty());
+  registry.counter("ops.counter", kOps).inc(9);
+  registry.gauge("ops.gauge", kOps).set(7);
+  registry.histogram("ops.seconds", obs::latency_buckets_s(), kOps)
+      .observe(0.5);
+  // The first registration fixes the class, either way round.
+  registry.counter("ops.counter").inc();
+  registry.gauge("decode.depth").set(4);
+  registry.gauge("decode.depth", kOps).set(5);
 
-  obs::TimeSeriesOptions only;
-  only.interval = kHour;
-  only.include_prefixes = {"anon."};
-  obs::TimeSeriesRecorder filtered(registry, only);
-  filtered.finish(kHour);
-  EXPECT_TRUE(filtered.samples().front().snapshot.counters.empty());
-}
+  const obs::Snapshot all = registry.snapshot();
+  EXPECT_EQ(all.counter("ops.counter"), 10u);
+  EXPECT_EQ(all.gauge("ops.gauge"), 7);
+  EXPECT_EQ(all.histograms.count("ops.seconds"), 1u);
 
-TEST(TimeSeriesRecorder, SparseModeStoresOnlyChanges) {
-  obs::Registry registry;
-  obs::Counter& c = registry.counter("capture.dropped");
-  obs::TimeSeriesOptions options;
-  options.interval = kSecond;
-  options.store_only_on_change = true;
-  obs::TimeSeriesRecorder series(registry, options);
+  const obs::Snapshot measured = registry.measured_snapshot();
+  EXPECT_EQ(measured.counters,
+            (std::map<std::string, std::uint64_t>{{"decode.frames", 3}}));
+  EXPECT_EQ(measured.gauges,
+            (std::map<std::string, std::int64_t>{{"decode.depth", 5}}));
+  EXPECT_TRUE(measured.histograms.empty());
 
-  c.inc(2);
-  series.sample();            // boundary 1s: first change -> stored
-  series.sample();            // 2s: no change -> skipped
-  series.sample();            // 3s: no change -> skipped
-  c.inc(4);
-  series.sample();            // 4s: stored, delta must still be exactly 4
-  series.finish(10 * kSecond);  // all-quiet tail -> nothing stored
-
-  auto deltas = series.counter_deltas("capture.dropped");
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(deltas[0], (std::pair<SimTime, std::uint64_t>{kSecond, 2}));
-  EXPECT_EQ(deltas[1], (std::pair<SimTime, std::uint64_t>{4 * kSecond, 4}));
+  obs::TimeSeriesRecorder series(registry, kHour);
+  series.finish(3 * kHour);
+  ASSERT_EQ(series.samples().size(), 3u);
+  for (const auto& sample : series.samples()) {
+    EXPECT_EQ(sample.snapshot, measured);
+  }
 }
 
 TEST(TimeSeriesRecorder, WritesValidJsonlAndCsv) {
@@ -333,9 +330,7 @@ TEST(TimeSeriesRecorder, WritesValidJsonlAndCsv) {
   registry.counter("decode.frames").inc(4);
   registry.gauge("anon.clients.distinct").set(2);
   registry.histogram("pipeline.batch.messages", {1.0, 8.0}).observe(3.0);
-  obs::TimeSeriesOptions options;
-  options.interval = kSecond;
-  obs::TimeSeriesRecorder series(registry, options);
+  obs::TimeSeriesRecorder series(registry, kSecond);
   series.sample();
   registry.counter("decode.frames").inc(1);
   series.sample();
@@ -361,9 +356,7 @@ TEST(TimeSeriesRecorder, WritesValidJsonlAndCsv) {
 TEST(TimeSeriesRecorder, ByteIdenticalAcrossIdenticalRuns) {
   auto run = [] {
     obs::Registry registry;
-    obs::TimeSeriesOptions options;
-    options.interval = kSecond;
-    obs::TimeSeriesRecorder series(registry, options);
+    obs::TimeSeriesRecorder series(registry, kSecond);
     obs::Counter& c = registry.counter("decode.frames");
     obs::Histogram& h = registry.histogram("pipeline.batch.messages", {2.0});
     for (int i = 1; i <= 5; ++i) {
@@ -477,9 +470,7 @@ TEST(RunnerSeries, RecordsIntervalSeriesDuringCampaign) {
   core::RunnerConfig cfg = failing_config(0);
   cfg.campaign.duration = 2 * kHour;
   obs::Registry registry;
-  obs::TimeSeriesOptions options;
-  options.interval = 30 * kMinute;
-  obs::TimeSeriesRecorder series(registry, options);
+  obs::TimeSeriesRecorder series(registry, 30 * kMinute);
   cfg.metrics = &registry;
   cfg.series = &series;
 
@@ -501,6 +492,131 @@ TEST(RunnerSeries, RecordsIntervalSeriesDuringCampaign) {
   // The final sample holds the end-of-run counter values.
   EXPECT_EQ(series.samples().back().snapshot.counter("decode.frames"),
             report.pipeline.decode.frames);
+}
+
+// The "Metric name inventory" table in docs/OBSERVABILITY.md lists every
+// instrument a campaign can register, with its type and class.  A run with
+// every feature on (two workers, background traffic, a scenario,
+// compression, checkpoint and resume, a bound logger, the profiler with
+// its resource sampler, a series) must register exactly that set.
+using InventoryRow = std::tuple<std::string, std::string, std::string>;
+
+std::set<InventoryRow> registered_inventory(const obs::Registry& registry) {
+  // One row for every index shard: server.index.shard.<k>.files.
+  auto generic = [](std::string name) {
+    const std::string shard = "server.index.shard.";
+    if (name.rfind(shard, 0) == 0) {
+      name.replace(shard.size(), name.find('.', shard.size()) - shard.size(),
+                   "<k>");
+    }
+    return name;
+  };
+  const obs::Snapshot measured = registry.measured_snapshot();
+  auto cls = [&](const auto& instruments, const std::string& name) {
+    return instruments.count(name) != 0 ? "measured" : "operational";
+  };
+  std::set<InventoryRow> rows;
+  const obs::Snapshot all = registry.snapshot();
+  for (const auto& [name, v] : all.counters) {
+    rows.emplace(generic(name), "counter", cls(measured.counters, name));
+  }
+  for (const auto& [name, v] : all.gauges) {
+    rows.emplace(generic(name), "gauge", cls(measured.gauges, name));
+  }
+  for (const auto& [name, h] : all.histograms) {
+    rows.emplace(generic(name), "histogram", cls(measured.histograms, name));
+  }
+  return rows;
+}
+
+std::set<InventoryRow> documented_inventory() {
+  std::ifstream doc(DTR_SOURCE_DIR "/docs/OBSERVABILITY.md");
+  EXPECT_TRUE(doc.good());
+  std::set<InventoryRow> rows;
+  bool in_inventory = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      in_inventory = line == "## Metric name inventory";
+      continue;
+    }
+    if (!in_inventory || line.rfind("| `", 0) != 0) continue;
+    // | `name` | type | class | meaning |
+    std::vector<std::string> cells;
+    std::istringstream cols(line.substr(1));
+    for (std::string cell; std::getline(cols, cell, '|');) {
+      const auto first = cell.find_first_not_of(" `");
+      const auto last = cell.find_last_not_of(" `");
+      cells.push_back(first == std::string::npos
+                          ? ""
+                          : cell.substr(first, last - first + 1));
+    }
+    EXPECT_GE(cells.size(), 4u) << line;
+    if (cells.size() >= 3) rows.emplace(cells[0], cells[1], cells[2]);
+  }
+  return rows;
+}
+
+TEST(Inventory, DocsTableMatchesAFullFeatureRun) {
+  // Per process, so concurrent runs (sanitizer builds) never share it.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("inventory_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+
+  std::set<InventoryRow> seen;
+  auto run = [&](const std::string& resume_from) {
+    core::RunnerConfig cfg = core::RunnerConfig::tiny(17);
+    cfg.campaign.duration = 3 * kHour;
+    cfg.campaign.scenario = *sim::scenario_preset("flash_crowd");
+    sim::BackgroundConfig bg;
+    bg.syn_per_minute = 30.0;
+    cfg.background = bg;
+    cfg.workers = 2;
+    cfg.compress = true;
+    std::ostringstream xml;
+    cfg.xml_out = &xml;
+    cfg.checkpoint_dir = (dir / (resume_from.empty() ? "a" : "b")).string();
+    cfg.checkpoint_interval = kHour;
+    cfg.resume_from = resume_from;
+
+    obs::Registry registry;
+    cfg.metrics = &registry;
+    obs::CaptureSink sink;
+    obs::Logger logger;
+    logger.set_level(obs::LogLevel::kDebug);
+    logger.set_sink(&sink);
+    logger.bind_metrics(registry);
+    cfg.log = &logger;
+    obs::Profiler profiler;
+    cfg.profiler = &profiler;
+    obs::ResourceSampler sampler(&registry);
+    obs::TimeSeriesRecorder series(registry, 30 * kMinute);
+    cfg.series = &series;
+
+    core::CampaignRunner runner(cfg);
+    sampler.start();
+    const core::CampaignReport report = runner.run();
+    sampler.stop();
+    ASSERT_TRUE(report.pipeline.ok()) << report.pipeline.error;
+    const std::set<InventoryRow> rows = registered_inventory(registry);
+    seen.insert(rows.begin(), rows.end());
+  };
+  run("");
+  run((dir / "a" / core::checkpoint_file_name(kHour)).string());
+
+  const std::set<InventoryRow> documented = documented_inventory();
+  for (const auto& [name, type, cls] : seen) {
+    EXPECT_EQ(documented.count({name, type, cls}), 1u)
+        << "registered, not in the docs table: " << name << " | " << type
+        << " | " << cls;
+  }
+  for (const auto& [name, type, cls] : documented) {
+    EXPECT_EQ(seen.count({name, type, cls}), 1u)
+        << "in the docs table, not registered: " << name << " | " << type
+        << " | " << cls;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -108,7 +108,6 @@ telemetry (campaign and decode; PATH "-" = stdout for --metrics-out,
   --flight-dump PATH      write the flight-recorder post-mortem (JSON,
                           "-" = stderr as text) after the run; written
                           automatically when the pipeline fails
-  --flight-events N       per-thread flight ring capacity (default 1024)
   --profile-out PATH      (campaign) profile the run: per-thread time
                           attribution (working/queue_wait/park/lock_wait),
                           wall-clock RSS/allocation/occupancy sampling and
@@ -305,7 +304,7 @@ class MetricsTicker {
 
 /// The telemetry channels behind the shared campaign/decode flags
 /// (--metrics-out/--metrics-interval/--series-out/--series-csv/--log-level/
-/// --flight-dump/--flight-events).
+/// --flight-dump).
 struct Telemetry {
   obs::Registry registry;
   std::string metrics_path;
@@ -367,15 +366,13 @@ int setup_telemetry(const cli::Args& args, bool always_flight, Telemetry& t) {
     t.log_enabled = true;
   }
   if (always_flight || !t.flight_path.empty()) {
-    t.flight = std::make_unique<obs::FlightRecorder>(
-        args.get_uint<std::size_t>("flight-events", 1024));
+    t.flight = std::make_unique<obs::FlightRecorder>();
   }
   if (!t.series_path.empty() || !t.series_csv_path.empty()) {
-    obs::TimeSeriesOptions options;
-    options.interval = metrics_interval > 0.0
-                           ? static_cast<SimTime>(metrics_interval * kSecond)
-                           : kHour;
-    t.series = std::make_unique<obs::TimeSeriesRecorder>(t.registry, options);
+    t.series = std::make_unique<obs::TimeSeriesRecorder>(
+        t.registry, metrics_interval > 0.0
+                        ? static_cast<SimTime>(metrics_interval * kSecond)
+                        : kHour);
   }
   return 0;
 }
