@@ -19,6 +19,11 @@
 // resident.  Compare rows run alone, one per process:
 //
 //   anon_ablation --benchmark_filter='^BM_ClientHashTable/100000$'
+//
+// Every row reports the same four counters — `distinct`, `MiB`,
+// `largest_bucket` and `estimate` — with 0 where one does not apply,
+// because the CSV reporter (--benchmark_format=csv) aborts on a row whose
+// counter names differ from the first row's.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -32,6 +37,17 @@
 namespace {
 
 using namespace dtr;
+
+constexpr double kMiB = 1024.0 * 1024.0;
+
+/// Set every row's four counters (0 where a counter does not apply).
+void set_counters(benchmark::State& state, double distinct, double mib,
+                  double largest_bucket, double estimate) {
+  state.counters["distinct"] = distinct;
+  state.counters["MiB"] = mib;
+  state.counters["largest_bucket"] = largest_bucket;
+  state.counters["estimate"] = estimate;
+}
 
 // ---------------------------------------------------------------------------
 // clientID tables
@@ -61,9 +77,8 @@ void client_table_bench(benchmark::State& state, std::uint64_t ops_per_distinct,
     for (std::uint64_t i = 0; i < distinct * ops_per_distinct; ++i) {
       benchmark::DoNotOptimize(table->anonymise(stream->next()));
     }
-    state.counters["distinct"] = static_cast<double>(table->distinct());
-    state.counters["MiB"] =
-        static_cast<double>(table->memory_bytes()) / (1024.0 * 1024.0);
+    set_counters(state, static_cast<double>(table->distinct()),
+                 static_cast<double>(table->memory_bytes()) / kMiB, 0, 0);
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -118,9 +133,8 @@ void fileid_store_bench(benchmark::State& state, double forged_fraction) {
     for (std::uint64_t i = 0; i < distinct * 3; ++i) {
       benchmark::DoNotOptimize(store->anonymise(stream->next()));
     }
-    state.counters["distinct"] = static_cast<double>(store->distinct());
-    state.counters["MiB"] =
-        static_cast<double>(store->memory_bytes()) / (1024.0 * 1024.0);
+    set_counters(state, static_cast<double>(store->distinct()),
+                 static_cast<double>(store->memory_bytes()) / kMiB, 0, 0);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 3));
@@ -165,8 +179,8 @@ void bucketed_bytepair_bench(benchmark::State& state, unsigned b0, unsigned b1) 
     for (std::uint64_t i = 0; i < distinct * 3; ++i) {
       benchmark::DoNotOptimize(store->anonymise(stream->next()));
     }
-    state.counters["largest_bucket"] =
-        static_cast<double>(store->largest_bucket());
+    set_counters(state, 0, 0, static_cast<double>(store->largest_bucket()),
+                 0);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 3));
@@ -196,9 +210,8 @@ void BM_DistinctExactBitset(benchmark::State& state) {
     workload::ClientIdStream stream(cfg);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < distinct * 4; ++i) counter.observe(stream.next());
-    state.counters["distinct"] = static_cast<double>(counter.distinct());
-    state.counters["MiB"] =
-        static_cast<double>(counter.memory_bytes()) / (1024.0 * 1024.0);
+    set_counters(state, static_cast<double>(counter.distinct()),
+                 static_cast<double>(counter.memory_bytes()) / kMiB, 0, 0);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 4));
@@ -213,9 +226,8 @@ void BM_DistinctHyperLogLog(benchmark::State& state) {
     workload::ClientIdStream stream(cfg);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < distinct * 4; ++i) hll.observe(stream.next());
-    state.counters["estimate"] = hll.estimate();
-    state.counters["MiB"] =
-        static_cast<double>(hll.memory_bytes()) / (1024.0 * 1024.0);
+    set_counters(state, 0, static_cast<double>(hll.memory_bytes()) / kMiB, 0,
+                 hll.estimate());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(distinct * 4));

@@ -4,12 +4,8 @@ namespace dtr::analysis {
 
 void CampaignStats::observe_file_meta(anon::AnonFileId file,
                                       const anon::AnonFileMeta& meta) {
-  auto [it, inserted] = seen_files_.try_emplace(file, 0);
-  if (inserted) {
-    std::uint32_t kb = meta.size_kb.value_or(0);
-    it->second = kb;
-    if (kb > 0) sizes_.add(kb);
-  }
+  const std::uint32_t kb = meta.size_kb.value_or(0);
+  if (seen_files_.try_emplace(file, kb).second && kb > 0) sizes_.add(kb);
 }
 
 void CampaignStats::consume(const anon::AnonEvent& event) {
@@ -86,10 +82,10 @@ void CampaignStats::save_state(ByteWriter& out) const {
   provides_.save_state(out);
   asks_.save_state(out);
   out.u64le(seen_files_.size());
-  for (const auto& [file, kb] : seen_files_) {
+  seen_files_.for_each([&](anon::AnonFileId file, std::uint32_t kb) {
     out.u64le(file);
     out.u32le(kb);
-  }
+  });
   const auto& bins = sizes_.bins();
   out.u64le(bins.size());
   for (const auto& [value, count] : bins) {

@@ -13,9 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "analysis/distinct.hpp"
+#include "analysis/flat_table.hpp"
 #include "anon/anonymiser.hpp"
 #include "common/binning.hpp"
 #include "obs/metrics.hpp"
@@ -92,7 +92,8 @@ class CampaignStats {
   BitsetDistinctCounter distinct_clients_;
   PairSetCounter provides_;  // a = file, b = providing client
   PairSetCounter asks_;      // a = file, b = asking client
-  std::unordered_map<anon::AnonFileId, std::uint32_t> seen_files_;  // -> KB
+  // file -> first-seen size in KB (0 when the first sighting had none)
+  FlatTable<anon::AnonFileId, std::uint32_t, FlatIntHash> seen_files_;
   CountHistogram sizes_;     // over distinct files, by first-seen size
 };
 

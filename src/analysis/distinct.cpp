@@ -1,7 +1,6 @@
 #include "analysis/distinct.hpp"
 
 #include <cstring>
-#include <unordered_map>
 
 namespace dtr::analysis {
 
@@ -65,16 +64,28 @@ bool BitsetDistinctCounter::restore_state(ByteReader& in) {
   return in.ok() && distinct_ == count;
 }
 
+namespace {
+
+template <typename K>
+CountHistogram degree_histogram(
+    const FlatTable<K, std::uint64_t, FlatIntHash>& degree) {
+  CountHistogram h;
+  degree.for_each([&](K, std::uint64_t count) { h.add(count); });
+  return h;
+}
+
+}  // namespace
+
 bool PairSetCounter::observe(std::uint64_t a, std::uint32_t b) {
-  return set_.insert(Key{a, b}).second;
+  return set_.try_emplace(Key{a, b}).second;
 }
 
 void PairSetCounter::save_state(ByteWriter& out) const {
   out.u64le(set_.size());
-  for (const Key& k : set_) {
-    out.u64le(k.a);
+  set_.for_each([&](const Key& k, FlatNone) {
+    out.u64le(k.a());
     out.u32le(k.b);
-  }
+  });
 }
 
 bool PairSetCounter::restore_state(ByteReader& in) {
@@ -85,25 +96,23 @@ bool PairSetCounter::restore_state(ByteReader& in) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t a = in.u64le();
     const std::uint32_t b = in.u32le();
-    if (!set_.insert(Key{a, b}).second) return false;
+    if (!set_.try_emplace(Key{a, b}).second) return false;
   }
   return in.ok();
 }
 
 CountHistogram PairSetCounter::degree_of_a() const {
-  std::unordered_map<std::uint64_t, std::uint64_t> degree;
-  for (const Key& k : set_) ++degree[k.a];
-  CountHistogram h;
-  for (const auto& [a, count] : degree) h.add(count);
-  return h;
+  FlatTable<std::uint64_t, std::uint64_t, FlatIntHash> degree;
+  set_.for_each(
+      [&](const Key& k, FlatNone) { ++*degree.try_emplace(k.a()).first; });
+  return degree_histogram(degree);
 }
 
 CountHistogram PairSetCounter::degree_of_b() const {
-  std::unordered_map<std::uint32_t, std::uint64_t> degree;
-  for (const Key& k : set_) ++degree[k.b];
-  CountHistogram h;
-  for (const auto& [b, count] : degree) h.add(count);
-  return h;
+  FlatTable<std::uint32_t, std::uint64_t, FlatIntHash> degree;
+  set_.for_each(
+      [&](const Key& k, FlatNone) { ++*degree.try_emplace(k.b).first; });
+  return degree_histogram(degree);
 }
 
 }  // namespace dtr::analysis

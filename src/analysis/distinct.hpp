@@ -7,14 +7,17 @@
 //     a lazily-paged bitmap over the 2^32 key space, 512 MiB worst case,
 //     kilobytes for clustered key sets; O(1) per observation.
 //   * PairSetCounter — for (file, client) relation dedup, used to build the
-//     "clients per file" / "files per client" distributions exactly.
+//     "clients per file" / "files per client" distributions exactly.  The
+//     pairs live in a FlatTable (flat_table.hpp): one 16-byte slot per
+//     pair plus free slots (load at most 3/4), linear probing, no per-pair
+//     allocation.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
+#include "analysis/flat_table.hpp"
 #include "common/binning.hpp"
 #include "common/bytes.hpp"
 
@@ -53,8 +56,9 @@ class PairSetCounter {
 
   [[nodiscard]] std::uint64_t pairs() const { return set_.size(); }
 
-  /// Checkpoint codec: the deduplicated pairs (order irrelevant — the
-  /// degree histograms are computed from the set, not from history).
+  /// Checkpoint codec: the deduplicated pairs in table order (restore does
+  /// not depend on it — the degree histograms are computed from the set,
+  /// not from history).
   void save_state(ByteWriter& out) const;
   bool restore_state(ByteReader& in);
 
@@ -65,21 +69,34 @@ class PairSetCounter {
   [[nodiscard]] CountHistogram degree_of_b() const;
 
  private:
+  // `a` as two 32-bit halves: 12 bytes at 4-byte alignment, so a slot
+  // (key, empty value, occupied flag) is 16 bytes.
   struct Key {
-    std::uint64_t a;
+    std::uint32_t a_lo;
+    std::uint32_t a_hi;
     std::uint32_t b;
+    Key() = default;
+    Key(std::uint64_t a, std::uint32_t b_)
+        : a_lo(static_cast<std::uint32_t>(a)),
+          a_hi(static_cast<std::uint32_t>(a >> 32)),
+          b(b_) {}
+    [[nodiscard]] std::uint64_t a() const {
+      return (static_cast<std::uint64_t>(a_hi) << 32) | a_lo;
+    }
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = k.a * 0x9E3779B97F4A7C15ULL;
+      std::uint64_t h = k.a() * 0x9E3779B97F4A7C15ULL;
       h ^= (static_cast<std::uint64_t>(k.b) + 0xD1B54A32D192ED03ULL +
             (h << 6) + (h >> 2));
       return static_cast<std::size_t>(h * 0xBF58476D1CE4E5B9ULL >> 7);
     }
   };
+  using Set = FlatTable<Key, FlatNone, KeyHash>;
+  static_assert(sizeof(Set::Slot) == 16);
 
-  std::unordered_set<Key, KeyHash> set_;
+  Set set_;
 };
 
 }  // namespace dtr::analysis

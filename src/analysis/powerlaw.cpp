@@ -15,8 +15,12 @@ PowerLawFit fit_power_law(const CountHistogram& h, std::uint64_t xmin) {
   double log_sum = 0.0;
   std::uint64_t n = 0;
   const double shift = static_cast<double>(fit.xmin) - 0.5;
-  for (const auto& [value, count] : h.bins()) {
-    if (value < fit.xmin) continue;
+  // Both loops run over the tail only: the bins are sorted, so starting at
+  // lower_bound(xmin) does the same operations in the same order as a full
+  // scan that skips the values below xmin.
+  const auto tail = h.bins().lower_bound(fit.xmin);
+  for (auto it = tail; it != h.bins().end(); ++it) {
+    const auto& [value, count] = *it;
     log_sum += static_cast<double>(count) *
                std::log(static_cast<double>(value) / shift);
     n += count;
@@ -29,8 +33,8 @@ PowerLawFit fit_power_law(const CountHistogram& h, std::uint64_t xmin) {
   // (continuous approximation P(X >= x) = (x / xmin)^{1 - alpha}).
   double ks = 0.0;
   std::uint64_t cum = 0;
-  for (const auto& [value, count] : h.bins()) {
-    if (value < fit.xmin) continue;
+  for (auto it = tail; it != h.bins().end(); ++it) {
+    const auto& [value, count] = *it;
     cum += count;
     double empirical = static_cast<double>(cum) / static_cast<double>(n);
     double model =

@@ -480,24 +480,26 @@ bool ChunkedReader::next(std::string& out) {
     fail("compressed length out of bounds");
     return false;
   }
-  Bytes payload(compressed);
-  if (!read_exact(payload.data(), payload.size())) {
+  payload_.resize(compressed);
+  if (!read_exact(payload_.data(), payload_.size())) {
     fail("truncated payload");
     return false;
   }
-  if (chunked_frame_checksum(seed_, index, original, compressed,
-                             BytesView(payload.data(), payload.size())) !=
+  const BytesView payload(payload_.data(), payload_.size());
+  if (chunked_frame_checksum(seed_, index, original, compressed, payload) !=
       checksum) {
     fail("chunk checksum mismatch");
     return false;
   }
-  std::optional<Bytes> plain =
-      lz_decompress(BytesView(payload.data(), payload.size()));
-  if (!plain || plain->size() != original) {
+  // Decode straight into `out`, with the decoder's slack past the chunk.
+  out.resize(original + kLzDecodeSlack);
+  auto* const plain = reinterpret_cast<std::uint8_t*>(out.data());
+  if (lz_decoded_size(payload) != original ||
+      !lz_decompress_into(payload, plain)) {
     fail("chunk payload does not decompress to its declared length");
     return false;
   }
-  out.assign(reinterpret_cast<const char*>(plain->data()), plain->size());
+  out.resize(original);
   ++next_index_;
   total_out_ += original;
   return true;

@@ -175,8 +175,10 @@ class ChunkedReader {
  public:
   explicit ChunkedReader(std::istream& in);
 
-  /// Read and verify the next chunk into `out` (replaced).  False at the
-  /// end frame or on error — distinguish with finished()/ok().
+  /// Read and verify the next chunk into `out` (replaced; decoded in
+  /// place, so a reused `out` costs no allocation).  False at the end
+  /// frame or on error — distinguish with finished()/ok(); after an error
+  /// `out` holds junk.
   bool next(std::string& out);
 
   [[nodiscard]] bool ok() const { return error_.empty(); }
@@ -190,6 +192,7 @@ class ChunkedReader {
   bool read_exact(void* dst, std::size_t n);
 
   std::istream& in_;
+  Bytes payload_;  // the current frame's payload, reused across frames
   std::uint64_t seed_ = 0;
   std::size_t chunk_bytes_ = 0;
   std::uint64_t next_index_ = 0;

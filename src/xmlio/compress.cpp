@@ -7,6 +7,7 @@ namespace dtr::xmlio {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'D', 'T', 'Z', '1'};
+constexpr std::size_t kHeaderBytes = 12;  // magic + u64le original size
 
 // Hash-chain matcher state: head[hash] = most recent position with that
 // 4-byte hash; prev[pos & mask] = previous position in the chain.
@@ -107,40 +108,121 @@ Bytes lz_compress(BytesView data, LzScratch& scratch) {
   return std::move(out).take();
 }
 
-std::optional<Bytes> lz_decompress(BytesView compressed) {
-  if (compressed.size() < 12) return std::nullopt;
+std::optional<std::uint64_t> lz_decoded_size(BytesView compressed) {
+  if (compressed.size() < kHeaderBytes) return std::nullopt;
   if (std::memcmp(compressed.data(), kMagic, 4) != 0) return std::nullopt;
   ByteReader r(compressed.subspan(4));
-  std::uint64_t original_size = r.u64le();
+  const std::uint64_t original_size = r.u64le();
   // Refuse absurd sizes relative to the input (a 12-byte file cannot claim
   // terabytes: max expansion per token is kLzMaxMatch bytes from 3).
   if (original_size > (compressed.size() + 1) * kLzMaxMatch) {
     return std::nullopt;
   }
+  return original_size;
+}
 
-  Bytes out;
-  out.reserve(original_size);
-  while (out.size() < original_size) {
-    if (!r.ok() || r.at_end()) return std::nullopt;
-    std::uint8_t flags = r.u8();
-    for (int bit = 0; bit < 8 && out.size() < original_size; ++bit) {
-      if (flags & (1u << bit)) {
-        std::uint16_t dist_raw = r.u16le();
-        std::uint8_t len_raw = r.u8();
-        if (!r.ok()) return std::nullopt;
-        std::size_t dist = static_cast<std::size_t>(dist_raw) + 1;
-        std::size_t len = static_cast<std::size_t>(len_raw) + kLzMinMatch;
-        if (dist > out.size()) return std::nullopt;  // out-of-window
-        if (out.size() + len > original_size) return std::nullopt;
-        std::size_t from = out.size() - dist;
-        for (std::size_t i = 0; i < len; ++i) out.push_back(out[from + i]);
-      } else {
-        std::uint8_t byte = r.u8();
-        if (!r.ok()) return std::nullopt;
-        out.push_back(byte);
+namespace {
+
+/// Copy a match of `len` (>= kLzMinMatch) bytes from `dist` back.  At a
+/// distance of 8 or more, each 8-byte step reads bytes that are already
+/// decoded (from + 8 <= op); the first two steps always run, so up to 12
+/// bytes past the match are written: later tokens overwrite them, and past
+/// the declared size they land in the slack.  A closer source overlaps the
+/// bytes being written and is copied byte by byte.
+inline std::uint8_t* copy_match(std::uint8_t* op, std::size_t dist,
+                                std::size_t len) {
+  const std::uint8_t* from = op - dist;
+  std::uint8_t* const end = op + len;
+  if (dist >= 8) {
+    std::memcpy(op, from, 8);
+    std::memcpy(op + 8, from + 8, 8);
+    for (op += 16, from += 16; op < end; op += 8, from += 8) {
+      std::memcpy(op, from, 8);
+    }
+  } else {
+    while (op < end) *op++ = *from++;
+  }
+  return end;
+}
+
+inline std::size_t match_distance(const std::uint8_t* ip) {
+  return (static_cast<std::size_t>(ip[0]) |
+          (static_cast<std::size_t>(ip[1]) << 8)) +
+         1;
+}
+
+inline std::size_t match_length(const std::uint8_t* ip) {
+  return static_cast<std::size_t>(ip[2]) + kLzMinMatch;
+}
+
+// A whole group (flag byte excluded) reads at most 8 * 3 bytes and writes
+// at most 8 * kLzMaxMatch.  The group decoder also reads and writes 8
+// literal bytes at a time and lets a match copy run 12 bytes past its end,
+// so it runs only with this much input and output room left.
+constexpr std::size_t kGroupInput = 8 * 3 + 8;
+constexpr std::size_t kGroupOutput = 8 * kLzMaxMatch + 16;
+
+}  // namespace
+
+bool lz_decompress_into(BytesView compressed, std::uint8_t* out) {
+  const std::optional<std::uint64_t> size = lz_decoded_size(compressed);
+  if (!size) return false;
+  const std::uint8_t* ip = compressed.data() + kHeaderBytes;
+  const std::uint8_t* const in_end = compressed.data() + compressed.size();
+  std::uint8_t* op = out;
+  std::uint8_t* const out_end = out + *size;
+
+  while (op < out_end) {
+    if (ip == in_end) return false;  // truncated: no flag byte
+    unsigned flags = *ip++;
+    if (static_cast<std::size_t>(in_end - ip) >= kGroupInput &&
+        static_cast<std::size_t>(out_end - op) >= kGroupOutput) {
+      // The group can neither run out of input nor reach the declared
+      // size, so only the distances need checking.  Each run of literals
+      // is one 8-byte copy; bit 8 marks the end of the group.
+      flags |= 0x100;
+      for (;;) {
+        const auto literals = static_cast<unsigned>(__builtin_ctz(flags));
+        std::memcpy(op, ip, 8);
+        op += literals;
+        ip += literals;
+        flags >>= literals;
+        if (flags == 1) break;
+        flags >>= 1;
+        const std::size_t dist = match_distance(ip);
+        const std::size_t len = match_length(ip);
+        ip += 3;
+        if (dist > static_cast<std::size_t>(op - out)) return false;
+        op = copy_match(op, dist, len);
       }
+      continue;
+    }
+    // Near either end: one token at a time, checking every bound.
+    for (int bit = 0; bit < 8 && op < out_end; ++bit, flags >>= 1) {
+      if ((flags & 1) == 0) {
+        if (ip == in_end) return false;  // truncated literal
+        *op++ = *ip++;
+        continue;
+      }
+      if (in_end - ip < 3) return false;  // truncated match
+      const std::size_t dist = match_distance(ip);
+      const std::size_t len = match_length(ip);
+      ip += 3;
+      // A distance beyond the bytes produced, or a match past the end.
+      if (dist > static_cast<std::size_t>(op - out)) return false;
+      if (len > static_cast<std::size_t>(out_end - op)) return false;
+      op = copy_match(op, dist, len);
     }
   }
+  return true;
+}
+
+std::optional<Bytes> lz_decompress(BytesView compressed) {
+  const std::optional<std::uint64_t> size = lz_decoded_size(compressed);
+  if (!size) return std::nullopt;
+  Bytes out(*size + kLzDecodeSlack);
+  if (!lz_decompress_into(compressed, out.data())) return std::nullopt;
+  out.resize(*size);
   return out;
 }
 

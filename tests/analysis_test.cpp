@@ -2,15 +2,22 @@
 // histograms, power-law fitting, report rendering, campaign statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analysis/campaign_stats.hpp"
 #include "analysis/distinct.hpp"
+#include "analysis/flat_table.hpp"
 #include "analysis/hyperloglog.hpp"
 #include "analysis/powerlaw.hpp"
 #include "analysis/report.hpp"
 #include "common/rng.hpp"
+#include "core/campaign_runner.hpp"
 #include "workload/idstream.hpp"
 
 namespace dtr::analysis {
@@ -108,6 +115,102 @@ TEST(PairSet, DegreeSumsMatchPairCount) {
   for (const auto& [deg, n] : by_b.bins()) sum_b += deg * n;
   EXPECT_EQ(sum_a, pairs.pairs());
   EXPECT_EQ(sum_b, pairs.pairs());
+}
+
+// The table's capacity follows how many entries it holds, never what
+// they are: the largest keys cost what small ones do.
+TEST(FlatTable, CapacityFollowsEntryCountNotKeyValues) {
+  FlatTable<std::uint64_t, std::uint32_t, FlatIntHash> table;
+  EXPECT_EQ(table.capacity(), 0u);
+  const std::uint64_t keys[] = {0, ~0ull, 1ull << 63, 1ull << 32, 0xFFFFFFFF,
+                                1, 2,     3,          4,          5,
+                                6, 7};
+  for (std::uint64_t k : keys) {
+    EXPECT_TRUE(table.try_emplace(k, static_cast<std::uint32_t>(k)).second);
+  }
+  EXPECT_EQ(table.size(), 12u);
+  EXPECT_EQ(table.capacity(), 16u);  // 12/16 is the 3/4 load bound
+  EXPECT_FALSE(table.try_emplace(~0ull, 9).second);
+  EXPECT_EQ(*table.try_emplace(~0ull).first, 0xFFFFFFFFu);  // first value kept
+  EXPECT_TRUE(table.try_emplace(8, 8).second);
+  EXPECT_EQ(table.capacity(), 32u);  // the 13th entry doubles it
+  for (std::uint64_t k : keys) {
+    EXPECT_EQ(*table.try_emplace(k).first, static_cast<std::uint32_t>(k));
+  }
+  table.reserve(100);
+  EXPECT_EQ(table.capacity(), 256u);  // smallest power of two holding 100
+  EXPECT_EQ(table.size(), 13u);
+  table.clear();
+  EXPECT_EQ(table.capacity(), 0u);
+}
+
+// The relation table against a std::set: random pairs over a few thousand
+// files and clients (so most observations repeat) plus the keys an
+// empty-marker scheme would trip over.
+TEST(PairSet, AgreesWithSetReference) {
+  PairSetCounter pairs;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> reference;
+  const std::uint64_t hostile_a[] = {0, ~0ull, 1ull << 32, 0xFFFFFFFFull};
+  const std::uint32_t hostile_b[] = {0, 0xFFFFFFFF, 1};
+  Rng rng(24);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t a = rng.below(4000);
+    std::uint32_t b = static_cast<std::uint32_t>(rng.below(3000));
+    if (rng.chance(0.01)) a = hostile_a[rng.below(4)];
+    if (rng.chance(0.01)) b = hostile_b[rng.below(3)];
+    if (rng.chance(0.01)) a = rng.next();  // high bits set
+    ASSERT_EQ(pairs.observe(a, b), reference.insert({a, b}).second)
+        << "observation " << i;
+  }
+  ASSERT_EQ(pairs.pairs(), reference.size());
+
+  std::map<std::uint64_t, std::uint64_t> by_a;
+  std::map<std::uint32_t, std::uint64_t> by_b;
+  for (const auto& [a, b] : reference) {
+    ++by_a[a];
+    ++by_b[b];
+  }
+  CountHistogram want_a;
+  for (const auto& [a, degree] : by_a) want_a.add(degree);
+  CountHistogram want_b;
+  for (const auto& [b, degree] : by_b) want_b.add(degree);
+  EXPECT_EQ(pairs.degree_of_a().bins(), want_a.bins());
+  EXPECT_EQ(pairs.degree_of_b().bins(), want_b.bins());
+
+  // Save, restore, and check the restored set is the same set.
+  ByteWriter out;
+  pairs.save_state(out);
+  EXPECT_EQ(out.view().size(), 8 + 12 * reference.size());
+  PairSetCounter restored;
+  ByteReader in(out.view());
+  ASSERT_TRUE(restored.restore_state(in));
+  EXPECT_TRUE(in.at_end());
+  EXPECT_EQ(restored.pairs(), reference.size());
+  EXPECT_EQ(restored.degree_of_a().bins(), want_a.bins());
+  EXPECT_EQ(restored.degree_of_b().bins(), want_b.bins());
+  for (const auto& [a, b] : reference) ASSERT_FALSE(restored.observe(a, b));
+  EXPECT_TRUE(restored.observe(5000, 5000));
+}
+
+TEST(PairSet, RestoreRejectsDuplicatesAndOverlongCounts) {
+  ByteWriter dup;
+  dup.u64le(2);
+  for (int i = 0; i < 2; ++i) {
+    dup.u64le(~0ull);
+    dup.u32le(0xFFFFFFFF);
+  }
+  PairSetCounter pairs;
+  ByteReader dup_in(dup.view());
+  EXPECT_FALSE(pairs.restore_state(dup_in));
+
+  ByteWriter overlong;
+  overlong.u64le(3);  // three pairs claimed, two present
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    overlong.u64le(0);
+    overlong.u32le(b);
+  }
+  ByteReader overlong_in(overlong.view());
+  EXPECT_FALSE(pairs.restore_state(overlong_in));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,6 +354,125 @@ TEST(PowerLaw, EmptyHistogram) {
   EXPECT_FALSE(fit.plausible());
   fit = fit_power_law_auto(h);
   EXPECT_FALSE(fit.plausible());
+}
+
+// fit_power_law and fit_power_law_auto as they were before the fit
+// loops started at the tail: full scans that skip the values below xmin.
+// The fits must be bit-identical to these.
+PowerLawFit reference_fit(const CountHistogram& h, std::uint64_t xmin) {
+  PowerLawFit fit;
+  fit.xmin = std::max<std::uint64_t>(xmin, 1);
+  double log_sum = 0.0;
+  std::uint64_t n = 0;
+  const double shift = static_cast<double>(fit.xmin) - 0.5;
+  for (const auto& [value, count] : h.bins()) {
+    if (value < fit.xmin) continue;
+    log_sum += static_cast<double>(count) *
+               std::log(static_cast<double>(value) / shift);
+    n += count;
+  }
+  fit.n_tail = n;
+  if (n == 0 || log_sum <= 0.0) return fit;
+  fit.alpha = 1.0 + static_cast<double>(n) / log_sum;
+  double ks = 0.0;
+  std::uint64_t cum = 0;
+  for (const auto& [value, count] : h.bins()) {
+    if (value < fit.xmin) continue;
+    cum += count;
+    double empirical = static_cast<double>(cum) / static_cast<double>(n);
+    double model =
+        1.0 - std::pow(static_cast<double>(value + 1) /
+                           static_cast<double>(fit.xmin),
+                       1.0 - fit.alpha);
+    ks = std::max(ks, std::abs(empirical - model));
+  }
+  fit.ks_distance = ks;
+  return fit;
+}
+
+PowerLawFit reference_fit_auto(const CountHistogram& h,
+                               std::size_t max_candidates = 50) {
+  std::vector<std::uint64_t> candidates;
+  for (const auto& [value, count] : h.bins()) {
+    if (value >= 1) candidates.push_back(value);
+  }
+  if (candidates.empty()) return {};
+  std::size_t stride =
+      std::max<std::size_t>(1, candidates.size() / max_candidates);
+  PowerLawFit best;
+  bool have_best = false;
+  for (std::size_t i = 0; i < candidates.size(); i += stride) {
+    PowerLawFit fit = reference_fit(h, candidates[i]);
+    if (fit.n_tail < 25 || fit.alpha <= 1.0) continue;
+    if (!have_best || fit.ks_distance < best.ks_distance) {
+      best = fit;
+      have_best = true;
+    }
+  }
+  return have_best ? best : reference_fit(h, 1);
+}
+
+void expect_bit_identical(const PowerLawFit& got, const PowerLawFit& want,
+                          const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.alpha),
+            std::bit_cast<std::uint64_t>(want.alpha))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ks_distance),
+            std::bit_cast<std::uint64_t>(want.ks_distance))
+      << what;
+  EXPECT_EQ(got.xmin, want.xmin) << what;
+  EXPECT_EQ(got.n_tail, want.n_tail) << what;
+}
+
+void expect_fits_match_reference(const CountHistogram& h,
+                                 const std::string& what) {
+  expect_bit_identical(fit_power_law_auto(h), reference_fit_auto(h),
+                       what + " auto");
+  expect_bit_identical(fit_power_law_auto(h, 7), reference_fit_auto(h, 7),
+                       what + " auto/7");
+  // Every observed value as xmin, plus 0 and values between and past them.
+  std::vector<std::uint64_t> xmins = {0, 1, 2, h.max_value() + 1};
+  for (const auto& [value, count] : h.bins()) {
+    xmins.push_back(value);
+    xmins.push_back(value + 1);
+  }
+  for (std::uint64_t xmin : xmins) {
+    expect_bit_identical(fit_power_law(h, xmin), reference_fit(h, xmin),
+                         what + " xmin " + std::to_string(xmin));
+  }
+}
+
+TEST(PowerLaw, BitIdenticalToFullScanOnRandomHistograms) {
+  Rng rng(26);
+  for (int trial = 0; trial < 40; ++trial) {
+    CountHistogram h;
+    const int n = 1 + static_cast<int>(rng.below(3000));
+    const double alpha = 1.2 + rng.uniform() * 2.0;
+    for (int i = 0; i < n; ++i) {
+      h.add(trial % 3 == 0 ? rng.below(500) : rng.power_law_int(alpha, 100000),
+            1 + rng.below(3));
+    }
+    expect_fits_match_reference(h, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(PowerLaw, BitIdenticalToFullScanOnGoldenCampaignFigures) {
+  // The campaign CheckpointRecovery.GoldenEndToEndPins pins.
+  core::RunnerConfig cfg = core::RunnerConfig::tiny(4242);
+  cfg.campaign.duration = 3 * kHour;
+  cfg.campaign.population.client_count = 60;
+  cfg.campaign.catalog.file_count = 400;
+  std::ostringstream xml;
+  cfg.xml_out = &xml;
+  core::CampaignRunner runner(cfg);
+  ASSERT_TRUE(runner.run().pipeline.ok());
+  const CampaignStats& stats = runner.stats();
+  ASSERT_GT(stats.size_distribution().distinct_values(), 50u);
+  expect_fits_match_reference(stats.size_distribution(), "figure 8");
+  expect_fits_match_reference(stats.providers_per_file(), "figure 4");
+  expect_fits_match_reference(stats.askers_per_file(), "figure 5");
+  expect_fits_match_reference(stats.files_per_provider(), "figure 6");
+  expect_fits_match_reference(stats.files_per_asker(), "figure 7");
 }
 
 // ---------------------------------------------------------------------------

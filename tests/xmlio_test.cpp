@@ -1,6 +1,10 @@
 // XML writer, pull parser, and dataset schema round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "anon/anonymiser.hpp"
@@ -547,6 +551,201 @@ TEST(Compress, MutationNeverCrashes) {
         static_cast<std::uint8_t>(1u << rng.below(8));
     (void)lz_decompress(mutated);  // any result is fine; no crash, no UB
   }
+}
+
+// The decoder before it wrote through pointers: byte by byte into a
+// growing vector, with every check in the order the format lists them.
+// lz_decompress must agree with it on every output and every rejection.
+std::optional<Bytes> reference_lz_decompress(BytesView compressed) {
+  if (compressed.size() < 12) return std::nullopt;
+  if (std::memcmp(compressed.data(), "DTZ1", 4) != 0) return std::nullopt;
+  ByteReader r(compressed.subspan(4));
+  const std::uint64_t original_size = r.u64le();
+  if (original_size > (compressed.size() + 1) * kLzMaxMatch) {
+    return std::nullopt;
+  }
+  Bytes out;
+  while (out.size() < original_size) {
+    if (!r.ok() || r.at_end()) return std::nullopt;
+    const std::uint8_t flags = r.u8();
+    for (int bit = 0; bit < 8 && out.size() < original_size; ++bit) {
+      if (flags & (1u << bit)) {
+        const std::size_t dist = std::size_t{r.u16le()} + 1;
+        const std::size_t len = std::size_t{r.u8()} + kLzMinMatch;
+        if (!r.ok()) return std::nullopt;
+        if (dist > out.size()) return std::nullopt;
+        if (out.size() + len > original_size) return std::nullopt;
+        const std::size_t from = out.size() - dist;
+        for (std::size_t i = 0; i < len; ++i) out.push_back(out[from + i]);
+      } else {
+        const std::uint8_t byte = r.u8();
+        if (!r.ok()) return std::nullopt;
+        out.push_back(byte);
+      }
+    }
+  }
+  return out;
+}
+
+// A DTZ1 token stream written by hand, so tests can emit any distance,
+// length, declared size or truncation lz_compress never would.
+struct LzTokens {
+  struct Token {
+    bool match = false;
+    std::uint8_t literal = 0;
+    std::size_t dist = 0;  // 1-based
+    std::size_t len = 0;
+  };
+  std::vector<Token> tokens;
+
+  void literal(std::uint8_t b) { tokens.push_back({false, b, 0, 0}); }
+  void match(std::size_t dist, std::size_t len) {
+    tokens.push_back({true, 0, dist, len});
+  }
+  /// Bytes the tokens produce when every match is in the window.
+  [[nodiscard]] std::size_t produced() const {
+    std::size_t n = 0;
+    for (const Token& t : tokens) n += t.match ? t.len : 1;
+    return n;
+  }
+  [[nodiscard]] Bytes encode(std::uint64_t declared) const {
+    ByteWriter w;
+    w.raw(Bytes{'D', 'T', 'Z', '1'});
+    w.u64le(declared);
+    for (std::size_t g = 0; g < tokens.size(); g += 8) {
+      std::uint8_t flags = 0;
+      for (std::size_t i = g; i < std::min(g + 8, tokens.size()); ++i) {
+        if (tokens[i].match) flags |= static_cast<std::uint8_t>(1u << (i - g));
+      }
+      w.u8(flags);
+      for (std::size_t i = g; i < std::min(g + 8, tokens.size()); ++i) {
+        const Token& t = tokens[i];
+        if (t.match) {
+          w.u16le(static_cast<std::uint16_t>(t.dist - 1));
+          w.u8(static_cast<std::uint8_t>(t.len - kLzMinMatch));
+        } else {
+          w.u8(t.literal);
+        }
+      }
+    }
+    return std::move(w).take();
+  }
+};
+
+/// Checks both entry points against the reference; true if it decoded.
+/// The payload and the output sit in heap buffers of exactly their size
+/// (output: declared size + slack), so a sanitizer build catches a read
+/// past the input or a write past the slack.
+bool expect_decoders_agree(const Bytes& bytes, const std::string& what) {
+  auto input = std::make_unique<std::uint8_t[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), input.get());
+  const BytesView payload(input.get(), bytes.size());
+  const std::optional<Bytes> want = reference_lz_decompress(payload);
+  const std::optional<Bytes> got = lz_decompress(payload);
+  EXPECT_EQ(got.has_value(), want.has_value()) << what;
+  if (want && got) {
+    EXPECT_EQ(*got, *want) << what;
+  }
+  const std::optional<std::uint64_t> size = lz_decoded_size(payload);
+  if (!size) {
+    EXPECT_FALSE(want.has_value()) << what;
+    return false;
+  }
+  auto buffer = std::make_unique<std::uint8_t[]>(*size + kLzDecodeSlack);
+  const bool decoded = lz_decompress_into(payload, buffer.get());
+  EXPECT_EQ(decoded, want.has_value()) << what;
+  if (want && decoded) {
+    EXPECT_EQ(Bytes(buffer.get(), buffer.get() + *size), *want) << what;
+  }
+  return want.has_value();
+}
+
+TEST(Compress, DecoderMatchesByteAtATimeReference) {
+  Rng rng(25);
+  int decoded = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    LzTokens t;
+    // Long streams decode most groups on the unchecked group path.
+    const int n = 1 + static_cast<int>(rng.below(trial % 4 == 0 ? 400 : 60));
+    std::size_t produced = 0;
+    for (int i = 0; i < n; ++i) {
+      if (produced == 0 || rng.chance(0.35)) {
+        t.literal(static_cast<std::uint8_t>(rng.below(256)));
+        ++produced;
+        continue;
+      }
+      // Short (overlapping) and long distances alike; now and then one
+      // past the bytes produced.
+      const std::size_t close = std::min<std::size_t>(produced, 7);
+      std::size_t dist = produced >= 8 && rng.chance(0.5)
+                             ? 8 + rng.below(produced - 7)
+                             : 1 + rng.below(close);
+      if (rng.chance(0.005)) dist = produced + 1;
+      const std::size_t len = kLzMinMatch + rng.below(255);
+      t.match(dist, len);
+      produced += len;
+    }
+    Bytes payload = t.encode(t.produced());
+    switch (rng.below(6)) {
+      case 0:  // declared size short of what the tokens produce
+        payload = t.encode(rng.below(t.produced() + 1));
+        break;
+      case 1:  // declared size beyond it: the stream runs out
+        payload = t.encode(t.produced() + 1 + rng.below(8));
+        break;
+      case 2:  // cut anywhere, header included
+        payload.resize(rng.below(payload.size()));
+        break;
+      case 3:  // trailing bytes after the last token
+        payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        break;
+      default:
+        break;
+    }
+    decoded += expect_decoders_agree(payload, "trial " + std::to_string(trial));
+  }
+  // Both verdicts are exercised, not just the rejections.
+  EXPECT_GT(decoded, 800);
+  EXPECT_LT(decoded, 2500);
+}
+
+TEST(Compress, DecoderEdgeCasesMatchReference) {
+  // A match that ends exactly at the declared size, at every distance
+  // from 1 to 16 and for lengths around the 8-byte step.
+  for (std::size_t dist = 1; dist <= 16; ++dist) {
+    for (std::size_t len : {4u, 7u, 8u, 9u, 15u, 16u, 17u, 258u}) {
+      LzTokens t;
+      for (std::size_t i = 0; i < dist; ++i) {
+        t.literal(static_cast<std::uint8_t>('a' + i));
+      }
+      t.match(dist, len);
+      const std::string what =
+          "dist " + std::to_string(dist) + " len " + std::to_string(len);
+      expect_decoders_agree(t.encode(t.produced()), what);
+      // One byte short of the match's end: the match runs past the size.
+      expect_decoders_agree(t.encode(t.produced() - 1), what + " over");
+      // The final token cut after one and after two of its three bytes.
+      const Bytes whole = t.encode(t.produced());
+      for (std::size_t cut = 1; cut <= 3; ++cut) {
+        Bytes truncated(whole.begin(), whole.end() - static_cast<long>(cut));
+        expect_decoders_agree(truncated, what + " cut " + std::to_string(cut));
+      }
+      // The final token reaching one byte before the output.
+      LzTokens far = t;
+      far.tokens.back().dist = dist + 1;
+      expect_decoders_agree(far.encode(far.produced()), what + " window");
+    }
+  }
+  // A flag byte with nothing after it, and a group of eight literals
+  // followed by a truncated group.
+  LzTokens lits;
+  for (int i = 0; i < 8; ++i) lits.literal(static_cast<std::uint8_t>(i));
+  expect_decoders_agree(lits.encode(8), "eight literals");
+  expect_decoders_agree(lits.encode(9), "eight literals, one missing");
+  Bytes eight = lits.encode(7);
+  expect_decoders_agree(eight, "seven of eight literals");
+  eight.resize(12 + 1);
+  expect_decoders_agree(eight, "lone flag byte");
 }
 
 TEST(Compress, DatasetCompressesWell) {
