@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <sstream>
+#include <fstream>
 
 #include "core/checkpoint.hpp"
 
@@ -119,6 +119,74 @@ bool read_meta(ByteReader& in, CheckpointMeta& m) {
   return in.ok();
 }
 
+/// The dataset stream of a run that checkpoints or resumes.  Bytes pass to
+/// the caller's `xml_out` and, when the run checkpoints, are appended to
+/// the dataset journal and hashed as they go.  Until open() it drops what
+/// it is given: on a resume, what the sinks emit while they are built (the
+/// container header, the XML prologue) is already in the journal's prefix.
+class DatasetTee final : public std::ostream {
+ public:
+  explicit DatasetTee(std::ostream& out) : std::ostream(nullptr), buf_(out) {
+    rdbuf(&buf_);
+  }
+  DatasetTee(const DatasetTee&) = delete;
+  DatasetTee& operator=(const DatasetTee&) = delete;
+
+  /// Start passing bytes.  `journal`, when open, receives them too; `md5`
+  /// and `length` describe the bytes it already holds.
+  void open(std::ofstream journal, const Md5& md5, std::uint64_t length) {
+    buf_.journal = std::move(journal);
+    buf_.md5 = md5;
+    buf_.length = length;
+    buf_.open = true;
+  }
+
+  /// Push the journal to its file and say where it stands; nullopt once
+  /// any journal write has failed.
+  std::optional<JournalMark> mark() {
+    buf_.journal.flush();
+    if (!buf_.journal) return std::nullopt;
+    Md5 md5 = buf_.md5;
+    return JournalMark{buf_.length, md5.finish()};
+  }
+
+ private:
+  struct Buf final : std::streambuf {
+    explicit Buf(std::ostream& o) : out(o) {}
+
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+      if (!open) return n;
+      out.write(s, n);
+      if (journal.is_open()) {
+        journal.write(s, n);
+        md5.update(BytesView(reinterpret_cast<const std::uint8_t*>(s),
+                             static_cast<std::size_t>(n)));
+        length += static_cast<std::uint64_t>(n);
+      }
+      return out ? n : 0;
+    }
+    int overflow(int ch) override {
+      if (ch == traits_type::eof()) return traits_type::not_eof(ch);
+      const char c = static_cast<char>(ch);
+      return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
+    }
+    int sync() override {
+      if (!open) return 0;
+      out.flush();
+      if (journal.is_open()) journal.flush();
+      return out ? 0 : -1;
+    }
+
+    std::ostream& out;
+    std::ofstream journal;
+    Md5 md5;
+    std::uint64_t length = 0;
+    bool open = false;
+  };
+
+  Buf buf_;
+};
+
 /// First mismatching field name, or nullptr when the snapshot fits.
 const char* meta_mismatch(const CheckpointMeta& want,
                           const CheckpointMeta& got) {
@@ -231,6 +299,26 @@ CampaignReport CampaignRunner::run() {
     resume_time = meta.boundary;
   }
 
+  // The dataset journal a resume reads: the one in the snapshot's own
+  // directory, verified up to the snapshot's mark before a byte of it
+  // reaches `xml_out`.
+  JournalMark journal_mark;
+  std::optional<Md5> journal_md5;
+  std::string journal_in;
+  if (resuming && config_.xml_out != nullptr) {
+    ByteReader r = view->reader("journal");
+    if (!journal_mark.restore(r)) {
+      return fail_run("snapshot journal section rejected");
+    }
+    std::filesystem::path dir =
+        std::filesystem::path(config_.resume_from).parent_path();
+    if (dir.empty()) dir = ".";
+    journal_in = (dir / kJournalFileName).string();
+    std::string err;
+    journal_md5 = verify_journal(journal_in, journal_mark, err);
+    if (!journal_md5) return fail_run(err);
+  }
+
   capture::CaptureEngine engine(config_.buffer);
   if (!config_.pcap_path.empty()) {
     if (resuming) {
@@ -295,13 +383,28 @@ CampaignReport CampaignRunner::run() {
   }
 
   // When checkpoint/resume is in play and an XML sink is attached, the
-  // runner interposes its own buffer: the written prefix must be readable
-  // (to snapshot it) and replaceable (to restore it), which a generic
-  // ostream is not.  The content reaches the caller's stream at the end.
-  std::ostringstream xml_buffer;
-  const bool xml_interposed =
-      (checkpointing || resuming) && config_.xml_out != nullptr;
-  std::ostream* xml_sink = xml_interposed ? &xml_buffer : config_.xml_out;
+  // dataset passes through a tee: a checkpointing run journals it next to
+  // its snapshots, and a resume drops the sinks' construction output and
+  // writes the journal's verified prefix instead.
+  if (checkpointing) {
+    std::error_code ec;
+    std::filesystem::create_directories(config_.checkpoint_dir, ec);
+  }
+  const std::string journal_out =
+      checkpointing ? (std::filesystem::path(config_.checkpoint_dir) /
+                       kJournalFileName)
+                          .string()
+                    : std::string();
+  std::unique_ptr<DatasetTee> tee;
+  std::ostream* xml_sink = config_.xml_out;
+  if ((checkpointing || resuming) && config_.xml_out != nullptr) {
+    tee = std::make_unique<DatasetTee>(*config_.xml_out);
+    xml_sink = tee.get();
+    if (!resuming) {
+      tee->open(std::ofstream(journal_out, std::ios::binary | std::ios::trunc),
+                Md5{}, 0);
+    }
+  }
 
   // Compressed streaming: the pipeline writes plain XML into the chunked
   // compressor, which emits the container to whatever sink the rules above
@@ -381,19 +484,14 @@ CampaignReport CampaignRunner::run() {
         return fail_run("snapshot capture section rejected");
       }
     }
-    if (xml_interposed) {
-      const Bytes* prefix = view->section("xml");
-      if (prefix == nullptr) return fail_run("snapshot xml section missing");
-      xml_buffer.str(std::string(prefix->begin(), prefix->end()));
-      xml_buffer.seekp(0, std::ios_base::end);
-    }
     if (compressor) {
-      // The buffer now holds the snapshot's container prefix (frame-
+      // The journal's prefix is the snapshot's container prefix (frame-
       // aligned); give the writer back its chunk cursor and the
       // uncompressed tail that had not filled a chunk yet.  This discards
-      // the header + fresh prologue the construction above emitted.
+      // the fresh prologue the construction above emitted.
       ByteReader r = view->reader("xmlz");
-      if (!compressor->writer().restore_state(r) || !r.ok()) {
+      if (!compressor->writer().restore_state(r) || !r.ok() ||
+          compressor->writer().compressed_bytes() != journal_mark.length) {
         return fail_run("snapshot compressed-stream section rejected");
       }
     }
@@ -423,6 +521,32 @@ CampaignReport CampaignRunner::run() {
       if (!background->restore_state(r) || !r.ok()) {
         return fail_run("snapshot background section rejected");
       }
+    }
+    if (tee) {
+      // Every section restored: the verified prefix goes out, then the tee
+      // passes the bytes that follow it.  Resumed into the snapshot's own
+      // directory, the run cuts the journal back to the mark and appends;
+      // elsewhere it starts its own journal with the prefix.
+      if (!copy_journal_prefix(journal_in, journal_mark.length,
+                               *config_.xml_out)) {
+        return fail_run("cannot copy the dataset journal '" + journal_in +
+                        "'");
+      }
+      std::ofstream journal;
+      if (checkpointing) {
+        std::error_code ec;
+        if (std::filesystem::equivalent(journal_in, journal_out, ec)) {
+          std::filesystem::resize_file(journal_in, journal_mark.length, ec);
+          journal.open(journal_out, std::ios::binary | std::ios::app);
+          if (ec) journal.setstate(std::ios::failbit);
+        } else {
+          journal.open(journal_out, std::ios::binary | std::ios::trunc);
+          if (!copy_journal_prefix(journal_in, journal_mark.length, journal)) {
+            journal.setstate(std::ios::failbit);
+          }
+        }
+      }
+      tee->open(std::move(journal), *journal_md5, journal_mark.length);
     }
     obs::inc(ckpt_restores);
     obs::set(ckpt_last_time, static_cast<std::int64_t>(resume_time));
@@ -476,18 +600,22 @@ CampaignReport CampaignRunner::run() {
       config_.series->save_state(w);
       builder.add("series", std::move(w).take());
     }
-    if (xml_interposed) {
-      // Borrowed, not copied: nothing writes to the buffer before the
-      // snapshot is on disk.
-      const std::string_view prefix = xml_buffer.view();
-      builder.add_borrowed(
-          "xml", BytesView(reinterpret_cast<const std::uint8_t*>(prefix.data()),
-                           prefix.size()));
+    std::string err;
+    if (tee) {
+      // The journal on disk must cover the mark, as the pcap file must
+      // cover its offset.
+      if (const std::optional<JournalMark> mark = tee->mark()) {
+        ByteWriter w;
+        mark->save(w);
+        builder.add("journal", std::move(w).take());
+      } else {
+        err = "cannot write the dataset journal '" + journal_out + "'";
+      }
     }
     if (compressor) {
-      // quiesce() ran: the prefix above ends at a container frame
-      // boundary, and this section carries the chunk cursor plus the
-      // uncompressed tail still waiting to fill a chunk.
+      // quiesce() ran: the journal ends at a container frame boundary, and
+      // this section carries the chunk cursor plus the uncompressed tail
+      // still waiting to fill a chunk.
       ByteWriter w;
       compressor->writer().save_state(w);
       builder.add("xmlz", std::move(w).take());
@@ -515,7 +643,7 @@ CampaignReport CampaignRunner::run() {
         (std::filesystem::path(config_.checkpoint_dir) /
          checkpoint_file_name(boundary))
             .string();
-    const std::string err = builder.write_file(path);
+    if (err.empty()) err = builder.write_file(path);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       ckpt_t0)
@@ -588,8 +716,6 @@ CampaignReport CampaignRunner::run() {
   }
 
   if (checkpointing && config_.checkpoint_interval > 0) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.checkpoint_dir, ec);
     // Segment the campaign at checkpoint boundaries.  run_until() produces
     // the exact frame sequence run() does, and background frames drained at
     // a boundary are exactly those an uninterrupted merge would have fed
@@ -644,7 +770,7 @@ CampaignReport CampaignRunner::run() {
   report.buffer_high_water = engine.buffer_high_water();
   report.loss_series = engine.loss_series();
   if (pcap_) pcap_->flush();
-  if (xml_interposed) *config_.xml_out << xml_buffer.view();
+  if (tee) tee->flush();
   return report;
 }
 

@@ -28,8 +28,9 @@ struct RunnerConfig {
                                                     // the TCP half too
   std::string pcap_path;     // non-empty = dump surviving frames to pcap
   /// Dataset destination (null = none), any std::ostream: the CLI passes
-  /// the dataset file.  With checkpoints or a resume the runner buffers
-  /// the dataset (snapshots copy its prefix) and writes it here at the end.
+  /// the dataset file.  The runner streams the dataset here as it is
+  /// written; with checkpoints it also journals it in `checkpoint_dir`, and
+  /// a resume first writes the journal's verified prefix here.
   std::ostream* xml_out = nullptr;
   /// Compress the dataset as it streams (the paper's footnote-3 economics
   /// at campaign scale): `xml_out` receives the chunked DTZCHNK1 container
@@ -74,13 +75,17 @@ struct RunnerConfig {
   /// quiesces the pipeline at every `checkpoint_interval` boundary of
   /// simulated time and atomically writes a full snapshot (simulator +
   /// server index, capture buffer and loss series, anonymiser tables,
-  /// decoder, metrics, time series, XML prefix, pcap cursor) into the
-  /// directory, one file per boundary (checkpoint_file_name()).  When
+  /// decoder, metrics, time series, dataset journal mark, pcap cursor) into
+  /// the directory, one file per boundary (checkpoint_file_name()).  With a
+  /// dataset the directory also holds the dataset journal
+  /// (kJournalFileName): every byte written to `xml_out`, which each
+  /// snapshot marks by length and MD5 instead of copying.  When
   /// `resume_from` names a snapshot file, the run continues from that
-  /// boundary; the final outputs (XML dataset, series JSONL/CSV, pcap,
-  /// report counters) are byte-identical to an uninterrupted run's.
-  /// Resuming requires the same campaign/buffer config, worker count and
-  /// attached outputs as the run that wrote the snapshot.
+  /// boundary, reading the journal beside the snapshot; the final outputs
+  /// (XML dataset, series JSONL/CSV, pcap, report counters) are
+  /// byte-identical to an uninterrupted run's.  Resuming requires the same
+  /// campaign/buffer config, worker count and attached outputs as the run
+  /// that wrote the snapshot.
   std::string checkpoint_dir;
   SimTime checkpoint_interval = kWeek;
   std::string resume_from;

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,8 +26,78 @@ void CheckpointBuilder::add(std::string name, Bytes payload) {
   sections_.emplace_back(std::move(name), std::move(payload));
 }
 
-void CheckpointBuilder::add_borrowed(std::string name, BytesView payload) {
-  sections_.emplace_back(std::move(name), payload);
+void JournalMark::save(ByteWriter& out) const {
+  out.u64le(length);
+  out.raw(digest.bytes.data(), digest.bytes.size());
+}
+
+bool JournalMark::restore(ByteReader& in) {
+  length = in.u64le();
+  const BytesView bytes = in.raw(digest.bytes.size());
+  if (!in.ok() || !in.at_end()) return false;
+  std::memcpy(digest.bytes.data(), bytes.data(), digest.bytes.size());
+  return true;
+}
+
+namespace {
+
+/// Feed the first `length` bytes of the file at `path` to `fn(BytesView)`
+/// in bounded blocks.  Returns how many bytes were fed (less than `length`
+/// when the file is shorter), or nullopt when it cannot be opened.
+template <typename Fn>
+std::optional<std::uint64_t> read_prefix(const std::string& path,
+                                         std::uint64_t length, Fn&& fn) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::vector<std::uint8_t> block(1 << 16);
+  std::uint64_t done = 0;
+  while (done < length) {
+    const std::uint64_t want = std::min<std::uint64_t>(block.size(),
+                                                       length - done);
+    in.read(reinterpret_cast<char*>(block.data()),
+            static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::uint64_t>(in.gcount());
+    if (got == 0) break;
+    fn(BytesView(block.data(), static_cast<std::size_t>(got)));
+    done += got;
+  }
+  return done;
+}
+
+}  // namespace
+
+std::optional<Md5> verify_journal(const std::string& path,
+                                  const JournalMark& mark,
+                                  std::string& error) {
+  Md5 md5;
+  const std::optional<std::uint64_t> hashed =
+      read_prefix(path, mark.length, [&](BytesView b) { md5.update(b); });
+  if (!hashed) {
+    error = "dataset journal '" + path + "' is missing";
+    return std::nullopt;
+  }
+  if (*hashed < mark.length) {
+    error = "dataset journal '" + path + "' is shorter than the snapshot's " +
+            std::to_string(mark.length) + " bytes";
+    return std::nullopt;
+  }
+  Md5 running = md5;
+  if (md5.finish() != mark.digest) {
+    error = "dataset journal '" + path +
+            "' does not match the snapshot's digest (corrupt journal)";
+    return std::nullopt;
+  }
+  return running;
+}
+
+bool copy_journal_prefix(const std::string& path, std::uint64_t length,
+                         std::ostream& out) {
+  const std::optional<std::uint64_t> copied =
+      read_prefix(path, length, [&](BytesView b) {
+        out.write(reinterpret_cast<const char*>(b.data()),
+                  static_cast<std::streamsize>(b.size()));
+      });
+  return copied && *copied == length && out.good();
 }
 
 std::string CheckpointBuilder::write_file(const std::string& path) const {
@@ -46,9 +117,7 @@ std::string CheckpointBuilder::write_file(const std::string& path) const {
     header.u32le(kCheckpointVersion);
     header.u32le(static_cast<std::uint32_t>(sections_.size()));
     emit(header.view());
-    for (const auto& [name, stored] : sections_) {
-      const BytesView payload =
-          std::visit([](const auto& p) { return BytesView(p); }, stored);
+    for (const auto& [name, payload] : sections_) {
       ByteWriter entry;
       entry.u32le(static_cast<std::uint32_t>(name.size()));
       entry.raw(name.data(), name.size());

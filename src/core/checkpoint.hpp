@@ -22,18 +22,27 @@
 // write_file(), which streams the sections to a temporary — hashing as it
 // writes, so no encoded copy of the snapshot is built — and renames it
 // into place: a crash mid-checkpoint leaves the previous snapshot valid.
+//
+// The dataset is not in the snapshot.  A checkpointing run appends every
+// dataset byte it writes to one journal file next to its snapshots
+// (kJournalFileName), and a snapshot records only where the journal stood
+// at its boundary: the length and the MD5 of that prefix (JournalMark).  A
+// resume verifies the prefix before it writes a byte of it.  The journal
+// only grows while a run lasts, so a crash after a snapshot leaves a
+// journal longer than that snapshot's mark, which is still valid.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "hash/md5.hpp"
 
 namespace dtr::core {
 
@@ -42,11 +51,38 @@ namespace dtr::core {
 /// pipeline clock instead of one per worker.  Version 3: the server's file
 /// index no longer stores its shard count or search-cache counters.
 /// Version 4: the `metrics` section holds only measured instruments and the
-/// `series` section no longer stores a last-stored snapshot.  Earlier
-/// versions are rejected.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// `series` section no longer stores a last-stored snapshot.  Version 5:
+/// the `xml` section (the dataset prefix) gives way to the `journal`
+/// section, a JournalMark into the checkpoint directory's dataset journal.
+/// Earlier versions are rejected.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 inline constexpr char kCheckpointMagic[8] = {'D', 'T', 'R', 'C',
                                              'K', 'P', 'T', '1'};
+
+/// The dataset journal's file name inside a checkpoint directory.
+inline constexpr char kJournalFileName[] = "dataset.journal";
+
+/// Where a snapshot's dataset prefix ends in the journal: its length and
+/// the MD5 of those bytes.  The `journal` section's payload.
+struct JournalMark {
+  std::uint64_t length = 0;
+  Digest128 digest;
+
+  void save(ByteWriter& out) const;
+  [[nodiscard]] bool restore(ByteReader& in);
+};
+
+/// Hash the first `mark.length` bytes of the journal at `path`.  Returns
+/// the hash state after them when their digest is `mark.digest` (a writer
+/// that appends to the journal continues from it); otherwise nullopt, with
+/// `error` saying whether the journal is missing, too short or corrupt.
+std::optional<Md5> verify_journal(const std::string& path,
+                                  const JournalMark& mark, std::string& error);
+
+/// Write the first `length` bytes of the journal at `path` to `out`.  False
+/// when the journal cannot be read that far.
+bool copy_journal_prefix(const std::string& path, std::uint64_t length,
+                         std::ostream& out);
 
 /// Accumulates named sections and writes the snapshot file.
 class CheckpointBuilder {
@@ -54,10 +90,6 @@ class CheckpointBuilder {
   /// Add a section; later sections with the same name are rejected by the
   /// reader, so callers must keep names unique.
   void add(std::string name, Bytes payload);
-
-  /// Add a section that borrows `payload` instead of owning a copy: the
-  /// bytes must stay valid and unchanged until write_file() returns.
-  void add_borrowed(std::string name, BytesView payload);
 
   /// Atomically write the snapshot: stream it to `path + ".tmp"`, then
   /// rename over `path`.  Returns an empty string on success, else a
@@ -68,8 +100,7 @@ class CheckpointBuilder {
   [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
 
  private:
-  std::vector<std::pair<std::string, std::variant<Bytes, BytesView>>>
-      sections_;
+  std::vector<std::pair<std::string, Bytes>> sections_;
 };
 
 /// A parsed, checksum-verified snapshot.  Parsing validates the whole

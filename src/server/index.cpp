@@ -16,6 +16,57 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Evaluate `expr` against `record`, answering each keyword leaf with
+/// `keyword(leaf)`.  Every leaf is visited, left to right: the order of
+/// SearchExpr::collect_keywords().
+template <typename KeywordTest>
+bool evaluate(const proto::SearchExpr& expr, const FileRecord& record,
+              KeywordTest& keyword) {
+  using Kind = proto::SearchExpr::Kind;
+  switch (expr.kind) {
+    case Kind::kBool: {
+      bool l = expr.left != nullptr && evaluate(*expr.left, record, keyword);
+      bool r = expr.right != nullptr && evaluate(*expr.right, record, keyword);
+      switch (expr.op) {
+        case proto::BoolOp::kAnd:
+          return l && r;
+        case proto::BoolOp::kOr:
+          return l || r;
+        case proto::BoolOp::kAndNot:
+          return l && !r;
+      }
+      return false;
+    }
+    case Kind::kKeyword:
+      return keyword(expr);
+    case Kind::kMetaString: {
+      if (expr.tag_name.size() == 1 &&
+          static_cast<std::uint8_t>(expr.tag_name[0]) ==
+              static_cast<std::uint8_t>(proto::TagName::kFileType)) {
+        return equals_ignore_case(record.type, expr.text);
+      }
+      return false;  // other string metadata are not indexed
+    }
+    case Kind::kMetaNumeric: {
+      if (expr.tag_name.size() == 1 &&
+          static_cast<std::uint8_t>(expr.tag_name[0]) ==
+              static_cast<std::uint8_t>(proto::TagName::kFileSize)) {
+        return expr.cmp == proto::NumCmp::kMin ? record.size >= expr.number
+                                               : record.size <= expr.number;
+      }
+      if (expr.tag_name.size() == 1 &&
+          static_cast<std::uint8_t>(expr.tag_name[0]) ==
+              static_cast<std::uint8_t>(proto::TagName::kAvailability)) {
+        return expr.cmp == proto::NumCmp::kMin
+                   ? record.availability() >= expr.number
+                   : record.availability() <= expr.number;
+      }
+      return false;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::unique_lock<std::shared_mutex> FileIndex::lock_unique(
@@ -50,7 +101,7 @@ std::shared_lock<std::shared_mutex> FileIndex::lock_shared(
 bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
                                std::uint64_t seq) {
   auto [it, is_new_file] = shard.files.try_emplace(entry.file_id);
-  FileRecord& record = it->second;
+  FileRecord& record = it->second.record;
   if (is_new_file) {
     record.seq = seq;
     if (auto name = proto::tag_string(entry.tags, proto::TagName::kFileName))
@@ -59,16 +110,7 @@ bool FileIndex::publish_locked(Shard& shard, const proto::FileEntry& entry,
       record.size = *size;
     if (auto type = proto::tag_string(entry.tags, proto::TagName::kFileType))
       record.type = *type;
-    for (const std::string& kw : tokenize_keywords(record.name)) {
-      auto& postings = shard.keywords[kw];
-      // Keep posting lists seq-ascending even when concurrent publishers
-      // interleave; serial histories append at the end.
-      auto pos = std::upper_bound(
-          postings.begin(), postings.end(), seq,
-          [](std::uint64_t s, const Posting& p) { return s < p.seq; });
-      postings.insert(pos, Posting{seq, entry.file_id});
-    }
-    shard.by_seq.emplace(seq, entry.file_id);
+    index_file_locked(shard, *it);
     shard.file_count.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -136,23 +178,62 @@ std::size_t FileIndex::publish_batch(
   return new_pairs;
 }
 
-void FileIndex::unindex_file_locked(Shard& shard, const FileRecord& record) {
-  // Posting lists are seq-ascending, so the file's postings in a list (one
-  // per occurrence of the keyword in its name) are the run at record.seq.
+void FileIndex::PostingList::insert(std::uint64_t seq, const FileNode* file) {
+  ++live;
+  // Serial histories and restore append; concurrent publishers may
+  // interleave, and the list stays seq-ascending.
+  if (postings.empty() || postings.back().seq <= seq) {
+    postings.push_back(Posting{seq, file});
+    return;
+  }
+  auto pos = std::upper_bound(
+      postings.begin(), postings.end(), seq,
+      [](std::uint64_t s, const Posting& p) { return s < p.seq; });
+  postings.insert(pos, Posting{seq, file});
+}
+
+void FileIndex::PostingList::erase(std::uint64_t seq) {
   const auto by_seq = [](const Posting& a, const Posting& b) {
     return a.seq < b.seq;
   };
-  const Posting key{record.seq, FileId{}};
-  for (const std::string& kw : tokenize_keywords(record.name)) {
-    auto it = shard.keywords.find(kw);
-    if (it == shard.keywords.end()) continue;  // a repeat, already erased
-    auto& postings = it->second;
-    const auto [first, last] =
-        std::equal_range(postings.begin(), postings.end(), key, by_seq);
-    postings.erase(first, last);
-    if (postings.empty()) shard.keywords.erase(it);
+  const auto [first, last] = std::equal_range(
+      postings.begin(), postings.end(), Posting{seq, nullptr}, by_seq);
+  for (auto it = first; it != last; ++it) {
+    if (it->file != nullptr) {
+      it->file = nullptr;
+      --live;
+    }
   }
-  shard.by_seq.erase(record.seq);
+  if (postings.size() - live > live) {
+    std::erase_if(postings, [](const Posting& p) { return p.file == nullptr; });
+  }
+}
+
+void FileIndex::index_file_locked(Shard& shard, FileNode& file) {
+  Entry& entry = file.second;
+  const std::uint64_t seq = entry.record.seq;
+  std::vector<std::string> tokens = tokenize_keywords(entry.record.name);
+  entry.keywords.reserve(tokens.size());
+  for (std::string& kw : tokens) {
+    auto& node = *shard.keywords.try_emplace(std::move(kw)).first;
+    node.second.insert(seq, &file);
+    if (std::find(entry.keywords.begin(), entry.keywords.end(), &node) ==
+        entry.keywords.end()) {
+      entry.keywords.push_back(&node);
+    }
+  }
+  shard.by_seq.insert(seq, &file);
+}
+
+void FileIndex::unindex_file_locked(Shard& shard, const Entry& entry) {
+  const std::uint64_t seq = entry.record.seq;
+  for (const Keyword kw : entry.keywords) {
+    kw->second.erase(seq);
+    if (kw->second.live == 0) {
+      shard.keywords.erase(shard.keywords.find(kw->first));
+    }
+  }
+  shard.by_seq.erase(seq);
 }
 
 void FileIndex::retract_client(proto::ClientId client) {
@@ -166,7 +247,7 @@ void FileIndex::retract_client(proto::ClientId client) {
       for (const FileId& id : it->second) {
         auto fit = shard.files.find(id);
         if (fit == shard.files.end()) continue;
-        auto& sources = fit->second.sources;
+        auto& sources = fit->second.record.sources;
         auto src = std::find_if(
             sources.begin(), sources.end(),
             [&](const Source& s) { return s.client == client; });
@@ -189,7 +270,7 @@ void FileIndex::retract_client(proto::ClientId client) {
 const FileRecord* FileIndex::find(const FileId& id) const {
   const Shard& shard = shard_for(id);
   auto it = shard.files.find(id);
-  return it == shard.files.end() ? nullptr : &it->second;
+  return it == shard.files.end() ? nullptr : &it->second.record;
 }
 
 std::size_t FileIndex::file_count() const {
@@ -210,82 +291,51 @@ std::uint64_t FileIndex::source_count() const {
 
 bool FileIndex::matches(const proto::SearchExpr& expr,
                         const FileRecord& record) {
-  using Kind = proto::SearchExpr::Kind;
-  switch (expr.kind) {
-    case Kind::kBool: {
-      bool l = expr.left != nullptr && matches(*expr.left, record);
-      bool r = expr.right != nullptr && matches(*expr.right, record);
-      switch (expr.op) {
-        case proto::BoolOp::kAnd:
-          return l && r;
-        case proto::BoolOp::kOr:
-          return l || r;
-        case proto::BoolOp::kAndNot:
-          return l && !r;
-      }
-      return false;
-    }
-    case Kind::kKeyword:
-      return has_keyword(record.name, expr.text);
-    case Kind::kMetaString: {
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kFileType)) {
-        return equals_ignore_case(record.type, expr.text);
-      }
-      return false;  // other string metadata are not indexed
-    }
-    case Kind::kMetaNumeric: {
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kFileSize)) {
-        return expr.cmp == proto::NumCmp::kMin ? record.size >= expr.number
-                                               : record.size <= expr.number;
-      }
-      if (expr.tag_name.size() == 1 &&
-          static_cast<std::uint8_t>(expr.tag_name[0]) ==
-              static_cast<std::uint8_t>(proto::TagName::kAvailability)) {
-        return expr.cmp == proto::NumCmp::kMin
-                   ? record.availability() >= expr.number
-                   : record.availability() <= expr.number;
-      }
-      return false;
-    }
-  }
-  return false;
+  auto scan_name = [&](const proto::SearchExpr& leaf) {
+    return has_keyword(record.name, leaf.text);
+  };
+  return evaluate(expr, record, scan_name);
 }
 
 void FileIndex::shard_partial_locked(const Shard& shard,
                                      const proto::SearchExpr& expr,
+                                     const std::vector<std::string>& words,
                                      const std::string& chosen,
-                                     std::size_t limit,
-                                     std::vector<Posting>& out,
+                                     std::size_t limit, std::vector<Hit>& out,
                                      std::uint64_t& evaluated) {
   if (limit == 0) return;
-  std::size_t found = 0;
-  if (chosen.empty()) {
-    // Pure metadata query: scan this shard's files in canonical order.
-    for (const auto& [seq, id] : shard.by_seq) {
-      auto fit = shard.files.find(id);
-      if (fit == shard.files.end()) continue;
-      ++evaluated;
-      if (matches(expr, fit->second)) {
-        out.push_back(Posting{seq, id});
-        if (++found >= limit) break;
-      }
-    }
-    return;
+  // Each keyword leaf as this shard interned it (null: no file here has
+  // it); a candidate has the leaf's keyword iff its entry lists the node.
+  std::vector<const KeywordMap::value_type*> leaves(words.size(), nullptr);
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    auto it = shard.keywords.find(words[wi]);
+    if (it != shard.keywords.end()) leaves[wi] = &*it;
   }
-  auto it = shard.keywords.find(chosen);
-  if (it == shard.keywords.end()) return;
-  for (const Posting& p : it->second) {
-    auto fit = shard.files.find(p.id);
-    if (fit == shard.files.end()) continue;
+  std::size_t found = 0;
+  const auto test = [&](const Posting& p) {
+    if (p.file == nullptr) return false;  // a tombstone is no candidate
     ++evaluated;
-    if (matches(expr, fit->second)) {
-      out.push_back(p);
-      if (++found >= limit) break;
-    }
+    const Entry& entry = p.file->second;
+    std::size_t leaf = 0;
+    auto indexed_under = [&](const proto::SearchExpr&) {
+      const auto* want = leaves[leaf++];
+      return want != nullptr &&
+             std::find(entry.keywords.begin(), entry.keywords.end(), want) !=
+                 entry.keywords.end();
+    };
+    if (!evaluate(expr, entry.record, indexed_under)) return false;
+    out.push_back(Hit{p.seq, p.file->first});
+    return ++found >= limit;
+  };
+  // A pure metadata query scans this shard's files in canonical order.
+  const PostingList* list = &shard.by_seq;
+  if (!chosen.empty()) {
+    auto it = shard.keywords.find(chosen);
+    if (it == shard.keywords.end()) return;
+    list = &it->second;
+  }
+  for (const Posting& p : list->postings) {
+    if (test(p)) break;
   }
 }
 
@@ -308,7 +358,7 @@ std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
       auto lock = lock_shared(shard);
       for (std::size_t wi = 0; wi < words.size(); ++wi) {
         auto it = shard.keywords.find(words[wi]);
-        if (it != shard.keywords.end()) totals[wi] += it->second.size();
+        if (it != shard.keywords.end()) totals[wi] += it->second.live;
       }
     }
   }
@@ -335,22 +385,23 @@ std::vector<FileId> FileIndex::search(const proto::SearchExpr& expr,
 
   // 3. Each shard's first `limit` matches, seq-ascending.
   std::uint64_t evaluated = 0;
-  std::vector<Posting> merged;
+  std::vector<Hit> merged;
   for (const Shard& shard : shards_) {
     auto lock = lock_shared(shard);
-    shard_partial_locked(shard, expr, chosen, limit, merged, evaluated);
+    shard_partial_locked(shard, expr, words, chosen, limit, merged,
+                         evaluated);
   }
   obs::observe(metrics_.candidates, static_cast<double>(evaluated));
 
   // 4. Merge the partials back into the canonical global order: the first
   // `limit` of the merged stream are exactly the single-map answer.
   std::sort(merged.begin(), merged.end(),
-            [](const Posting& a, const Posting& b) { return a.seq < b.seq; });
+            [](const Hit& a, const Hit& b) { return a.seq < b.seq; });
   if (merged.size() > limit) merged.resize(limit);
 
   std::vector<FileId> out;
   out.reserve(merged.size());
-  for (const Posting& p : merged) out.push_back(p.id);
+  for (const Hit& h : merged) out.push_back(h.id);
   return out;
 }
 
@@ -360,37 +411,30 @@ void FileIndex::save_state(ByteWriter& out) const {
   // Records in global first-publish order: the canonical answer order, and
   // the order restore_state replays so per-shard posting lists come back
   // seq-ascending without re-sorting.
-  struct Item {
-    std::uint64_t seq = 0;
-    const FileId* id = nullptr;
-    const FileRecord* rec = nullptr;
-  };
-  std::vector<Item> items;
+  std::vector<Posting> items;
   for (const Shard& shard : shards_) {
-    for (const auto& [seq, id] : shard.by_seq) {
-      auto it = shard.files.find(id);
-      if (it == shard.files.end()) continue;
-      items.push_back(Item{seq, &it->first, &it->second});
+    for (const Posting& p : shard.by_seq.postings) {
+      if (p.file != nullptr) items.push_back(p);
     }
   }
   std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.seq < b.seq; });
+            [](const Posting& a, const Posting& b) { return a.seq < b.seq; });
 
   out.u64le(items.size());
-  for (const Item& item : items) {
+  for (const Posting& item : items) {
+    const FileId& id = item.file->first;
+    const FileRecord& rec = item.file->second.record;
     out.u64le(item.seq);
-    out.raw(BytesView(item.id->bytes.data(), item.id->bytes.size()));
-    out.u32le(static_cast<std::uint32_t>(item.rec->name.size()));
-    out.raw(BytesView(
-        reinterpret_cast<const std::uint8_t*>(item.rec->name.data()),
-        item.rec->name.size()));
-    out.u32le(item.rec->size);
-    out.u32le(static_cast<std::uint32_t>(item.rec->type.size()));
-    out.raw(BytesView(
-        reinterpret_cast<const std::uint8_t*>(item.rec->type.data()),
-        item.rec->type.size()));
-    out.u32le(static_cast<std::uint32_t>(item.rec->sources.size()));
-    for (const Source& src : item.rec->sources) {
+    out.raw(BytesView(id.bytes.data(), id.bytes.size()));
+    out.u32le(static_cast<std::uint32_t>(rec.name.size()));
+    out.raw(BytesView(reinterpret_cast<const std::uint8_t*>(rec.name.data()),
+                      rec.name.size()));
+    out.u32le(rec.size);
+    out.u32le(static_cast<std::uint32_t>(rec.type.size()));
+    out.raw(BytesView(reinterpret_cast<const std::uint8_t*>(rec.type.data()),
+                      rec.type.size()));
+    out.u32le(static_cast<std::uint32_t>(rec.sources.size()));
+    for (const Source& src : rec.sources) {
       out.u32le(src.client);
       out.u16le(src.port);
     }
@@ -406,7 +450,7 @@ bool FileIndex::restore_state(ByteReader& in) {
     shard.files.clear();
     shard.keywords.clear();
     shard.by_client.clear();
-    shard.by_seq.clear();
+    shard.by_seq = {};
     shard.file_count.store(0, std::memory_order_relaxed);
     shard.source_count.store(0, std::memory_order_relaxed);
   }
@@ -446,15 +490,12 @@ bool FileIndex::restore_state(ByteReader& in) {
     if (!in.ok()) return false;
 
     Shard& shard = shard_for(id);
-    const std::string record_name = rec.name;
-    const std::vector<Source> record_sources = rec.sources;
-    if (!shard.files.emplace(id, std::move(rec)).second) return false;
-    for (const std::string& kw : tokenize_keywords(record_name)) {
-      shard.keywords[kw].push_back(Posting{seq, id});
-    }
-    shard.by_seq.emplace(seq, id);
+    auto [it, inserted] = shard.files.try_emplace(id);
+    if (!inserted) return false;
+    it->second.record = std::move(rec);
+    index_file_locked(shard, *it);
     shard.file_count.fetch_add(1, std::memory_order_relaxed);
-    for (const Source& src : record_sources) {
+    for (const Source& src : it->second.record.sources) {
       shard.by_client[src.client].push_back(id);
       shard.source_count.fetch_add(1, std::memory_order_relaxed);
     }

@@ -23,11 +23,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hash/digest.hpp"
@@ -97,7 +97,7 @@ class FileIndex {
     std::shared_lock lock(shard.mutex);
     auto it = shard.files.find(id);
     if (it == shard.files.end()) return false;
-    fn(it->second);
+    fn(it->second.record);
     return true;
   }
 
@@ -109,7 +109,10 @@ class FileIndex {
   [[nodiscard]] std::vector<FileId> search(const proto::SearchExpr& expr,
                                            std::size_t limit) const;
 
-  /// Evaluate an expression against one record (exposed for tests).
+  /// Evaluate an expression against one record, scanning its name for
+  /// each keyword leaf (exposed for tests; the reference index's oracle).
+  /// search() gives the same answers from the keywords a record was
+  /// indexed under.
   [[nodiscard]] static bool matches(const proto::SearchExpr& expr,
                                     const FileRecord& record);
 
@@ -127,21 +130,61 @@ class FileIndex {
   bool restore_state(ByteReader& in);
 
  private:
-  /// One posting-list element: the file plus its canonical order key.
+  struct Entry;
+  using FileNode = std::pair<const FileId, Entry>;
+
+  /// One posting-list element: the file's canonical order key and its
+  /// record.  unordered_map nodes never move, so the pointer stays valid
+  /// until the file is unindexed, which clears it first.
   struct Posting {
+    std::uint64_t seq = 0;
+    const FileNode* file = nullptr;  // null: a tombstone
+  };
+
+  /// A seq-ascending posting list.  Unindexing a file turns its postings
+  /// into tombstones (they keep their seq) instead of shifting the rest of
+  /// the list; readers skip tombstones, and the list is compacted once
+  /// they outnumber its live postings, so it stays within twice its live
+  /// size and an unindex costs amortised O(log n).
+  struct PostingList {
+    std::vector<Posting> postings;
+    std::size_t live = 0;
+
+    void insert(std::uint64_t seq, const FileNode* file);
+    /// Tombstone every posting at `seq` (one per occurrence of the
+    /// keyword in the file's name).
+    void erase(std::uint64_t seq);
+  };
+  using KeywordMap = std::unordered_map<std::string, PostingList>;
+  /// A keyword as the shard interned it: its posting-list node, which
+  /// lives as long as any file indexed under the keyword.
+  using Keyword = KeywordMap::value_type*;
+
+  /// A file as a shard stores it: the record plus the distinct keywords
+  /// its name was indexed under (tokenised once, at first publish or
+  /// restore), so a candidate test and an unindex never re-read the name.
+  struct Entry {
+    FileRecord record;
+    std::vector<Keyword> keywords;
+  };
+
+  /// A search hit taken out of a shard: copied under the shard's lock.
+  struct Hit {
     std::uint64_t seq = 0;
     FileId id;
   };
 
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<FileId, FileRecord, DigestHasher> files;
-    // keyword -> postings, seq-ascending for any serial publish history.
-    std::unordered_map<std::string, std::vector<Posting>> keywords;
+    std::unordered_map<FileId, Entry, DigestHasher> files;
+    // keyword -> postings, one per occurrence of the keyword in a file's
+    // name; a keyword leaves the map with its last live posting.
+    KeywordMap keywords;
     // client -> files it provides *in this shard* (for retract_client).
     std::unordered_map<proto::ClientId, std::vector<FileId>> by_client;
-    // Canonical full-scan order for keyword-less metadata queries.
-    std::map<std::uint64_t, FileId> by_seq;
+    // Every file once: the canonical full-scan order for keyword-less
+    // metadata queries.
+    PostingList by_seq;
     // Lock-free size counters so file_count()/source_count() never block.
     std::atomic<std::uint64_t> file_count{0};
     std::atomic<std::uint64_t> source_count{0};
@@ -175,16 +218,21 @@ class FileIndex {
   /// the file is new.  Returns true for a new (file, provider) pair.
   bool publish_locked(Shard& shard, const proto::FileEntry& entry,
                       std::uint64_t seq);
-  void unindex_file_locked(Shard& shard, const FileRecord& record);
+  /// Post a new file (already in `shard.files`) under each keyword of its
+  /// name and in the full-scan order, and record its keywords.
+  static void index_file_locked(Shard& shard, FileNode& file);
+  static void unindex_file_locked(Shard& shard, const Entry& entry);
 
   /// Append the first `limit` matches of one shard to `out` in canonical
   /// (seq) order; the caller holds the shard's lock.  `chosen` is the
-  /// posting list to scan (empty = full by_seq scan).  `evaluated`
+  /// posting list to scan (empty = full by_seq scan); `words` are the
+  /// query's lowered keywords in collect_keywords() order.  `evaluated`
   /// accumulates the number of candidate records tested.
   static void shard_partial_locked(const Shard& shard,
                                    const proto::SearchExpr& expr,
+                                   const std::vector<std::string>& words,
                                    const std::string& chosen,
-                                   std::size_t limit, std::vector<Posting>& out,
+                                   std::size_t limit, std::vector<Hit>& out,
                                    std::uint64_t& evaluated);
 
   void update_size_gauges(std::size_t shard) const;

@@ -13,8 +13,9 @@
 //     thread that appends (the pipeline's writer thread), so the container
 //     bytes are identical for ANY pool size, including zero (inline);
 //   * a checkpoint can cut the stream at a chunk boundary — the snapshot
-//     carries the written container prefix plus the small uncompressed
-//     tail, and a resumed run continues the chunk sequence byte-for-byte.
+//     carries the chunk cursor plus the small uncompressed tail (the
+//     written container prefix is in the runner's dataset journal), and a
+//     resumed run continues the chunk sequence byte-for-byte.
 //
 // Determinism is structural, not incidental: chunk boundaries fall at fixed
 // uncompressed byte offsets (multiples of chunk_bytes), never at the
@@ -122,11 +123,12 @@ class ChunkedWriter {
   [[nodiscard]] std::uint64_t compressed_bytes() const { return total_out_; }
 
   /// Checkpoint codec: the partial uncompressed tail plus the chunk
-  /// cursor.  Call only after barrier(); the owner snapshots the stream
-  /// prefix separately (it ends at a frame boundary by then).
+  /// cursor.  Call only after barrier(); the owner keeps the stream prefix
+  /// separately (it ends at a frame boundary by then).
   void save_state(ByteWriter& out) const;
-  /// Restore after construction, before any append().  The owner must have
-  /// restored the underlying stream to the matching container prefix.
+  /// Restore after construction, before any append().  The owner restores
+  /// the underlying stream to the matching container prefix (and drops the
+  /// header construction wrote).
   bool restore_state(ByteReader& in);
 
  private:

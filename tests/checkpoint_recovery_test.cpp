@@ -69,6 +69,7 @@ constexpr SimTime kSeriesInterval = 30 * kMinute;
 struct RunOptions {
   std::size_t workers = 0;
   bool background = false;
+  bool dataset = true;  // attach an XML dataset stream
   std::string pcap_path;
   std::string checkpoint_dir;
   std::string resume_from;
@@ -133,7 +134,7 @@ RunArtifacts run_campaign(std::uint64_t seed, const RunOptions& opt) {
   }
 
   std::ostringstream xml;
-  cfg.xml_out = &xml;
+  if (opt.dataset) cfg.xml_out = &xml;
   obs::Registry registry;
   cfg.metrics = &registry;
   obs::TimeSeriesRecorder series(registry, kSeriesInterval);
@@ -374,14 +375,15 @@ TEST(CheckpointRecovery, CorruptSnapshotIsRejected) {
 // A snapshot from an earlier version is refused by the container, not
 // misread: version 1 predates the feeder decoder's section layout, version
 // 2 the file index without shard count and search-cache counters, version
-// 3 the series section without a last-stored snapshot.
+// 3 the series section without a last-stored snapshot, version 4 the
+// dataset journal (it carried the dataset prefix itself).
 // Re-stamp a valid snapshot with each old version (with a fresh digest, so
 // only the version is wrong).
 TEST(CheckpointRecovery, VersionOneSnapshotIsRejected) {
   const fs::path dir = scratch_dir("version1");
   const fs::path snap = shared_snapshot();
   ASSERT_FALSE(snap.empty());
-  for (const std::uint8_t version : {1, 2, 3}) {
+  for (const std::uint8_t version : {1, 2, 3, 4}) {
     SCOPED_TRACE(::testing::Message() << "version " << int{version});
     Bytes bytes = read_all(snap);
     ASSERT_GT(bytes.size(), sizeof(core::kCheckpointMagic) + 4 + 16);
@@ -412,6 +414,180 @@ TEST(CheckpointRecovery, VersionOneSnapshotIsRejected) {
   }
 }
 
+// ---- the dataset journal ---------------------------------------------
+
+/// The journal mark a snapshot records.
+core::JournalMark journal_mark_of(const fs::path& snap) {
+  std::string error;
+  const auto view = core::CheckpointView::load(snap.string(), error);
+  core::JournalMark mark;
+  EXPECT_TRUE(view.has_value()) << error;
+  if (view) {
+    ByteReader r = view->reader("journal");
+    EXPECT_TRUE(mark.restore(r));
+  }
+  return mark;
+}
+
+/// One checkpointed run shared by the journal tests, which work on copies
+/// of its snapshot directory.
+struct JournaledRun {
+  RunArtifacts art;
+  fs::path snaps;
+};
+
+const JournaledRun& journaled_run() {
+  static const JournaledRun run = [] {
+    JournaledRun r;
+    r.snaps = scratch_dir("journaled") / "snaps";
+    RunOptions opt;
+    opt.workers = 2;
+    opt.checkpoint_dir = r.snaps.string();
+    r.art = run_campaign(18, opt);
+    return r;
+  }();
+  return run;
+}
+
+/// A private copy of the shared run's snapshot directory.
+fs::path copy_of_snapshots(const std::string& name) {
+  const fs::path dir = scratch_dir(name) / "snaps";
+  fs::copy(journaled_run().snaps, dir, fs::copy_options::recursive);
+  return dir;
+}
+
+RunArtifacts resume_from(const fs::path& snap,
+                         const std::string& checkpoint_dir = {}) {
+  RunOptions opt;
+  opt.workers = 2;
+  opt.resume_from = snap.string();
+  opt.checkpoint_dir = checkpoint_dir;
+  return run_campaign(18, opt);
+}
+
+/// The mark `snap` records equals the one the shared run recorded at the
+/// same boundary.
+void expect_same_mark(const fs::path& snap) {
+  SCOPED_TRACE(snap.filename().string());
+  const core::JournalMark got = journal_mark_of(snap);
+  const core::JournalMark want =
+      journal_mark_of(journaled_run().snaps / snap.filename());
+  EXPECT_EQ(got.length, want.length);
+  EXPECT_EQ(got.digest, want.digest);
+}
+
+// A crash after a snapshot leaves the journal longer than the snapshot's
+// mark.  Resuming reads only the marked prefix; resuming into the same
+// directory cuts the journal back to the mark and rewrites what follows,
+// so the journal and the marks end as the uninterrupted run left them.
+TEST(CheckpointRecovery, JournalLongerThanItsMarkResumesByteIdentically) {
+  const JournaledRun& base = journaled_run();
+  ASSERT_TRUE(base.art.report.pipeline.ok()) << base.art.report.pipeline.error;
+  const fs::path dir = copy_of_snapshots("journal_longer");
+  const fs::path journal = dir / core::kJournalFileName;
+  EXPECT_EQ(read_all(journal), Bytes(base.art.xml.begin(), base.art.xml.end()));
+  std::ofstream(journal, std::ios::binary | std::ios::app)
+      << "bytes a crashed run wrote after its last snapshot";
+
+  const std::vector<fs::path> snaps = checkpoint_files(dir);
+  ASSERT_GE(snaps.size(), 2u);
+  for (const fs::path& snap : {snaps.front(), snaps.back()}) {
+    SCOPED_TRACE(snap.filename().string());
+    expect_identical(base.art, resume_from(snap));
+  }
+
+  expect_identical(base.art, resume_from(snaps.front(), dir.string()));
+  EXPECT_EQ(read_all(journal), Bytes(base.art.xml.begin(), base.art.xml.end()));
+  for (const fs::path& snap : checkpoint_files(dir)) expect_same_mark(snap);
+  expect_identical(base.art, resume_from(snaps.back()));
+}
+
+// A journal that is shorter than the mark, differs from it in one byte, or
+// is gone is refused before the caller's stream receives a byte.
+TEST(CheckpointRecovery, DamagedJournalIsRefusedBeforeAnyDatasetByte) {
+  const std::vector<fs::path> base_snaps =
+      checkpoint_files(journaled_run().snaps);
+  ASSERT_FALSE(base_snaps.empty());
+  const fs::path last = base_snaps.back().filename();
+  const core::JournalMark mark = journal_mark_of(base_snaps.back());
+  ASSERT_GT(mark.length, 0u);
+
+  const auto damage = [&](const std::string& name, auto&& fn) {
+    SCOPED_TRACE(name);
+    const fs::path dir = copy_of_snapshots("journal_" + name);
+    fn(dir / core::kJournalFileName);
+    const RunArtifacts art = resume_from(dir / last);
+    EXPECT_FALSE(art.report.pipeline.ok());
+    EXPECT_NE(art.report.pipeline.error.find("dataset journal"),
+              std::string::npos)
+        << art.report.pipeline.error;
+    EXPECT_TRUE(art.xml.empty()) << art.xml.size() << " bytes reached xml_out";
+  };
+  damage("shortened", [&](const fs::path& journal) {
+    fs::resize_file(journal, mark.length - 1);
+  });
+  damage("flipped", [&](const fs::path& journal) {
+    Bytes bytes = read_all(journal);
+    bytes[mark.length / 2] ^= 0x01;
+    std::ofstream(journal, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  });
+  damage("missing", [&](const fs::path& journal) { fs::remove(journal); });
+}
+
+// A resume that checkpoints into a new directory starts its own journal
+// there with the verified prefix: its snapshots mark the journal where the
+// first run's did, and themselves resume to the uninterrupted dataset.
+TEST(CheckpointRecovery, ResumeIntoAnotherDirectoryWritesResumableSnapshots) {
+  const JournaledRun& base = journaled_run();
+  const std::vector<fs::path> base_snaps = checkpoint_files(base.snaps);
+  ASSERT_GE(base_snaps.size(), 2u);
+  const fs::path other = scratch_dir("journal_other") / "snaps";
+  expect_identical(base.art, resume_from(base_snaps.front(), other.string()));
+
+  EXPECT_EQ(read_all(other / core::kJournalFileName),
+            Bytes(base.art.xml.begin(), base.art.xml.end()));
+  const std::vector<fs::path> snaps = checkpoint_files(other);
+  ASSERT_EQ(snaps.size(), base_snaps.size() - 1);
+  for (const fs::path& snap : snaps) expect_same_mark(snap);
+  expect_identical(base.art, resume_from(snaps.back()));
+}
+
+// The dataset adds one fixed-size section to a snapshot and grows no other:
+// the same campaign snapshotted with and without a dataset writes sections
+// of the same sizes, give or take the dataset writer's own few counters.
+TEST(CheckpointRecovery, NoSnapshotSectionGrowsWithTheDataset) {
+  const JournaledRun& base = journaled_run();
+  const fs::path bare = scratch_dir("journal_bare") / "snaps";
+  RunOptions opt;
+  opt.workers = 2;
+  opt.dataset = false;
+  opt.checkpoint_dir = bare.string();
+  ASSERT_TRUE(run_campaign(18, opt).report.pipeline.ok());
+  EXPECT_FALSE(fs::exists(bare / core::kJournalFileName));
+
+  const std::vector<fs::path> with = checkpoint_files(base.snaps);
+  ASSERT_EQ(checkpoint_files(bare).size(), with.size());
+  for (const fs::path& snap : with) {
+    SCOPED_TRACE(snap.filename().string());
+    std::string error;
+    const auto a = core::CheckpointView::load(snap.string(), error);
+    const auto b =
+        core::CheckpointView::load((bare / snap.filename()).string(), error);
+    ASSERT_TRUE(a && b) << error;
+    ASSERT_NE(a->section("journal"), nullptr);
+    EXPECT_EQ(a->section("journal")->size(), 24u);
+    EXPECT_GT(journal_mark_of(snap).length, 40u * 256);
+    for (const std::string& name : a->section_names()) {
+      if (name == "journal") continue;
+      ASSERT_NE(b->section(name), nullptr) << name;
+      EXPECT_LE(a->section(name)->size(), b->section(name)->size() + 256)
+          << name;
+    }
+  }
+}
+
 // ---- container and codec units ---------------------------------------
 
 TEST(CheckpointRecovery, ContainerFileRoundtrip) {
@@ -435,8 +611,8 @@ TEST(CheckpointRecovery, ContainerFileRoundtrip) {
 }
 
 // write_file() streams the snapshot and hashes it as it goes: its bytes
-// must be the in-memory reference encoder's, whether a section owns its
-// payload, borrows it or is empty.
+// must be the in-memory reference encoder's, for large, small and empty
+// sections.
 TEST(CheckpointRecovery, StreamedFileEqualsReferenceEncoding) {
   const fs::path dir = scratch_dir("streamed");
   Bytes big(1'300'007);
@@ -448,9 +624,9 @@ TEST(CheckpointRecovery, StreamedFileEqualsReferenceEncoding) {
 
   core::CheckpointBuilder builder;
   builder.add("meta", small);
-  builder.add_borrowed("xml", borrowed);
+  builder.add("xml", Bytes(borrowed.begin(), borrowed.end()));
   builder.add("empty", Bytes{});
-  builder.add_borrowed("nothing", BytesView{});
+  builder.add("nothing", Bytes{});
   builder.add("sim", big);
   const std::string path = (dir / "streamed.ckpt").string();
   ASSERT_EQ(builder.write_file(path), "");

@@ -172,6 +172,34 @@ foreach(snapshot ${snapshots})
   endif()
 endforeach()
 
+# A snapshot marks a prefix of the dataset journal beside it; a crash after
+# the snapshot leaves bytes past the mark.  Resuming into the same directory
+# ignores them, cuts the journal back to the mark and appends: the dataset
+# and the journal both come out as the uninterrupted run's dataset.
+file(APPEND ${WORKDIR}/smoke_ckpt2/dataset.journal "junk past the last mark")
+list(GET snapshots -1 last_snapshot)
+get_filename_component(last_snapshot_name ${last_snapshot} NAME)
+execute_process(
+  COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
+          --hours 3 --workers 2 --xml smoke_ck_junk.xml
+          --series-out smoke_ck_junk_series.jsonl
+          --checkpoint-dir smoke_ckpt2 --checkpoint-interval-hours 1
+          --resume-from ${WORKDIR}/smoke_ckpt2/${last_snapshot_name}
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc_junk_resume)
+if(NOT rc_junk_resume EQUAL 0)
+  message(FATAL_ERROR "resume past a longer journal failed: ${rc_junk_resume}")
+endif()
+foreach(written smoke_ck_junk.xml smoke_ckpt2/dataset.journal)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/smoke_ck.xml ${WORKDIR}/${written}
+    RESULT_VARIABLE rc_junk_cmp)
+  if(NOT rc_junk_cmp EQUAL 0)
+    message(FATAL_ERROR "${written} differs from the uninterrupted dataset")
+  endif()
+endforeach()
+
 # --workers 0 and --workers 1 both run the one-worker pipeline: the same
 # dataset and series bytes (and the same dataset as the two-worker runs
 # above), and a snapshot taken at --workers 0 resumes at --workers 1 to

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -449,6 +450,107 @@ TEST(IndexDifferential, RetractOfRepeatedKeywordsMatchesReference) {
   FileIndex index;
   EXPECT_EQ(run_sharded(index, ops), expected);
   expect_same_end_state(reference, index);
+}
+
+// Postings point at their records and each record at the keywords it was
+// indexed under, so those pointers must survive every rehash of a shard's
+// record and keyword maps, every unindex, and a restore that rebuilds them.
+// Waves of new files grow each shard from empty to ~1,400 records (and the
+// keyword maps to ~650 keywords), which rehashes every map several times;
+// searches and retracts run between the waves, and the index is replaced by
+// a copy restored from its own snapshot halfway through.
+TEST(IndexDifferential, PointersSurviveRehashRetractAndRestore) {
+  Rng r(20261019);
+  constexpr std::size_t kClients = 64;
+  std::vector<std::string> vocab;
+  for (std::size_t i = 0; i < 650; ++i) vocab.push_back("kw" + std::to_string(i));
+  // Half the words come from a dozen frequent ones, so searches have long
+  // candidate lists; the rest spread the keyword maps.
+  const auto word = [&] {
+    return vocab[r.chance(0.5) ? r.below(12) : r.below(vocab.size())];
+  };
+  std::size_t next_name = 0;
+  const auto new_entry = [&] {
+    std::string name = word() + " " + word() + " " + word() + " n" +
+                       std::to_string(next_name++) + ".mp3";
+    proto::FileEntry e;
+    e.file_id = Md4::digest(name);
+    e.client_id = static_cast<proto::ClientId>(1 + r.below(kClients));
+    e.port = 4662;
+    e.tags = {proto::Tag::str(proto::TagName::kFileName, name),
+              proto::Tag::u32(proto::TagName::kFileSize,
+                              static_cast<std::uint32_t>(r.below(1u << 30))),
+              proto::Tag::str(proto::TagName::kFileType,
+                              r.chance(0.5) ? "audio" : "video")};
+    return e;
+  };
+  const auto searches = [&](std::vector<Op>& ops, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Op op;
+      op.kind = Op::Kind::kSearch;
+      switch (r.below(4)) {
+        case 0:
+          op.expr = proto::SearchExpr::keyword(word());
+          break;
+        case 1:
+          op.expr = proto::SearchExpr::keywords({word(), word()});
+          break;
+        case 2:
+          op.expr = proto::SearchExpr::boolean(
+              proto::BoolOp::kAndNot, proto::SearchExpr::keyword(word()),
+              proto::SearchExpr::keyword(word()));
+          break;
+        default:
+          op.expr = proto::SearchExpr::numeric(
+              static_cast<std::uint32_t>(r.below(1u << 30)),
+              proto::NumCmp::kMin, proto::TagName::kFileSize);
+          break;
+      }
+      op.limit = r.chance(0.5) ? 201 : 7;
+      ops.push_back(std::move(op));
+    }
+  };
+
+  ReferenceIndex reference;
+  auto index = std::make_unique<FileIndex>();
+  for (std::size_t wave = 0; wave < 6; ++wave) {
+    SCOPED_TRACE(::testing::Message() << "wave " << wave);
+    std::vector<Op> ops;
+    const std::size_t files = std::size_t{150} << wave;  // 150 ... 4,800
+    for (std::size_t i = 0; i < files;) {
+      Op op;
+      op.kind = r.chance(0.3) ? Op::Kind::kBatch : Op::Kind::kPublish;
+      const std::size_t n = op.kind == Op::Kind::kBatch ? 2 + r.below(30) : 1;
+      for (std::size_t j = 0; j < n; ++j) op.entries.push_back(new_entry());
+      i += n;
+      ops.push_back(std::move(op));
+      if (r.chance(0.05)) searches(ops, 1);
+    }
+    searches(ops, 40);
+    for (std::size_t i = 0; i < 6; ++i) {
+      Op op;
+      op.kind = Op::Kind::kRetract;
+      op.client = static_cast<proto::ClientId>(1 + r.below(kClients));
+      ops.push_back(std::move(op));
+      searches(ops, 10);
+    }
+    const std::vector<std::string> expected = run_reference(reference, ops);
+    const std::vector<std::string> actual = run_sharded(*index, ops);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "diverged at op " << i;
+    }
+    if (wave == 3) {
+      ByteWriter w;
+      index->save_state(w);
+      auto restored = std::make_unique<FileIndex>();
+      ByteReader in(w.view());
+      ASSERT_TRUE(restored->restore_state(in));
+      index = std::move(restored);
+    }
+  }
+  EXPECT_GT(reference.file_count(), 4u * 1'000);
+  expect_same_end_state(reference, *index);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,11 +56,13 @@ commands:
                                       never changes output, joins the
                                       snapshot fingerprint)
               [--checkpoint-dir DIR] (periodic resumable snapshots, one
-                                      file per boundary)
+                                      file per boundary, beside a
+                                      dataset.journal of the dataset)
               [--checkpoint-interval-hours H] (boundary spacing in
                                       simulated hours; default 168 = 1 week)
               [--resume-from FILE] (continue an interrupted campaign from
-                                      a snapshot; outputs are byte-identical
+                                      a snapshot and the dataset.journal
+                                      beside it; outputs are byte-identical
                                       to an uninterrupted run)
               [--scenario NAME] (hostile-regime preset: steady, flash_crowd,
                                       query_storm, polluter_flood, churn_wave,
