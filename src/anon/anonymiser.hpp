@@ -133,25 +133,74 @@ struct AnonEvent {
   AnonMessage message;
 };
 
-// Table-free pieces of the scheme, shared by the inserting Anonymiser and
-// the read-only worker-side variant: string hashing and precision reduction
+// Table-free pieces of the scheme: string hashing and precision reduction
 // never touch the order-of-appearance tables.
 StringToken anon_hash_string(std::string_view s);
 AnonFileMeta anon_meta(const proto::TagList& tags);
 AnonSearchExprPtr anon_expr(const proto::SearchExpr& e);
 
+/// The read-only half of §2.4, safe against tables another thread inserts
+/// into: every ID is resolved with non-inserting lookup(), and an ID not
+/// assigned yet leaves its not-seen sentinel (kClientNotSeen /
+/// kFileNotSeen) in its slot — a *hole*.  Everything else (string hashes,
+/// sizes, the message shape) is final.  Pipeline workers resolve every
+/// message with this; Anonymiser::fill() later assigns the holes, in
+/// sequence order, on the one thread that writes the tables.
+///
+/// The tally mirrors exactly the lookups a serial inserting pass counts for
+/// the same message, holes included, so committing it keeps
+/// `anon.client_lookups` / `anon.file_lookups` identical to a serial run.
+class ReadOnlyAnonymiser {
+ public:
+  struct Tally {
+    std::uint64_t client_lookups = 0;
+    std::uint64_t file_lookups = 0;
+    std::uint64_t holes = 0;  // IDs left unassigned
+  };
+
+  ReadOnlyAnonymiser(const ClientAnonymiser& clients,
+                     const FileIdAnonymiser& files)
+      : clients_(clients), files_(files) {}
+
+  /// The event for `msg`, with a hole for every ID not assigned yet; adds
+  /// this message's lookups and holes to `tally`.
+  AnonEvent resolve(SimTime time, proto::ClientId peer_ip,
+                    const proto::Message& msg, Tally& tally) const;
+
+  /// resolve(), or nullopt when it left any hole.  `tally` is filled
+  /// either way.
+  std::optional<AnonEvent> try_anonymise(SimTime time, proto::ClientId peer_ip,
+                                         const proto::Message& msg,
+                                         Tally& tally) const;
+
+ private:
+  const ClientAnonymiser& clients_;
+  const FileIdAnonymiser& files_;
+};
+
 /// Applies the anonymisation scheme, sharing the clientID table and fileID
 /// store across the whole capture (order-of-appearance must be global).
+/// It is the tables' only writer.
 class Anonymiser {
  public:
   Anonymiser(ClientAnonymiser& clients, FileIdAnonymiser& files)
-      : clients_(clients), files_(files) {}
+      : clients_(clients), files_(files), reader_(clients, files) {}
 
   /// `peer_ip` is the UDP/IP-level address of the client (which is also its
   /// clientID when it has a high ID — the reason the paper must anonymise
-  /// in real time at both protocol levels).
+  /// in real time at both protocol levels).  The read-only resolve pass,
+  /// then fill().
   AnonEvent anonymise(SimTime time, proto::ClientId peer_ip,
                       const proto::Message& msg);
+
+  /// Finish an event ReadOnlyAnonymiser::resolve() made from `msg` and
+  /// `peer_ip` with `tally`: assign every hole with the inserting tables in
+  /// the serial visit order — the peer first; then, per file entry, the
+  /// file before its provider; in a sources answer, the file before its
+  /// clients — then commit the tally and count the event.  Calls must come
+  /// in capture order: that order *is* the dense numbering.
+  void fill(AnonEvent& event, proto::ClientId peer_ip,
+            const proto::Message& msg, const ReadOnlyAnonymiser::Tally& tally);
 
   static StringToken hash_string(std::string_view s);
 
@@ -186,18 +235,7 @@ class Anonymiser {
   }
 
  private:
-  AnonFileMeta anonymise_meta(const proto::TagList& tags);
-  AnonFileEntry anonymise_entry(const proto::FileEntry& e);
-  AnonSearchExprPtr anonymise_expr(const proto::SearchExpr& e);
-
-  AnonClientId anon_client(proto::ClientId id) {
-    obs::inc(metrics_.client_lookups);
-    return clients_.anonymise(id);
-  }
-  AnonFileId anon_file(const FileId& id) {
-    obs::inc(metrics_.file_lookups);
-    return files_.anonymise(id);
-  }
+  void log_milestones(SimTime time);
 
   struct Metrics {
     obs::Counter* events = nullptr;
@@ -209,43 +247,11 @@ class Anonymiser {
 
   ClientAnonymiser& clients_;
   FileIdAnonymiser& files_;
+  ReadOnlyAnonymiser reader_;
   Metrics metrics_;
   obs::Logger* log_ = nullptr;
   std::uint64_t next_client_milestone_ = 1;
   std::uint64_t next_file_milestone_ = 1;
-};
-
-/// Optimistic anonymisation against tables some other thread inserts into:
-/// every ID is resolved with non-inserting lookup(), and the whole message
-/// is abandoned (nullopt) when any ID has not been assigned yet.  Pipeline
-/// workers use this to anonymise messages whose IDs are already known,
-/// leaving first-sight assignment — and therefore the dense numbering — to
-/// the merge thread's Anonymiser.
-///
-/// The tally mirrors exactly the lookups the inserting Anonymiser would
-/// count for the same message, so callers can keep `anon.client_lookups` /
-/// `anon.file_lookups` identical to a serial run by committing it only when
-/// try_anonymise succeeds.
-class ReadOnlyAnonymiser {
- public:
-  struct Tally {
-    std::uint64_t client_lookups = 0;
-    std::uint64_t file_lookups = 0;
-  };
-
-  ReadOnlyAnonymiser(const ClientAnonymiser& clients,
-                     const FileIdAnonymiser& files)
-      : clients_(clients), files_(files) {}
-
-  /// nullopt when the message references any not-yet-assigned ID; `tally`
-  /// is filled either way but only meaningful on success.
-  std::optional<AnonEvent> try_anonymise(SimTime time, proto::ClientId peer_ip,
-                                         const proto::Message& msg,
-                                         Tally& tally) const;
-
- private:
-  const ClientAnonymiser& clients_;
-  const FileIdAnonymiser& files_;
 };
 
 }  // namespace dtr::anon

@@ -1,7 +1,6 @@
 #include "core/parallel_pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 
 #include "common/rng.hpp"
@@ -64,7 +63,7 @@ ParallelCapturePipeline::ParallelCapturePipeline(
     // thread only touches the stream after a chunk arrives, and thread
     // creation below orders these writes before it.
     xml_ = std::make_unique<xmlio::DatasetWriter>(*config_.xml_out);
-    writer_ring_ = std::make_unique<SpscRing<XmlChunk>>(kWriterRingChunks);
+    writer_ring_ = std::make_unique<SpscRing<EventChunk>>(kWriterRingChunks);
   }
 
   const std::size_t n = std::max<std::size_t>(1, config_.workers);
@@ -227,52 +226,28 @@ void ParallelCapturePipeline::fail(const char* stage, SimTime time,
   DTR_LOG_ERROR(config_.log, stage, time, "stage failed: " << what);
 }
 
-void ParallelCapturePipeline::optimistic_pass(ResultBatch& result) {
-  const std::size_t n = result.messages.size();
-  result.prepared.assign(n, 0);
-  result.events.resize(n);
-  result.xml_len.assign(n, 0);
-  result.xml_elems.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
+std::uint32_t ParallelCapturePipeline::peer_ip(
+    const decode::DecodedMessage& msg) const {
+  // The dialog's client side: whoever is not the server.
+  const bool from_client = msg.dst_ip == config_.server_ip &&
+                           msg.dst_port == config_.server_port;
+  return from_client ? msg.src_ip : msg.dst_ip;
+}
+
+void ParallelCapturePipeline::resolve_pass(ResultBatch& result) {
+  for (std::size_t i = 0; i < result.messages.size(); ++i) {
     const decode::DecodedMessage& msg = result.messages[i];
-    const bool from_client = msg.dst_ip == config_.server_ip &&
-                             msg.dst_port == config_.server_port;
-    const std::uint32_t peer_ip = from_client ? msg.src_ip : msg.dst_ip;
-    anon::ReadOnlyAnonymiser::Tally tally;
-    const std::size_t xml_before = result.xml.size();
-    const auto start = std::chrono::steady_clock::now();
+    obs::SpanTimer span(metrics_.anonymise_span);
     try {
-      auto event = read_anonymiser_.try_anonymise(msg.time, peer_ip,
-                                                  msg.message, tally);
-      if (!event) continue;  // unseen ID: the merger runs the slow path
-      if (xml_) {
-        const std::uint64_t elems = xmlio::render_event(*event, result.xml);
-        result.xml_len[i] =
-            static_cast<std::uint32_t>(result.xml.size() - xml_before);
-        result.xml_elems[i] = static_cast<std::uint32_t>(elems);
-      }
-      result.events[i] = std::move(*event);
-      result.prepared[i] = 1;
-      // Commit instrumentation only for completed fast-path messages, so
-      // the anon.* totals stay exactly equal to a one-thread run's (deferred
-      // messages are counted by the merge-side Anonymiser instead).  The
-      // span is measured by hand because SpanTimer observes even when the
-      // attempt abandons.
-      obs::inc(metrics_.anon_client_lookups, tally.client_lookups);
-      obs::inc(metrics_.anon_file_lookups, tally.file_lookups);
-      obs::inc(metrics_.anon_events);
-      obs::observe(metrics_.anonymise_span,
-                   std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count());
+      result.events[i] = read_anonymiser_.resolve(
+          msg.time, peer_ip(msg), msg.message, result.tallies[i]);
     } catch (const std::exception&) {
-      // Pre-rendering is best-effort: leave the message for the merge-side
-      // slow path, whose failure handling is authoritative.
-      result.xml.resize(xml_before);
-      result.xml_len[i] = 0;
-      result.xml_elems[i] = 0;
-      result.prepared[i] = 0;
+      // The merger resolves this message and the rest of the batch itself;
+      // its failure handling is authoritative.
+      span.cancel();
+      return;
     }
+    result.resolved = i + 1;
   }
 }
 
@@ -281,6 +256,8 @@ void ParallelCapturePipeline::worker_loop(Worker& worker) {
                          "worker." + std::to_string(worker.index));
   bool& failed = worker.failed;
   while (auto batch = worker.in->pop()) {
+    // A spent batch comes back un-reset: its decoded messages and events
+    // are torn down here, on a worker, not on the merge thread.
     ResultBatch result = result_pool_.acquire();
     result.reset();
     for (std::size_t i = 0; i < batch->used; ++i) {
@@ -304,14 +281,10 @@ void ParallelCapturePipeline::worker_loop(Worker& worker) {
     }
     batch->reset();
     frame_pool_.release(std::move(*batch));
-    if (!failed) {
-      optimistic_pass(result);
-    } else {
-      result.prepared.assign(result.messages.size(), 0);
-      result.events.resize(result.messages.size());
-      result.xml_len.assign(result.messages.size(), 0);
-      result.xml_elems.assign(result.messages.size(), 0);
-    }
+    // Messages a failed worker leaves unresolved, the merger resolves.
+    result.events.resize(result.messages.size());
+    result.tallies.assign(result.messages.size(), {});
+    if (!failed) resolve_pass(result);
     const std::size_t frames = result.seqs.size();
     obs::observe(metrics_.batch_messages,
                  static_cast<double>(result.messages.size()));
@@ -331,25 +304,17 @@ void ParallelCapturePipeline::merge_loop() {
   std::vector<ResultBatch> backlog;
   std::uint64_t next_expected = 0;
   bool failed = false;
-  XmlChunk chunk;  // open XML hand-off chunk (only filled when xml_ is set)
+  EventChunk chunk;  // open writer hand-off chunk (only filled with xml_)
 
   auto hand_off_chunk = [&] {
-    if (chunk.events == 0) return;
-    const std::uint64_t events = chunk.events;
+    if (chunk.events.empty()) return;
+    const std::uint64_t events = chunk.events.size();
     if (!writer_ring_->push(std::move(chunk))) {
       note_dropped(events, "events");
       // Keep the quiescence accounting alive even on this shutdown path.
       writer_events_done_.fetch_add(events, std::memory_order_release);
     }
     chunk = chunk_pool_.acquire();
-    chunk.reset();
-  };
-
-  // Count one event into the open chunk (its bytes already appended).
-  auto chunk_event = [&](std::uint64_t elements) {
-    chunk.events += 1;
-    chunk.elements += elements;
-    if (chunk.events >= kWriterChunkEvents) hand_off_chunk();
   };
 
   // Publish progress (next_expected frames merged) for flush().  Once per
@@ -358,46 +323,39 @@ void ParallelCapturePipeline::merge_loop() {
     results_merged_.store(next_expected, std::memory_order_release);
   };
 
-  // The order-sensitive stage, one frame's messages at a time.  Fast-path
-  // messages arrive finished from the worker; everything else goes through
-  // the inserting Anonymiser — which is where dense IDs are assigned, in
-  // strict sequence order, making the numbering independent of the worker
-  // count.
+  // The order-sensitive stage, one frame's messages at a time.  Workers
+  // resolved every message already; the merger only fills the holes —
+  // which is where dense IDs are assigned, in strict sequence order,
+  // making the numbering independent of the worker count — and forwards
+  // the finished event.
   auto process_frame = [&](PendingBatch& cur) {
     const std::uint32_t count = cur.batch.counts[cur.frame];
     if (!failed) {
       try {
         for (std::uint32_t i = 0; i < count; ++i) {
           const std::size_t mi = cur.msg + i;
-          decode::DecodedMessage& msg = cur.batch.messages[mi];
+          const decode::DecodedMessage& msg = cur.batch.messages[mi];
+          anon::AnonEvent& event = cur.batch.events[mi];
           obs::inc(metrics_.messages);
-          const bool from_client = msg.dst_ip == config_.server_ip &&
-                                   msg.dst_port == config_.server_port;
-          const std::uint32_t len = cur.batch.xml_len[mi];
-          if (cur.batch.prepared[mi] != 0) {
-            obs::inc(metrics_.fast_events);
-            anon::AnonEvent& event = cur.batch.events[mi];
-            anonymised_events_.fetch_add(1, std::memory_order_relaxed);
-            stats_.consume(event);
-            if (config_.extra_sink) config_.extra_sink(event);
-            if (xml_) {
-              // Pre-rendered bytes splice straight through.
-              chunk.bytes.append(cur.batch.xml, cur.xml_off, len);
-              chunk_event(cur.batch.xml_elems[mi]);
-            }
+          if (mi < cur.batch.resolved) {
+            const anon::ReadOnlyAnonymiser::Tally& tally =
+                cur.batch.tallies[mi];
+            obs::inc(tally.holes == 0 ? metrics_.fast_events
+                                      : metrics_.deferred_events);
+            anonymiser_.fill(event, peer_ip(msg), msg.message, tally);
           } else {
+            // The worker failed before resolving this message.
             obs::SpanTimer span(metrics_.anonymise_span);
             obs::inc(metrics_.deferred_events);
-            const std::uint32_t peer_ip =
-                from_client ? msg.src_ip : msg.dst_ip;
-            anon::AnonEvent event =
-                anonymiser_.anonymise(msg.time, peer_ip, msg.message);
-            anonymised_events_.fetch_add(1, std::memory_order_relaxed);
-            stats_.consume(event);
-            if (config_.extra_sink) config_.extra_sink(event);
-            if (xml_) chunk_event(xmlio::render_event(event, chunk.bytes));
+            event = anonymiser_.anonymise(msg.time, peer_ip(msg), msg.message);
           }
-          cur.xml_off += len;
+          anonymised_events_.fetch_add(1, std::memory_order_relaxed);
+          stats_.consume(event);
+          if (config_.extra_sink) config_.extra_sink(event);
+          if (xml_) {
+            chunk.events.push_back(std::move(event));
+            if (chunk.events.size() >= kWriterChunkEvents) hand_off_chunk();
+          }
         }
       } catch (const std::exception& e) {
         failed = true;  // keep consuming results so flush() never hangs
@@ -430,7 +388,8 @@ void ParallelCapturePipeline::merge_loop() {
         // A gap inside this worker's stream: another worker owns the next
         // frame.  Leave the cursor at the front of the lane.
         if (cur.frame < cur.batch.seqs.size()) break;
-        cur.batch.reset();
+        // Spent, but not reset: the worker that acquires it next frees its
+        // messages and events.
         result_pool_.release(std::move(cur.batch));
         lane.pop_front();
       }
@@ -502,22 +461,29 @@ void ParallelCapturePipeline::merge_loop() {
 void ParallelCapturePipeline::writer_loop() {
   obs::ThreadLease lease(config_.profiler, "writer", "writer");
   bool failed = false;
+  std::string rendered;  // one chunk's bytes, reused
   while (auto chunk = writer_ring_->pop()) {
     obs::set(metrics_.writer_queue_depth,
              static_cast<std::int64_t>(writer_ring_->size()));
+    const std::uint64_t events = chunk->events.size();
     if (!failed) {
       try {
         obs::SpanTimer span(metrics_.write_span);
-        xml_->write_rendered(chunk->bytes, chunk->events, chunk->elements);
+        rendered.clear();
+        std::uint64_t elements = 0;
+        for (const anon::AnonEvent& event : chunk->events) {
+          elements += xmlio::render_event(event, rendered);
+        }
+        xml_->write_rendered(rendered, events, elements);
       } catch (const std::exception& e) {
         failed = true;  // keep retiring chunks so flush() never hangs
         fail("write", 0, e.what());
       }
     }
     obs::inc(metrics_.writer_chunks);
-    obs::inc(metrics_.writer_events, chunk->events);
-    writer_events_done_.fetch_add(chunk->events, std::memory_order_release);
-    chunk->reset();
+    obs::inc(metrics_.writer_events, events);
+    writer_events_done_.fetch_add(events, std::memory_order_release);
+    chunk->events.clear();
     chunk_pool_.release(std::move(*chunk));
     notify_quiesce();
   }
@@ -572,11 +538,6 @@ void ParallelCapturePipeline::bind_metrics(obs::Registry& registry) {
   metrics_.pool_misses = &registry.counter("pipeline.pool.misses", kOps);
   metrics_.writer_chunks = &registry.counter("pipeline.writer.chunks", kOps);
   metrics_.writer_events = &registry.counter("pipeline.writer.events", kOps);
-  // Same instruments the Anonymiser binds: striped counters merge the
-  // worker-side fast-path increments with the merge-side slow path.
-  metrics_.anon_events = &registry.counter("anon.events");
-  metrics_.anon_client_lookups = &registry.counter("anon.client_lookups");
-  metrics_.anon_file_lookups = &registry.counter("anon.file_lookups");
   metrics_.fast_events = &registry.counter("anon.shard.fast_events", kOps);
   metrics_.deferred_events =
       &registry.counter("anon.shard.deferred_events", kOps);

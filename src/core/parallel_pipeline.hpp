@@ -30,28 +30,36 @@
 // same data plane with a single lane, so the pushing thread still settles
 // the background frames and hands UDP frames off in batches.
 //
-// Anonymisation itself is parallel (the change that broke the merge-thread
-// bottleneck): workers optimistically anonymise each decoded message with
-// read-only lookups against the §2.4 tables (anon/client_table.hpp,
-// anon/fileid_store.hpp), which allow one writer and many readers, and
-// pre-render its XML bytes.  The merge thread stays the only *writer* of
-// the tables and processes frames strictly in sequence order, so:
+// The §2.4 pass is split three ways, so the merge thread — the one stage
+// that must run in sequence order — does as little as possible:
 //
-//   * a message whose every ID resolves on the worker produces the exact
-//     event and bytes a serial run would — all its IDs were assigned at
-//     earlier sequence numbers, and assignment order is merge-side only;
-//   * a message touching any unseen ID is abandoned by the worker and the
-//     merger runs the full inserting Anonymiser on it (the first-sight
-//     slow path), which is precisely the serial behaviour.
+//   * WORKERS RESOLVE: each worker runs the read-only pass
+//     (anon::ReadOnlyAnonymiser::resolve) on every decoded message —
+//     strings hashed, sizes reduced, every clientID and fileID looked up
+//     without inserting against the §2.4 tables (anon/client_table.hpp,
+//     anon/fileid_store.hpp), which allow one writer and many readers.  An
+//     ID not assigned yet stays a *hole*: the kClientNotSeen /
+//     kFileNotSeen sentinel in its slot.  The worker keeps the event and
+//     the lookup tally a serial pass would have counted.
+//   * THE MERGER FILLS HOLES: it stays the only table writer and processes
+//     frames strictly in sequence order.  For each event it assigns the
+//     holes with the inserting tables in the serial visit order
+//     (anon::Anonymiser::fill), commits the tally, feeds CampaignStats and
+//     forwards the event.  Any ID a worker resolved was assigned at an
+//     earlier sequence number, and assignment order is merge-side only, so
+//     every event carries exactly the IDs a serial run gives it.  A worker
+//     failure leaves the rest of its batch unresolved, and the merger
+//     resolves and fills those messages itself.
+//   * THE WRITER RENDERS every event, in chunk order.
 //
 // Dense IDs therefore depend only on publish order — never on worker
-// count or interleaving — and the merger shrinks to ID assignment
-// for first-sighted messages, ledger bookkeeping and splicing pre-rendered
-// chunks.  Output bytes are pinned by the differential tests against a
-// single-threaded reference (tests/reference_pipeline.hpp) at several
-// worker counts.
+// count or interleaving — and the merger neither hashes, renders nor
+// frees: a spent result batch returns to its pool un-reset, and the worker
+// that acquires it next tears its messages and events down.  Output bytes
+// are pinned by the differential tests against a single-threaded
+// reference (tests/reference_pipeline.hpp) at several worker counts.
 //
-// Three throughput devices keep synchronisation and allocation off the
+// Four throughput devices keep synchronisation and allocation off the
 // per-frame path while leaving the output bytes untouched:
 //
 //   * MICRO-BATCHING: the pushing thread accumulates a small run of frames
@@ -70,9 +78,9 @@
 //     a mutex round-trip.  The merger sleeps on one shared RingSignal that
 //     fans in all worker output rings.
 //   * WRITER THREAD: when a dataset stream is attached, the merger does not
-//     write XML; it hands chunks of pre-rendered bytes to a dedicated
-//     writer thread, which keeps the copy into the (cold) output stream off
-//     the merge critical path.  The merger flushes its open chunk at the
+//     touch XML; it hands chunks of finished events to a dedicated writer
+//     thread, which renders them into the (cold) output stream off the
+//     merge critical path.  The merger flushes its open chunk at the
 //     end of every drain cycle, so a flush()-quiesce (wait for
 //     results_merged, then for the writer to catch up) always leaves the
 //     XML stream byte-complete — which is what keeps checkpoint/resume
@@ -217,57 +225,43 @@ class ParallelCapturePipeline {
 
   /// One worker's output for one FrameBatch: per-frame sequence numbers
   /// and message counts, every decoded message back to back in a single
-  /// reusable vector, and — for messages whose IDs all resolved on the
-  /// worker — the finished AnonEvent plus its pre-rendered XML bytes.
+  /// reusable vector, and the worker's resolve pass over each message: the
+  /// event with a hole for every ID not assigned yet, and its lookup tally.
   /// seqs within a batch ascend (the pushing thread assigns them in
   /// order), which is what lets the merger treat a batch as a sorted run.
   struct ResultBatch {
     std::vector<std::uint64_t> seqs;
     std::vector<std::uint32_t> counts;  // messages per frame, same index
     std::vector<decode::DecodedMessage> messages;
-    // Optimistic worker anonymisation, one slot per message.  prepared[i]
-    // set means events[i] is the finished event and xml holds xml_len[i]
-    // bytes (xml_elems[i] elements) for it; otherwise the merger runs the
-    // inserting slow path on messages[i].
-    std::vector<std::uint8_t> prepared;
-    std::vector<anon::AnonEvent> events;
-    std::vector<std::uint32_t> xml_len;
-    std::vector<std::uint32_t> xml_elems;
-    std::string xml;  // concatenated rendered bytes, batch order
+    std::vector<anon::AnonEvent> events;  // one per message
+    std::vector<anon::ReadOnlyAnonymiser::Tally> tallies;
+    /// Messages [0, resolved) were resolved by the worker; a worker failure
+    /// leaves the rest for the merger to resolve itself.
+    std::size_t resolved = 0;
 
     void reset() {
       seqs.clear();
       counts.clear();
       messages.clear();
-      prepared.clear();
       events.clear();
-      xml_len.clear();
-      xml_elems.clear();
-      xml.clear();
+      tallies.clear();
+      resolved = 0;
     }
   };
 
   /// Cursor over a partially consumed ResultBatch in a merge lane.
   struct PendingBatch {
     ResultBatch batch;
-    std::size_t frame = 0;    // next unconsumed index into seqs/counts
-    std::size_t msg = 0;      // next unconsumed index into messages
-    std::size_t xml_off = 0;  // next unconsumed byte of batch.xml
+    std::size_t frame = 0;  // next unconsumed index into seqs/counts
+    std::size_t msg = 0;    // next unconsumed index into messages
 
     [[nodiscard]] std::uint64_t front_seq() const { return batch.seqs[frame]; }
   };
 
-  /// Writer hand-off: pre-rendered bytes plus the ledger deltas they carry.
-  struct XmlChunk {
-    std::string bytes;
-    std::uint64_t events = 0;
-    std::uint64_t elements = 0;
-
-    void reset() {
-      bytes.clear();
-      events = 0;
-      elements = 0;
-    }
+  /// Writer hand-off: finished events in sequence order, rendered by the
+  /// writer thread.
+  struct EventChunk {
+    std::vector<anon::AnonEvent> events;
   };
 
   struct Worker {
@@ -287,8 +281,11 @@ class ParallelCapturePipeline {
 
   void flush_open_batch(std::size_t target);
   void worker_loop(Worker& worker);
-  /// The worker-side optimistic anonymise + XML pre-render pass.
-  void optimistic_pass(ResultBatch& result);
+  /// The dialog's client side of `msg`: whoever is not the server.
+  std::uint32_t peer_ip(const decode::DecodedMessage& msg) const;
+  /// The worker-side read-only §2.4 pass over every message of `result`,
+  /// into its sized events and tallies.
+  void resolve_pass(ResultBatch& result);
   void merge_loop();
   void writer_loop();
   /// Unconditional lock+notify of the quiesce cv — cheap (once per drain
@@ -307,11 +304,6 @@ class ParallelCapturePipeline {
     obs::Counter* pool_misses = nullptr;
     obs::Counter* writer_chunks = nullptr;
     obs::Counter* writer_events = nullptr;
-    // Worker fast path mirrors of the Anonymiser's anon.* instruments,
-    // committed only for messages that complete optimistically.
-    obs::Counter* anon_events = nullptr;
-    obs::Counter* anon_client_lookups = nullptr;
-    obs::Counter* anon_file_lookups = nullptr;
     obs::Counter* fast_events = nullptr;      // anon.shard.fast_events
     obs::Counter* deferred_events = nullptr;  // anon.shard.deferred_events
     obs::Counter* push_parks = nullptr;
@@ -334,7 +326,7 @@ class ParallelCapturePipeline {
   ParallelPipelineConfig config_;
   ObjectPool<FrameBatch> frame_pool_;
   ObjectPool<ResultBatch> result_pool_;
-  ObjectPool<XmlChunk> chunk_pool_;
+  ObjectPool<EventChunk> chunk_pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Pushing-thread-only: counts every frame settle() handles (all but
   /// UDP), bound to the same registry and telemetry as the workers.
@@ -344,12 +336,12 @@ class ParallelCapturePipeline {
   /// finish(), as one decoder fed every frame would.
   SimTime last_time_ = 0;
   RingSignal merge_signal_;  // fans in every worker's out ring
-  std::unique_ptr<SpscRing<XmlChunk>> writer_ring_;  // iff xml_
+  std::unique_ptr<SpscRing<EventChunk>> writer_ring_;  // iff xml_
 
   anon::DirectClientTable clients_;
   anon::BucketedFileIdStore files_;
-  anon::Anonymiser anonymiser_;            // merge-side inserting slow path
-  anon::ReadOnlyAnonymiser read_anonymiser_;  // worker-side fast path
+  anon::Anonymiser anonymiser_;               // merge side: fills holes
+  anon::ReadOnlyAnonymiser read_anonymiser_;  // worker side: resolves
   analysis::CampaignStats stats_;
   std::unique_ptr<xmlio::DatasetWriter> xml_;
   Metrics metrics_;

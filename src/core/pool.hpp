@@ -4,10 +4,10 @@
 // message vectors, XML writer chunks, compressor scratch buffers) between
 // threads at a high rate; constructing them fresh each time puts an
 // allocation — and later a free on a *different* thread — on the hot path.
-// The pool recycles them instead: release() parks an object after the
-// owner reset() its logical
-// contents (vector capacity survives, so a recycled batch's buffers are
-// already warm), acquire() hands it back out.
+// The pool recycles them instead: release() parks an object, acquire()
+// hands it back out, and whoever resets its logical contents keeps the
+// vector capacity warm.  An object may also go back un-reset, so that the
+// thread acquiring it next pays for freeing what it held.
 #pragma once
 
 #include <mutex>
@@ -50,8 +50,9 @@ class ObjectPool {
     return T{};
   }
 
-  /// Park `obj` for reuse (the caller must have reset its logical contents
-  /// first).  Beyond max_retained the object is simply destroyed.
+  /// Park `obj` for reuse, reset or not (the next acquirer resets what the
+  /// releaser did not).  Beyond max_retained the object is simply
+  /// destroyed.
   void release(T&& obj) {
     std::lock_guard lock(mutex_);
     if (free_.size() < max_retained_) free_.push_back(std::move(obj));

@@ -425,10 +425,13 @@ void CampaignSimulator::publish_batch(const Event& ev) {
         ++truth_.polluted_entries;
       } else {
         entry.file_id = workload::make_forged_file_id(fr);
-        entry.tags.push_back(proto::Tag::str(
-            proto::TagName::kFileName,
-            "p" + std::to_string(ev.client) + " n" +
-                std::to_string(offset + i) + ".avi"));
+        std::string name = "p";
+        name += std::to_string(ev.client);
+        name += " n";
+        name += std::to_string(offset + i);
+        name += ".avi";
+        entry.tags.push_back(
+            proto::Tag::str(proto::TagName::kFileName, std::move(name)));
         entry.tags.push_back(proto::Tag::u32(
             proto::TagName::kFileSize,
             static_cast<std::uint32_t>(size_model.sample(fr))));

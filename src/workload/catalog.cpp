@@ -46,9 +46,13 @@ FileCatalog::FileCatalog(const CatalogConfig& config, std::uint64_t seed)
     std::string name;
     for (std::size_t t = 0; t < tokens; ++t) {
       if (t > 0) name += ' ';
-      name += "w" + std::to_string(token_sampler(rng));
+      name += 'w';
+      name += std::to_string(token_sampler(rng));
     }
-    name += " f" + std::to_string(i) + "." + spec.ext;
+    name += " f";
+    name += std::to_string(i);
+    name += '.';
+    name += spec.ext;
     f.name = std::move(name);
 
     // fileID: MD4 of the synthetic identity — honest protocol behaviour

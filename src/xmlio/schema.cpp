@@ -26,8 +26,8 @@ const char* kind_name(const anon::AnonMessage& m) {
 }
 
 // Renders the same bytes XmlWriter produces in non-pretty mode, but into a
-// std::string — pipeline workers pre-serialise <msg> elements with this and
-// the merge thread splices them via DatasetWriter::write_rendered.
+// std::string — the pipeline's writer thread renders a chunk of <msg>
+// elements with this and splices it via DatasetWriter::write_rendered.
 class StringEventWriter {
  public:
   explicit StringEventWriter(std::string& out) : out_(out) {}
@@ -58,6 +58,24 @@ class StringEventWriter {
     char buf[20];
     auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
     out_.append(buf, static_cast<std::size_t>(ptr - buf));
+    out_ += '"';
+    return *this;
+  }
+
+  /// A digest's 32 hex digits, written straight into the buffer (hex
+  /// digits never need escaping).
+  StringEventWriter& attr(std::string_view name, const Digest128& value) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out_ += ' ';
+    out_.append(name);
+    out_ += "=\"";
+    const std::size_t at = out_.size();
+    out_.resize(at + 2 * value.bytes.size());
+    char* p = out_.data() + at;
+    for (const std::uint8_t b : value.bytes) {
+      *p++ = kHex[b >> 4];
+      *p++ = kHex[b & 0xF];
+    }
     out_ += '"';
     return *this;
   }
@@ -93,6 +111,17 @@ class StringEventWriter {
   std::uint64_t elements_ = 0;
 };
 
+// A digest attribute: StringEventWriter renders it in place, XmlWriter
+// takes its hex string.
+StringEventWriter& hex_attr(StringEventWriter& w, std::string_view name,
+                            const Digest128& value) {
+  return w.attr(name, value);
+}
+XmlWriter& hex_attr(XmlWriter& w, std::string_view name,
+                    const Digest128& value) {
+  return w.attr(name, value.hex());
+}
+
 template <typename W>
 void write_expr(W& w, const anon::AnonSearchExpr& e) {
   using Kind = proto::SearchExpr::Kind;
@@ -108,17 +137,14 @@ void write_expr(W& w, const anon::AnonSearchExpr& e) {
       break;
     }
     case Kind::kKeyword:
-      w.open("kw").attr("h", e.token->hex()).close();
+      hex_attr(w.open("kw"), "h", *e.token).close();
       break;
     case Kind::kMetaString:
-      w.open("meta")
-          .attr("h", e.token->hex())
-          .attr("tag", e.tag_token->hex())
+      hex_attr(hex_attr(w.open("meta"), "h", *e.token), "tag", *e.tag_token)
           .close();
       break;
     case Kind::kMetaNumeric:
-      w.open("num")
-          .attr("tag", e.tag_token->hex())
+      hex_attr(w.open("num"), "tag", *e.tag_token)
           .attr("cmp", e.cmp == proto::NumCmp::kMin ? "min" : "max")
           .attr("v", static_cast<std::uint64_t>(e.number))
           .close();
@@ -130,9 +156,9 @@ template <typename W>
 void write_file_entry(W& w, const anon::AnonFileEntry& f) {
   w.open("f").attr("id", f.file).attr("prov", f.provider);
   if (f.port != 0) w.attr("port", f.port);
-  if (f.meta.name) w.attr("name", f.meta.name->hex());
+  if (f.meta.name) hex_attr(w, "name", *f.meta.name);
   if (f.meta.size_kb) w.attr("szkb", *f.meta.size_kb);
-  if (f.meta.type) w.attr("type", f.meta.type->hex());
+  if (f.meta.type) hex_attr(w, "type", *f.meta.type);
   if (f.meta.availability) w.attr("avail", *f.meta.availability);
   w.close();
 }
@@ -147,7 +173,7 @@ struct BodyWriter {
   }
   void operator()(const anon::AServerDescReq&) {}
   void operator()(const anon::AServerDescRes& m) {
-    w.attr("name", m.name.hex()).attr("desc", m.description.hex());
+    hex_attr(hex_attr(w, "name", m.name), "desc", m.description);
   }
   void operator()(const anon::AGetServerList&) {}
   void operator()(const anon::AServerList& m) { w.attr("n", m.count); }

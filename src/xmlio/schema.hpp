@@ -42,7 +42,8 @@ class DatasetWriter {
   /// Splice `events` pre-rendered <msg> elements (`xml_elements` XML
   /// elements in total) produced by render_event().  Byte-for-byte
   /// equivalent to calling write() on the same events when the writer is
-  /// non-pretty — the pipeline's parallel fast path.
+  /// non-pretty — the pipeline's writer thread renders a chunk of events
+  /// into one buffer and splices it with this.
   void write_rendered(std::string_view bytes, std::uint64_t events,
                       std::uint64_t xml_elements);
 

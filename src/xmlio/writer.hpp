@@ -42,8 +42,8 @@ class XmlWriter {
   /// Splice `bytes` — a pre-rendered run of complete sibling elements in
   /// non-pretty form — at the current position, accounting `elements` of
   /// them.  Only valid on a non-pretty writer with an element open (the
-  /// deferred '>' is emitted first); the parallel pipeline uses this to
-  /// write worker-rendered <msg> chunks without re-walking the event model.
+  /// deferred '>' is emitted first); the parallel pipeline's writer thread
+  /// uses this to write a chunk of <msg> elements rendered into one buffer.
   XmlWriter& write_raw(std::string_view bytes, std::uint64_t elements);
 
   void close_all();

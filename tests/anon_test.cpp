@@ -397,6 +397,39 @@ TEST_F(AnonymiserTest, DistinctCountsTrackTables) {
   EXPECT_EQ(anon_.distinct_files(), 1u);
 }
 
+TEST_F(AnonymiserTest, ResolveLeavesHolesThatFillAssignsInVisitOrder) {
+  anon_.anonymise(0, 0x0A000002, proto::ServStatReq{});  // client 0
+  proto::FoundSourcesRes res;
+  res.file_id = fid(3);
+  res.sources = {{0x0A000009, 4662}, {0x0A000002, 4662}, {0x0A000008, 4662}};
+  const proto::Message msg(std::move(res));
+
+  const ReadOnlyAnonymiser reader(clients_, files_);
+  ReadOnlyAnonymiser::Tally tally;
+  AnonEvent ev = reader.resolve(5, 0x0A000007, msg, tally);
+  const auto& m = std::get<AFoundSourcesRes>(ev.message);
+  EXPECT_EQ(ev.peer, kClientNotSeen);
+  EXPECT_EQ(m.file, kFileNotSeen);
+  EXPECT_EQ(m.sources[0].client, kClientNotSeen);
+  EXPECT_EQ(m.sources[1].client, 0u) << "an assigned ID resolves read-only";
+  EXPECT_EQ(m.sources[2].client, kClientNotSeen);
+  EXPECT_EQ(tally.holes, 4u);
+  EXPECT_EQ(tally.client_lookups, 4u);
+  EXPECT_EQ(tally.file_lookups, 1u);
+  EXPECT_EQ(anon_.distinct_clients(), 1u) << "resolve never inserts";
+
+  anon_.fill(ev, 0x0A000007, msg, tally);
+  EXPECT_EQ(ev.peer, 1u) << "the peer is filled first";
+  EXPECT_EQ(m.file, 0u);
+  EXPECT_EQ(m.sources[0].client, 2u);
+  EXPECT_EQ(m.sources[1].client, 0u);
+  EXPECT_EQ(m.sources[2].client, 3u);
+
+  ReadOnlyAnonymiser::Tally again;
+  EXPECT_TRUE(reader.try_anonymise(6, 0x0A000007, msg, again).has_value())
+      << "no holes once every ID is assigned";
+}
+
 // ---------------------------------------------------------------------------
 // Rejected schemes (§2.4): working attacks prove the paper's point.
 // ---------------------------------------------------------------------------

@@ -31,9 +31,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A fresh scratch directory per test.
+/// A fresh scratch directory per test.  Its name carries the running
+/// case's, so cases that ctest runs as parallel processes never share one
+/// (the runs shared_snapshot() and journaled_run() cache included).
 fs::path scratch_dir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("ckpt_" + name);
+  std::string leaf = "ckpt_";
+  leaf += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  leaf += '_';
+  leaf += name;
+  fs::path dir = fs::path(::testing::TempDir()) / leaf;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -396,7 +402,10 @@ TEST(CheckpointRecovery, VersionOneSnapshotIsRejected) {
     const Digest128 digest = Md5::digest(BytesView(bytes).subspan(0, body));
     std::copy(digest.bytes.begin(), digest.bytes.end(),
               bytes.begin() + static_cast<std::ptrdiff_t>(body));
-    const fs::path old = dir / ("v" + std::to_string(version) + ".ckpt");
+    std::string name = "v";
+    name += std::to_string(version);
+    name += ".ckpt";
+    const fs::path old = dir / name;
     {
       std::ofstream out(old, std::ios::binary);
       out.write(reinterpret_cast<const char*>(bytes.data()),

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hash/md4.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
 #include "net/udp.hpp"
@@ -143,6 +144,85 @@ inline std::vector<Bytes> crafted_frames(std::uint32_t server_ip,
     out.push_back(ethernet(net::encode_ipv4(pieces.back())));
   }
   return out;
+}
+
+/// A UDP frame carrying `msg` between `client` (port 4662) and the server,
+/// towards the server when `to_server`.
+inline Bytes message_frame(std::uint32_t server_ip, std::uint16_t server_port,
+                           std::uint32_t client, bool to_server,
+                           std::uint16_t ip_id, const proto::Message& msg) {
+  net::UdpDatagram udp;
+  udp.src_port = to_server ? 4662 : server_port;
+  udp.dst_port = to_server ? server_port : 4662;
+  udp.payload = proto::encode_message(msg);
+  net::Ipv4Packet ip;
+  ip.src = to_server ? client : server_ip;
+  ip.dst = to_server ? server_ip : client;
+  ip.identification = ip_id;
+  ip.payload = net::encode_udp(udp, ip.src, ip.dst);
+  return ethernet(net::encode_ipv4(ip));
+}
+
+/// Messages whose IDs first appear where the pipeline's worker/merger split
+/// can get them wrong: one message carrying the same unseen fileID twice, a
+/// provider equal to its (unseen) peer, a sources answer naming never-seen
+/// clients, search answers whose providers are new, and requests that
+/// reuse the previous round's files from another flow, so a worker that
+/// runs ahead finds them unassigned.  Frames are two seconds apart — more
+/// than the pipeline's batch time gap — so every micro-batch holds one
+/// frame.
+inline std::vector<sim::TimedFrame> hole_corpus(std::uint32_t server_ip,
+                                                std::uint16_t server_port,
+                                                std::uint32_t rounds = 40) {
+  std::vector<sim::TimedFrame> frames;
+  std::uint16_t ip_id = 0;
+  auto push = [&](std::uint32_t client, bool to_server,
+                  const proto::Message& msg) {
+    const SimTime at = static_cast<SimTime>(frames.size() + 1) * 2 * kSecond;
+    frames.push_back(sim::TimedFrame{
+        at, message_frame(server_ip, server_port, client, to_server, ++ip_id,
+                          msg)});
+  };
+  auto file = [](std::uint32_t round, std::uint32_t k) {
+    std::string name = "hole ";
+    name += std::to_string(round);
+    name += '/';
+    name += std::to_string(k);
+    return Md4::digest(name);
+  };
+  auto entry = [](const FileId& id, std::uint32_t provider) {
+    proto::FileEntry e;
+    e.file_id = id;
+    e.client_id = provider;
+    e.port = 4662;
+    e.tags = {proto::Tag::str(proto::TagName::kFileName, "f.avi"),
+              proto::Tag::u32(proto::TagName::kFileSize, 4096)};
+    return e;
+  };
+  for (std::uint32_t r = 0; r < rounds; ++r) {
+    // Fresh clients a..h and files 1..6 every round.
+    const std::uint32_t base = 0x0A000000 + r * 16;
+    const std::uint32_t a = base + 1, b = base + 2, c = base + 3,
+                        d = base + 4, e = base + 5, g = base + 6,
+                        h = base + 7;
+    push(a, true, proto::GetSourcesReq{{file(r, 1), file(r, 1)}});
+    push(b, false, proto::FoundSourcesRes{
+                       file(r, 2), {{c, 4662}, {a, 4662}, {e, 4662}, {b, 4662}}});
+    push(d, true, proto::PublishReq{{entry(file(r, 3), d),
+                                     entry(file(r, 1), a)}});
+    push(a, false, proto::FileSearchRes{{entry(file(r, 4), g),
+                                         entry(file(r, 1), a),
+                                         entry(file(r, 5), g),
+                                         entry(file(r, 4), h)}});
+    const FileId previous = file(r == 0 ? 0 : r - 1, 5);
+    push(h, true, proto::GetSourcesReq{{file(r, 5), previous, file(r, 6)}});
+    proto::FileSearchReq search;
+    std::string word = "w";
+    word += std::to_string(r);
+    search.expr = proto::SearchExpr::keyword(std::move(word));
+    push(g, true, std::move(search));
+  }
+  return frames;
 }
 
 /// Push `corpus` when given, else the frames the campaign `cfg` simulates.

@@ -261,6 +261,40 @@ TEST_P(Seeds, PipelineRecordsTheReferenceCounters) {
 
 INSTANTIATE_TEST_SUITE_P(Campaigns, Seeds, ::testing::Values(11, 29, 47));
 
+// The hole corpus (hostile_frames.hpp) makes workers leave holes for
+// unseen IDs in almost every message: the tallies the merger commits and
+// the tables it fills must still count exactly what the serial run does.
+TEST(HoleCorpus, AnonCountersMatchTheSerialRun) {
+  const sim::CampaignConfig cfg = campaign_config(11);
+  const std::vector<sim::TimedFrame> corpus =
+      testing_frames::hole_corpus(cfg.server_ip, cfg.server_port);
+  obs::Registry reference_reg;
+  const RunResult reference = run_reference(cfg, reference_reg, &corpus);
+  ASSERT_EQ(reference.result.anonymised_events, corpus.size());
+  for (std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    obs::Registry parallel_reg;
+    const RunResult parallel =
+        run_parallel(cfg, workers, parallel_reg, &corpus);
+    const obs::Snapshot& m = parallel.metrics;
+    EXPECT_EQ(m.histograms.at("pipeline.batch.frames").count, corpus.size())
+        << "one frame per micro-batch";
+    for (const char* name :
+         {"anon.events", "anon.client_lookups", "anon.file_lookups"}) {
+      EXPECT_EQ(m.counter(name), reference.metrics.counter(name)) << name;
+    }
+    for (const char* name : {"anon.clients.distinct", "anon.files.distinct"}) {
+      EXPECT_EQ(m.gauge(name), reference.metrics.gauge(name)) << name;
+    }
+    // Five of a round's six messages carry a first sighting, which no
+    // worker can resolve; the split itself partitions the events.
+    EXPECT_GE(m.counter("anon.shard.deferred_events"), corpus.size() * 5 / 6);
+    EXPECT_EQ(m.counter("anon.shard.fast_events") +
+                  m.counter("anon.shard.deferred_events"),
+              m.counter("anon.events"));
+  }
+}
+
 TEST(RunnerMetrics, CaptureCountersMatchEngineReport) {
   // A deliberately starved kernel buffer: the reader drains slower than
   // the campaign's average arrival rate (~0.4 pkt/s at tiny scale), so the

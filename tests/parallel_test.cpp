@@ -128,6 +128,22 @@ TEST(Parallel, HostileFramesMatchReferenceExactly) {
   }
 }
 
+// Every ID in this corpus first appears where a worker cannot know it yet,
+// so its resolve pass leaves holes and the merger must fill them in the
+// serial visit order; one-frame micro-batches multiply the interleavings.
+TEST(Parallel, HoleFillingMatchesReferenceExactly) {
+  const sim::CampaignConfig cfg = campaign_config(55);
+  const std::vector<sim::TimedFrame> corpus =
+      testing_frames::hole_corpus(cfg.server_ip, cfg.server_port);
+  const RunOutput reference = run_reference(cfg, &corpus);
+  EXPECT_EQ(reference.result.anonymised_events, corpus.size())
+      << "every crafted frame must decode to one message";
+  for (std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    expect_identical(reference, run_parallel(cfg, workers, &corpus), "holes");
+  }
+}
+
 TEST(Parallel, RepeatedRunsAreDeterministic) {
   sim::CampaignConfig cfg = campaign_config(52);
   RunOutput a = run_parallel(cfg, 4);

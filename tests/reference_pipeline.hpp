@@ -1,13 +1,14 @@
 // ReferencePipeline: the capture -> decode -> anonymise path of paper
 // Figure 1 on the calling thread, the differential oracle for
-// ParallelCapturePipeline.  One FrameDecoder, an Anonymiser over the §2.4
-// baselines (HashClientTable, HashFileIdStore), CampaignStats and a
-// DatasetWriter; push() runs each frame to completion before it returns.
-// No settling, routing, batching, optimistic pass, merge or writer
-// hand-off: whatever those add, the pipeline must still produce this
-// object's bytes and counters.  The hash baselines assign the same
-// order-of-appearance IDs as the paper's tables the pipeline runs, but
-// share no code with them, so a table bug cannot hide in both.
+// ParallelCapturePipeline.  One FrameDecoder, a ReferenceAnonymiser over
+// the §2.4 baselines (HashClientTable, HashFileIdStore), CampaignStats and
+// a DatasetWriter; push() runs each frame to completion before it returns.
+// No settling, routing, batching, worker resolve pass, hole filling, merge
+// or writer hand-off: whatever those add, the pipeline must still produce
+// this object's bytes and counters.  The hash baselines assign the same
+// order-of-appearance IDs as the paper's tables the pipeline runs, and
+// ReferenceAnonymiser assigns them in one inserting pass, so neither a
+// table bug nor a fill-order bug can hide in both.
 //
 // It binds the same decode.*, anon.*, analysis.*, pipeline.frames and
 // pipeline.messages instruments the pipeline does, and observes one
@@ -32,6 +33,124 @@
 #include "xmlio/schema.hpp"
 
 namespace dtr::core {
+
+/// The §2.4 scheme as a single inserting pass in the serial visit order:
+/// the peer, then each file entry's file before its provider, a sources
+/// answer's file before its clients.  Shares only the table-free helpers
+/// (string hashing, size reduction) with anon::Anonymiser, whose resolve +
+/// fill split this is the oracle for.  Records anon.events, the lookup
+/// counters and the distinct gauges on every event.
+class ReferenceAnonymiser {
+ public:
+  ReferenceAnonymiser(anon::ClientAnonymiser& clients,
+                      anon::FileIdAnonymiser& files)
+      : clients_(clients), files_(files) {}
+
+  void bind_metrics(obs::Registry& registry) {
+    events_ = &registry.counter("anon.events");
+    client_lookups_ = &registry.counter("anon.client_lookups");
+    file_lookups_ = &registry.counter("anon.file_lookups");
+    clients_distinct_ = &registry.gauge("anon.clients.distinct");
+    files_distinct_ = &registry.gauge("anon.files.distinct");
+  }
+
+  anon::AnonEvent anonymise(SimTime time, proto::ClientId peer_ip,
+                            const proto::Message& msg) {
+    anon::AnonEvent ev;
+    ev.time = time;
+    ev.peer = client(peer_ip);
+    ev.is_query = proto::is_query(msg);
+    ev.message = std::visit([&](const auto& m) { return body(m); }, msg);
+    obs::inc(events_);
+    obs::set(clients_distinct_, static_cast<std::int64_t>(distinct_clients()));
+    obs::set(files_distinct_, static_cast<std::int64_t>(distinct_files()));
+    return ev;
+  }
+
+  [[nodiscard]] std::uint64_t distinct_clients() const {
+    return clients_.distinct();
+  }
+  [[nodiscard]] std::uint64_t distinct_files() const {
+    return files_.distinct();
+  }
+
+ private:
+  anon::AnonClientId client(proto::ClientId id) {
+    obs::inc(client_lookups_);
+    return clients_.anonymise(id);
+  }
+  anon::AnonFileId file(const FileId& id) {
+    obs::inc(file_lookups_);
+    return files_.anonymise(id);
+  }
+  anon::AnonFileEntry entry(const proto::FileEntry& e) {
+    anon::AnonFileEntry out;
+    out.file = file(e.file_id);
+    out.provider = client(e.client_id);
+    out.port = e.port;
+    out.meta = anon::anon_meta(e.tags);
+    return out;
+  }
+
+  anon::AnonMessage body(const proto::ServStatReq&) {
+    return anon::AServStatReq{};
+  }
+  anon::AnonMessage body(const proto::ServStatRes& m) {
+    return anon::AServStatRes{m.users, m.files};
+  }
+  anon::AnonMessage body(const proto::ServerDescReq&) {
+    return anon::AServerDescReq{};
+  }
+  anon::AnonMessage body(const proto::ServerDescRes& m) {
+    return anon::AServerDescRes{anon::anon_hash_string(m.name),
+                                anon::anon_hash_string(m.description)};
+  }
+  anon::AnonMessage body(const proto::GetServerList&) {
+    return anon::AGetServerList{};
+  }
+  anon::AnonMessage body(const proto::ServerList& m) {
+    return anon::AServerList{static_cast<std::uint32_t>(m.servers.size())};
+  }
+  anon::AnonMessage body(const proto::FileSearchReq& m) {
+    anon::AFileSearchReq out;
+    out.expr = anon::anon_expr(*m.expr);
+    return out;
+  }
+  anon::AnonMessage body(const proto::FileSearchRes& m) {
+    anon::AFileSearchRes out;
+    for (const auto& e : m.results) out.results.push_back(entry(e));
+    return out;
+  }
+  anon::AnonMessage body(const proto::GetSourcesReq& m) {
+    anon::AGetSourcesReq out;
+    for (const auto& id : m.file_ids) out.files.push_back(file(id));
+    return out;
+  }
+  anon::AnonMessage body(const proto::FoundSourcesRes& m) {
+    anon::AFoundSourcesRes out;
+    out.file = file(m.file_id);
+    for (const auto& s : m.sources) {
+      out.sources.push_back(anon::AnonEndpoint{client(s.ip), s.port});
+    }
+    return out;
+  }
+  anon::AnonMessage body(const proto::PublishReq& m) {
+    anon::APublishReq out;
+    for (const auto& e : m.files) out.files.push_back(entry(e));
+    return out;
+  }
+  anon::AnonMessage body(const proto::PublishAck& m) {
+    return anon::APublishAck{m.accepted};
+  }
+
+  anon::ClientAnonymiser& clients_;
+  anon::FileIdAnonymiser& files_;
+  obs::Counter* events_ = nullptr;
+  obs::Counter* client_lookups_ = nullptr;
+  obs::Counter* file_lookups_ = nullptr;
+  obs::Gauge* clients_distinct_ = nullptr;
+  obs::Gauge* files_distinct_ = nullptr;
+};
 
 class ReferencePipeline {
  public:
@@ -105,7 +224,7 @@ class ReferencePipeline {
   decode::FrameDecoder decoder_;
   anon::HashClientTable clients_;
   anon::HashFileIdStore files_;
-  anon::Anonymiser anonymiser_;
+  ReferenceAnonymiser anonymiser_;
   analysis::CampaignStats stats_;
   std::unique_ptr<xmlio::DatasetWriter> xml_;
   std::vector<decode::DecodedMessage> decoded_;  // one frame's messages
