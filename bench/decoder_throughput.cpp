@@ -20,10 +20,8 @@
 #include "decode/decoder.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
-#include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "proto/codec.hpp"
-#include "proto/tcp_codec.hpp"
 #include "sim/campaign.hpp"
 #include "xmlio/compress.hpp"
 #include "xmlio/schema.hpp"
@@ -161,65 +159,6 @@ void BM_FramePathPlusAnonymisation(benchmark::State& state) {
   state.counters["distinct_files"] = static_cast<double>(files.distinct());
 }
 BENCHMARK(BM_FramePathPlusAnonymisation);
-
-// --- TCP extension: stream reassembly + frame extraction --------------------
-
-void BM_TcpReassemblyAndExtraction(benchmark::State& state) {
-  // One long flow of offer messages, pre-segmented at the MSS.
-  Bytes stream;
-  Rng rng(13);
-  for (int m = 0; m < 64; ++m) {
-    proto::OfferFiles offer;
-    for (int f = 0; f < 20; ++f) {
-      proto::FileEntry e;
-      for (auto& b : e.file_id.bytes)
-        b = static_cast<std::uint8_t>(rng.below(256));
-      e.tags = {proto::Tag::str(proto::TagName::kFileName,
-                                "offer file " + std::to_string(f) + ".mp3"),
-                proto::Tag::u32(proto::TagName::kFileSize, 1u << 22)};
-      offer.files.push_back(std::move(e));
-    }
-    Bytes wire = proto::encode_tcp_message(proto::TcpMessage(std::move(offer)));
-    stream.insert(stream.end(), wire.begin(), wire.end());
-  }
-  std::vector<net::TcpSegment> segments;
-  constexpr std::size_t kMss = 1448;
-  for (std::size_t off = 0; off < stream.size(); off += kMss) {
-    net::TcpSegment seg;
-    seg.src_port = 1000;
-    seg.dst_port = 4661;
-    seg.seq = static_cast<std::uint32_t>(off + 1);
-    seg.flags.ack = true;
-    std::size_t n = std::min(kMss, stream.size() - off);
-    seg.payload.assign(stream.begin() + static_cast<std::ptrdiff_t>(off),
-                       stream.begin() + static_cast<std::ptrdiff_t>(off + n));
-    segments.push_back(std::move(seg));
-  }
-
-  std::uint64_t messages = 0;
-  for (auto _ : state) {
-    proto::TcpMessageExtractor extractor(
-        [&](proto::TcpMessage&&) { ++messages; });
-    net::TcpStreamReassembler reassembler(
-        [&](const net::FlowKey&, BytesView data, bool gap) {
-          if (gap) extractor.resync();
-          extractor.feed(data);
-        });
-    net::TcpSegment syn;
-    syn.src_port = 1000;
-    syn.dst_port = 4661;
-    syn.seq = 0;
-    syn.flags.syn = true;
-    reassembler.push(1, 2, syn, 0);
-    for (const auto& seg : segments) reassembler.push(1, 2, seg, 0);
-    benchmark::DoNotOptimize(messages);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * segments.size()));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * stream.size()));
-}
-BENCHMARK(BM_TcpReassemblyAndExtraction);
 
 // --- capture pipeline ---------------------------------------------------------
 

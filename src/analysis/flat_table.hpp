@@ -12,9 +12,14 @@
 // take the load past 3/4.  The capacity follows the number of entries
 // only, never the value of a key.
 //
-// Iteration (for_each) visits entries in slot order, which depends on the
-// keys and on the order they were inserted: two identical insert sequences
-// iterate identically, but callers that need an order must sort.
+// Iteration (for_each) walks the slots cyclically from just after an empty
+// slot, so every probe cluster is visited from its first slot on, even one
+// that wraps past the end of the array.  The order depends on the keys and
+// on the order they were inserted; callers that need a sorted order must
+// sort.  Inserting the entries in that order into a table reserved for the
+// same count (the capacity follows the count only, and nothing is ever
+// erased) rebuilds the same slot layout: a restored table iterates, and
+// takes later inserts, exactly as the table it was saved from.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +76,15 @@ class FlatTable {
     size_ = 0;
   }
 
-  /// Call f(key, value) for every entry, in slot order.
+  /// Call f(key, value) for every entry, in cyclic slot order starting
+  /// just after an empty slot (see the header comment).
   template <typename F>
   void for_each(F&& f) const {
-    for (const Slot& s : slots_) {
+    const std::size_t n = slots_.size();
+    std::size_t start = 0;
+    while (start < n && slots_[start].occupied) ++start;
+    for (std::size_t k = 1; k <= n; ++k) {
+      const Slot& s = slots_[(start + k) & (n - 1)];
       if (s.occupied) f(s.key, s.value);
     }
   }

@@ -10,11 +10,8 @@
 
 #include "analysis/campaign_stats.hpp"   // IWYU pragma: export
 #include "analysis/distinct.hpp"         // IWYU pragma: export
-#include "analysis/interest_graph.hpp"   // IWYU pragma: export
 #include "analysis/powerlaw.hpp"         // IWYU pragma: export
 #include "analysis/report.hpp"           // IWYU pragma: export
-#include "analysis/spread.hpp"           // IWYU pragma: export
-#include "analysis/temporal.hpp"         // IWYU pragma: export
 #include "anon/anonymiser.hpp"           // IWYU pragma: export
 #include "anon/client_table.hpp"         // IWYU pragma: export
 #include "anon/fileid_store.hpp"         // IWYU pragma: export
@@ -25,17 +22,13 @@
 #include "core/parallel_pipeline.hpp"    // IWYU pragma: export
 #include "core/pipeline.hpp"             // IWYU pragma: export
 #include "decode/decoder.hpp"            // IWYU pragma: export
-#include "decode/tcp_decoder.hpp"        // IWYU pragma: export
 #include "hash/md4.hpp"                  // IWYU pragma: export
 #include "hash/md5.hpp"                  // IWYU pragma: export
 #include "net/pcap.hpp"                  // IWYU pragma: export
-#include "net/tcp.hpp"                   // IWYU pragma: export
 #include "proto/codec.hpp"               // IWYU pragma: export
-#include "proto/tcp_codec.hpp"           // IWYU pragma: export
 #include "server/server.hpp"             // IWYU pragma: export
 #include "sim/background.hpp"            // IWYU pragma: export
 #include "sim/campaign.hpp"              // IWYU pragma: export
-#include "sim/tcp_session.hpp"           // IWYU pragma: export
 #include "workload/behavior.hpp"         // IWYU pragma: export
 #include "workload/catalog.hpp"          // IWYU pragma: export
 #include "workload/idstream.hpp"         // IWYU pragma: export

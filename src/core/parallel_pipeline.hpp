@@ -127,7 +127,8 @@ struct ParallelPipelineConfig {
   std::size_t workers = 1;
   std::ostream* xml_out = nullptr;  ///< optional dataset destination
   /// Optional extra consumer of the anonymised stream: runs on the merge
-  /// thread, in event order — e.g. an ActivityTracker or FileSpreadTracker.
+  /// thread, in event order (the CLI's --metrics-interval ticker, a
+  /// HyperLogLog audience estimate).
   std::function<void(const anon::AnonEvent&)> extra_sink;
   /// Optional metrics registry.  When set, every stage registers its
   /// instruments there (decode.*, anon.*, analysis.*, pipeline.*, span.*)

@@ -5,12 +5,15 @@
 // one atomic store per side; the mutex + condition variable are only
 // touched when a side has to park.
 //
-// Parking uses the classic store→fence→load (Dekker) protocol: the waiter
+// Parking uses the classic store→load (Dekker) protocol: the waiter
 // publishes a "waiting" flag, re-checks the ring, and only then sleeps; the
-// other side publishes its head/tail update, fences, and only grabs the
-// mutex to notify when it observes the flag.  The empty lock_guard before
-// notify mirrors notify_quiesce() in parallel_pipeline.cpp and closes the
-// window between the waiter's predicate check and its cv wait.
+// other side publishes its head/tail update and only grabs the mutex to
+// notify when it observes the flag.  Both stores and both loads are
+// seq_cst operations, so at least one side sees the other's store; there
+// is no standalone fence, which ThreadSanitizer would not model.  The
+// empty lock_guard before notify mirrors notify_quiesce() in
+// parallel_pipeline.cpp and closes the window between the waiter's
+// predicate check and its cv wait.
 //
 // A ring can also be wired to an external RingSignal so a single consumer
 // (the merge thread) can sleep on *several* producer rings at once.
@@ -63,9 +66,8 @@ class alignas(64) RingSignal {
   }
 
   void notify() {
-    epoch_.fetch_add(1, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!waiting_.load(std::memory_order_relaxed)) return;
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    if (!waiting_.load(std::memory_order_seq_cst)) return;
     { std::lock_guard<std::mutex> lock(mutex_); }
     cv_.notify_all();
   }
@@ -122,7 +124,7 @@ class SpscRing {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
     slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
     wake_consumer();
     return true;
   }
@@ -134,7 +136,7 @@ class SpscRing {
       const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
       if (tail - head_.load(std::memory_order_acquire) <= mask_) {
         slots_[tail & mask_] = std::move(item);
-        tail_.store(tail + 1, std::memory_order_release);
+        tail_.store(tail + 1, std::memory_order_seq_cst);
         wake_consumer();
         return true;
       }
@@ -163,7 +165,7 @@ class SpscRing {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_.load(std::memory_order_acquire)) return std::nullopt;
     std::optional<T> item(std::move(slots_[head & mask_]));
-    head_.store(head + 1, std::memory_order_release);
+    head_.store(head + 1, std::memory_order_seq_cst);
     wake_producer();
     return item;
   }
@@ -206,7 +208,7 @@ class SpscRing {
     for (std::uint64_t i = head; i != tail; ++i) {
       out.push_back(std::move(slots_[i & mask_]));
     }
-    head_.store(tail, std::memory_order_release);
+    head_.store(tail, std::memory_order_seq_cst);
     wake_producer();
     return static_cast<std::size_t>(tail - head);
   }
@@ -223,9 +225,10 @@ class SpscRing {
   }
 
  private:
+  // Called right after the seq_cst store of tail_ (wake_consumer) or head_
+  // (wake_producer) that the parked side re-checks.
   void wake_consumer() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
+    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
       }
@@ -235,8 +238,7 @@ class SpscRing {
   }
 
   void wake_producer() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (producer_waiting_.load(std::memory_order_relaxed)) {
+    if (producer_waiting_.load(std::memory_order_seq_cst)) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
       }

@@ -136,8 +136,7 @@ void CampaignSimulator::build_share_lists() {
     while (list.size() < target) {
       std::uint32_t idx;
       if (consecutive_misses < 8) {
-        idx = static_cast<std::uint32_t>(
-            taste_biased(c, catalog_.sample_popular(r), r));
+        idx = static_cast<std::uint32_t>(catalog_.sample_popular(r));
       } else {
         while (chosen.count(static_cast<std::uint32_t>(cursor)) != 0) {
           cursor = (cursor + 1) % catalog_.size();
@@ -175,23 +174,11 @@ FileId CampaignSimulator::ask_target(std::uint32_t client_index,
       break;
     }
     default:
-      idx = taste_biased(client_index, catalog_.sample_popular(r), r);
+      idx = catalog_.sample_popular(r);
       break;
   }
   if (catalog_index != nullptr) *catalog_index = idx;
   return catalog_.file(idx).id;
-}
-
-std::size_t CampaignSimulator::taste_biased(std::uint32_t client_index,
-                                            std::size_t idx, Rng& r) const {
-  const auto groups = config_.population.taste_groups;
-  if (groups <= 1) return idx;
-  if (!r.chance(config_.population.taste_affinity)) return idx;
-  const std::size_t slice = catalog_.size() / groups;
-  if (slice == 0) return idx;
-  const std::size_t group = client_index % groups;
-  // Preserve the popularity rank inside the group's slice.
-  return group * slice + (idx % slice);
 }
 
 void CampaignSimulator::run(const FrameSink& sink) {

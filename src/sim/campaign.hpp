@@ -183,10 +183,6 @@ class CampaignSimulator {
   /// The i-th file of a client's share list (precomputed, distinct files).
   std::size_t share_at(std::uint32_t client_index, std::uint32_t i) const;
   void build_share_lists();
-  /// Remap a popularity draw into the client's taste-group slice (no-op
-  /// unless PopulationConfig::taste_groups is enabled).
-  std::size_t taste_biased(std::uint32_t client_index, std::size_t idx,
-                           Rng& r) const;
   /// The fileID a client asks about on its i-th ask.
   FileId ask_target(std::uint32_t client_index, std::uint32_t i,
                     std::size_t* catalog_index) const;

@@ -72,16 +72,6 @@ struct PopulationConfig {
   double mean_sessions = 2.2;            // sessions per client over the campaign
   double search_per_ask = 0.9;           // P(a wanted file triggers a keyword search)
   double stat_ping_per_session = 1.0;    // management pings per session
-
-  // Communities of interest (paper §4; Guillaume et al., IPTPS 2005 found
-  // strong clustering in real eDonkey exchanges).  When taste_groups > 1,
-  // each client belongs to one taste group and biases a fraction
-  // taste_affinity of its draws (shares and asks) into the group's slice of
-  // the catalog.  0 disables the structure (the default keeps all figure
-  // calibrations unchanged; the interest-graph analysis then measures no
-  // lift, which is itself the correct null result).
-  std::uint32_t taste_groups = 0;
-  double taste_affinity = 0.75;
 };
 
 /// Immutable per-client plan, generated deterministically from the seed.

@@ -144,6 +144,40 @@ TEST(FlatTable, CapacityFollowsEntryCountNotKeyValues) {
   EXPECT_EQ(table.capacity(), 0u);
 }
 
+// A table rebuilt from its own iteration order, as the restore_state codecs
+// rebuild it, holds the same slot layout: it iterates the same, and after
+// more inserts (across two doublings) it still iterates the same.  Keys 8,
+// 21 and 42 all hash to the last of 16 slots, so their probe cluster wraps
+// to the front of the array; a walk from slot 0 would list 21 and 42
+// before 8 and the rebuild would put 21 in 8's slot.
+TEST(FlatTable, RebuildFromIterationKeepsLayoutWhenAClusterWraps) {
+  using Table = FlatTable<std::uint64_t, std::uint32_t, FlatIntHash>;
+  const auto entries = [](const Table& t) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+    t.for_each([&](std::uint64_t k, std::uint32_t v) { out.emplace_back(k, v); });
+    return out;
+  };
+  Table original;
+  for (std::uint64_t k : {8, 21, 42, 13, 5, 2}) {
+    original.try_emplace(k, static_cast<std::uint32_t>(k));
+  }
+  ASSERT_EQ(original.capacity(), 16u);
+
+  const auto saved = entries(original);
+  Table restored;
+  restored.reserve(saved.size());
+  for (const auto& [k, v] : saved) ASSERT_TRUE(restored.try_emplace(k, v).second);
+  EXPECT_EQ(restored.capacity(), original.capacity());
+  EXPECT_EQ(entries(restored), saved);
+
+  for (std::uint64_t k = 100; k < 140; ++k) {
+    original.try_emplace(k, static_cast<std::uint32_t>(k));
+    restored.try_emplace(k, static_cast<std::uint32_t>(k));
+    ASSERT_EQ(entries(restored), entries(original)) << "after key " << k;
+  }
+  EXPECT_EQ(original.capacity(), 64u);
+}
+
 // The relation table against a std::set: random pairs over a few thousand
 // files and clients (so most observations repeat) plus the keys an
 // empty-marker scheme would trip over.

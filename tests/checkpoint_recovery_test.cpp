@@ -563,6 +563,24 @@ TEST(CheckpointRecovery, ResumeIntoAnotherDirectoryWritesResumableSnapshots) {
   expect_identical(base.art, resume_from(snaps.back()));
 }
 
+// Same state, same snapshot bytes: a run resumed from its first snapshot
+// writes every later snapshot byte for byte as the uninterrupted run did,
+// so a resumed campaign can itself be interrupted and resumed again.
+TEST(CheckpointRecovery, ResumedRunWritesTheUninterruptedSnapshots) {
+  const JournaledRun& base = journaled_run();
+  const std::vector<fs::path> base_snaps = checkpoint_files(base.snaps);
+  ASSERT_GE(base_snaps.size(), 2u);
+  const fs::path other = scratch_dir("journal_again") / "snaps";
+  expect_identical(base.art, resume_from(base_snaps.front(), other.string()));
+
+  const std::vector<fs::path> snaps = checkpoint_files(other);
+  ASSERT_EQ(snaps.size(), base_snaps.size() - 1);
+  for (const fs::path& snap : snaps) {
+    SCOPED_TRACE(snap.filename().string());
+    EXPECT_TRUE(read_all(snap) == read_all(base.snaps / snap.filename()));
+  }
+}
+
 // The dataset adds one fixed-size section to a snapshot and grows no other:
 // the same campaign snapshotted with and without a dataset writes sections
 // of the same sizes, give or take the dataset writer's own few counters.

@@ -373,8 +373,7 @@ endif()
 # above — checkpointing never changes output bytes).
 execute_process(
   COMMAND ${DONKEYTRACE} campaign --seed 9 --clients 80 --files 500
-          --hours 3 --workers 2 --compress
-          --compress-chunk 65536 --xml smoke_z.xml.dtz
+          --hours 3 --workers 2 --compress --xml smoke_z.xml.dtz
   WORKING_DIRECTORY ${WORKDIR}
   RESULT_VARIABLE rc_zcampaign)
 if(NOT rc_zcampaign EQUAL 0)

@@ -1,12 +1,9 @@
 // Deterministic structured fuzzers for the decode chain: >= 10k mutated
-// frames pushed through a FrameDecoder bound to an obs::Registry, and
-// >= 10k mutated TCP segments through a TcpFrameDecoder.  Neither decoder
-// may crash or hang, and after every run the stats must reconcile — for
-// UDP, every frame lands in exactly one `decode.*` counter and all seven
-// rejection paths fire; for TCP, frames == tcp_segments + non_tcp, every
-// decoded message reaches the sink exactly once, and lossless flows decode
-// every message they carried despite reordering, retransmission and
-// overlapping segments.
+// frames pushed through a FrameDecoder bound to an obs::Registry.  The
+// decoder may not crash or hang, and after every run the stats must
+// reconcile: every frame lands in exactly one `decode.*` counter and all
+// seven rejection paths fire.  The header classifier the feeder settles
+// frames with must agree with the full decode on every mutated frame.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,11 +14,9 @@
 
 #include "common/rng.hpp"
 #include "decode/decoder.hpp"
-#include "decode/tcp_decoder.hpp"
 #include "net/classify.hpp"
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
-#include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
@@ -30,7 +25,6 @@
 #include "proto/opcodes.hpp"
 #include "proto/search_expr.hpp"
 #include "proto/tags.hpp"
-#include "proto/tcp_codec.hpp"
 
 namespace dtr::decode {
 namespace {
@@ -422,401 +416,6 @@ TEST(DecodeFuzz, HeaderClassifierAgreesWithFullDecode) {
   for (std::size_t c = 0; c < seen.size(); ++c) {
     EXPECT_GT(seen[c], 0u) << "class " << c << " never produced";
   }
-}
-
-// ---------------------------------------------------------------------------
-// TCP fuzz: TcpFrameDecoder under segmentation chaos
-// ---------------------------------------------------------------------------
-
-/// Client ports below this belong to *lossless* flows (reordering,
-/// retransmission and overlap allowed, but no drops and no payload
-/// corruption): every message they carry must decode.  Ports at or above
-/// it belong to dirty flows where anything goes.
-constexpr std::uint16_t kDirtyPortBase = 20'000;
-
-std::vector<proto::TcpMessage> tcp_corpus() {
-  std::vector<proto::TcpMessage> corpus;
-  {
-    proto::LoginRequest login;
-    login.user_hash.bytes.fill(0x5A);
-    login.client_id = 0;
-    login.port = 4662;
-    login.name = "fuzz client";
-    login.version = 60;
-    corpus.push_back(std::move(login));
-  }
-  corpus.push_back(proto::IdChange{0x0A000001});
-  corpus.push_back(proto::ServerMessage{"server says: keep fuzzing"});
-  corpus.push_back(
-      proto::OfferFiles{{make_entry(1), make_entry(2), make_entry(3)}});
-  corpus.push_back(proto::ServerStatus{50'000, 9'000'000});
-  {
-    proto::FileSearchReq req;
-    req.expr = proto::SearchExpr::boolean(
-        proto::BoolOp::kAnd, proto::SearchExpr::keyword("debian"),
-        proto::SearchExpr::numeric(1 << 22, proto::NumCmp::kMin,
-                                   proto::TagName::kFileSize));
-    corpus.push_back(std::move(req));
-  }
-  corpus.push_back(proto::FileSearchRes{{make_entry(4), make_entry(5)}});
-  corpus.push_back(
-      proto::GetSourcesReq{{make_file_id(6), make_file_id(7)}});
-  corpus.push_back(proto::FoundSourcesRes{
-      make_file_id(6), {{0x0A000001, 4662}, {0x0A000002, 4662}}});
-  return corpus;
-}
-
-class TcpFuzzer {
- public:
-  TcpFuzzer()
-      : decoder_(kServerIp, kServerPort, [this](DecodedTcpMessage&& m) {
-          ++delivered_;
-          const std::uint16_t client_port =
-              m.from_client ? m.flow.src_port : m.flow.dst_port;
-          if (client_port < kDirtyPortBase) ++delivered_clean_;
-        }) {}
-
-  /// Wrap one TCP segment in IP + ethernet and push the frame, optionally
-  /// damaging the raw frame bytes first (`corrupt_at` >= frame size means
-  /// pristine).  Single-bit flips in the TCP region always fail the TCP
-  /// checksum, so damaged frames deterministically count as non_tcp.
-  void push_segment(std::uint32_t src_ip, std::uint32_t dst_ip,
-                    const net::TcpSegment& seg) {
-    net::Ipv4Packet ip;
-    ip.src = src_ip;
-    ip.dst = dst_ip;
-    ip.protocol = net::kProtocolTcp;
-    ip.identification = ident_++;
-    ip.payload = net::encode_tcp(seg, src_ip, dst_ip);
-    net::EthernetFrame eth;
-    eth.payload = net::encode_ipv4(ip);
-    push_frame(net::encode_ethernet(eth));
-  }
-
-  void push_frame(Bytes frame) {
-    decoder_.push(sim::TimedFrame{time_++, std::move(frame)});
-    ++frames_pushed_;
-  }
-
-  TcpFrameDecoder& decoder() { return decoder_; }
-  [[nodiscard]] std::uint64_t frames_pushed() const { return frames_pushed_; }
-  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
-  [[nodiscard]] std::uint64_t delivered_clean() const {
-    return delivered_clean_;
-  }
-  [[nodiscard]] SimTime now() const { return time_; }
-
- private:
-  TcpFrameDecoder decoder_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t delivered_clean_ = 0;
-  std::uint64_t frames_pushed_ = 0;
-  std::uint16_t ident_ = 1;
-  SimTime time_ = 0;
-};
-
-/// One direction of a TCP conversation with its own sequence cursor.
-struct FlowSim {
-  std::uint32_t src_ip = 0;
-  std::uint32_t dst_ip = 0;
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::uint32_t isn = 0;
-  std::uint32_t next_seq = 0;
-  bool syn_sent = false;
-};
-
-net::TcpSegment make_segment(const FlowSim& flow, std::uint32_t seq,
-                             Bytes payload) {
-  net::TcpSegment seg;
-  seg.src_port = flow.src_port;
-  seg.dst_port = flow.dst_port;
-  seg.seq = seq;
-  seg.flags = {.syn = false, .ack = true, .fin = false, .rst = false,
-               .psh = true};
-  seg.payload = std::move(payload);
-  return seg;
-}
-
-/// Send `stream` over `flow` in random segment sizes with transport-level
-/// chaos.  Content-preserving chaos (reorder, exact retransmit, partial
-/// overlap with identical bytes) is always on; lossy chaos (drops) only
-/// when `allow_loss`.
-void send_stream(TcpFuzzer& fuzz, Rng& rng, FlowSim& flow, const Bytes& stream,
-                 bool allow_loss) {
-  if (!flow.syn_sent) {
-    net::TcpSegment syn;
-    syn.src_port = flow.src_port;
-    syn.dst_port = flow.dst_port;
-    syn.seq = flow.isn;
-    syn.flags = {.syn = true, .ack = false, .fin = false, .rst = false,
-                 .psh = false};
-    fuzz.push_segment(flow.src_ip, flow.dst_ip, syn);
-    flow.next_seq = flow.isn + 1;  // SYN consumes one sequence number
-    flow.syn_sent = true;
-  }
-  struct Piece {
-    std::size_t off;
-    std::size_t len;
-  };
-  std::vector<Piece> pieces;
-  const std::size_t base_off =
-      static_cast<std::size_t>(flow.next_seq - flow.isn - 1);
-  std::size_t off = base_off;
-  while (off < base_off + stream.size()) {
-    const std::size_t remaining = base_off + stream.size() - off;
-    const std::size_t len =
-        std::min<std::size_t>(rng.between(1, 1460), remaining);
-    pieces.push_back({off, len});
-    off += len;
-  }
-  flow.next_seq += static_cast<std::uint32_t>(stream.size());
-  // Reorder: swap adjacent pieces (the reassembler buffers out-of-order
-  // data and replays it once the hole fills).
-  for (std::size_t i = 0; i + 1 < pieces.size(); ++i) {
-    if (rng.chance(0.10)) std::swap(pieces[i], pieces[i + 1]);
-  }
-  auto slice = [&](std::size_t o, std::size_t n) {
-    return Bytes(stream.begin() + static_cast<std::ptrdiff_t>(o - base_off),
-                 stream.begin() + static_cast<std::ptrdiff_t>(o - base_off + n));
-  };
-  for (const Piece& p : pieces) {
-    if (allow_loss && rng.chance(0.02)) continue;  // capture loss
-    const std::uint32_t seq =
-        flow.isn + 1 + static_cast<std::uint32_t>(p.off);
-    fuzz.push_segment(flow.src_ip, flow.dst_ip,
-                      make_segment(flow, seq, slice(p.off, p.len)));
-    if (rng.chance(0.06)) {  // exact retransmission
-      fuzz.push_segment(flow.src_ip, flow.dst_ip,
-                        make_segment(flow, seq, slice(p.off, p.len)));
-    }
-    if (rng.chance(0.06) && p.off > base_off) {  // overlapping retransmit
-      const std::size_t back = std::min<std::size_t>(7, p.off - base_off);
-      fuzz.push_segment(
-          flow.src_ip, flow.dst_ip,
-          make_segment(flow, seq - static_cast<std::uint32_t>(back),
-                       slice(p.off - back, p.len + back)));
-    }
-  }
-}
-
-TEST(TcpDecodeFuzz, TenThousandMutatedSegmentsNeverCrashAndAlwaysReconcile) {
-  TcpFuzzer fuzz;
-  Rng rng(0xBEEFCAFE);
-  const std::vector<proto::TcpMessage> corpus = tcp_corpus();
-
-  std::uint64_t clean_sent = 0;
-  std::uint16_t next_clean_port = 10'000;
-  std::uint16_t next_dirty_port = kDirtyPortBase;
-
-  while (fuzz.frames_pushed() < 10'000) {
-    const bool clean = rng.chance(0.5);
-    const bool to_server = rng.chance(0.7);
-    const std::uint32_t client_ip = 0x0A000000u + rng.below(200) + 1;
-    const std::uint16_t client_port =
-        clean ? next_clean_port++ : next_dirty_port++;
-    FlowSim flow;
-    flow.src_ip = to_server ? client_ip : kServerIp;
-    flow.dst_ip = to_server ? kServerIp : client_ip;
-    flow.src_port = to_server ? client_port : kServerPort;
-    flow.dst_port = to_server ? kServerPort : client_port;
-    flow.isn = static_cast<std::uint32_t>(rng.below(0xFFFFFFFFull));
-
-    // Concatenate a handful of messages into this flow's byte stream.
-    Bytes stream;
-    const std::uint64_t count = rng.between(1, 6);
-    for (std::uint64_t m = 0; m < count; ++m) {
-      const Bytes wire =
-          proto::encode_tcp_message(corpus[rng.below(corpus.size())]);
-      stream.insert(stream.end(), wire.begin(), wire.end());
-    }
-    if (clean) {
-      clean_sent += count;
-      send_stream(fuzz, rng, flow, stream, /*allow_loss=*/false);
-    } else {
-      // Dirty flows: corrupt the stream bytes before segmentation (the
-      // extractor must resynchronise, never crash), then allow drops.
-      Bytes dirty = mutate(stream, rng);
-      send_stream(fuzz, rng, flow, dirty, /*allow_loss=*/true);
-      // And some frame-level garbage alongside: non-IP, truncated TCP,
-      // single-bit-flipped TCP (checksum catches it), and traffic on
-      // ports the decoder does not watch.
-      if (rng.chance(0.5)) {
-        net::EthernetFrame arp;
-        arp.ether_type = net::kEtherTypeArp;
-        arp.payload = Bytes(28, 0);
-        fuzz.push_frame(net::encode_ethernet(arp));
-      }
-      if (rng.chance(0.5)) {
-        net::TcpSegment seg = make_segment(flow, flow.isn, Bytes(32, 0x42));
-        net::Ipv4Packet ip;
-        ip.src = flow.src_ip;
-        ip.dst = flow.dst_ip;
-        ip.protocol = net::kProtocolTcp;
-        ip.identification = 0xFFFF;
-        ip.payload = net::encode_tcp(seg, ip.src, ip.dst);
-        net::EthernetFrame eth;
-        eth.payload = net::encode_ipv4(ip);
-        Bytes frame = net::encode_ethernet(eth);
-        if (rng.chance(0.5) && frame.size() > 34) {
-          // Flip exactly one bit in the TCP region: the checksum always
-          // detects a single flip, so the frame counts as non_tcp.
-          const std::size_t at = 34 + rng.below(frame.size() - 34);
-          frame[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
-        } else {
-          frame.resize(rng.below(frame.size()));  // truncate
-        }
-        fuzz.push_frame(std::move(frame));
-      }
-    }
-  }
-
-  // One deliberately lossy flow that keeps talking past the hole: enough
-  // buffered data accumulates beyond the missing segment that the
-  // reassembler skips ahead and flags a stream gap (the paper's §2.2
-  // lossy-TCP difficulty, handled by resynchronisation).
-  {
-    FlowSim flow;
-    flow.src_ip = 0x0A0000FE;
-    flow.dst_ip = kServerIp;
-    flow.src_port = next_dirty_port++;
-    flow.dst_port = kServerPort;
-    flow.isn = 1000;
-    proto::OfferFiles giant;
-    for (std::uint32_t i = 0; i < 2'000; ++i) {
-      giant.files.push_back(make_entry(static_cast<std::uint8_t>(i)));
-    }
-    Bytes stream = proto::encode_tcp_message(proto::ServerMessage{"hello"});
-    const Bytes big = proto::encode_tcp_message(proto::TcpMessage{giant});
-    stream.insert(stream.end(), big.begin(), big.end());
-    // Send the SYN and the first 100 bytes, silently drop the next 100,
-    // then stream the rest in order: > 64 KiB piles up behind the hole.
-    send_stream(fuzz, rng, flow, Bytes(stream.begin(), stream.begin() + 100),
-                /*allow_loss=*/false);
-    flow.next_seq += 100;  // the dropped segment
-    std::size_t off = 200;
-    while (off < stream.size()) {
-      const std::size_t len = std::min<std::size_t>(1400, stream.size() - off);
-      fuzz.push_segment(
-          flow.src_ip, flow.dst_ip,
-          make_segment(flow, flow.isn + 1 + static_cast<std::uint32_t>(off),
-                       Bytes(stream.begin() + static_cast<std::ptrdiff_t>(off),
-                             stream.begin() +
-                                 static_cast<std::ptrdiff_t>(off + len))));
-      off += len;
-    }
-  }
-
-  fuzz.decoder().finish(fuzz.now() + kHour * 24);
-
-  const TcpDecodeStats& s = fuzz.decoder().stats();
-  EXPECT_GE(fuzz.frames_pushed(), 10'000u);
-  EXPECT_EQ(s.frames, fuzz.frames_pushed());
-  // Every frame is exactly one of: a verified TCP segment, or not (no
-  // fragmented IP in this corpus, so nothing can be in flight).
-  EXPECT_EQ(s.frames, s.tcp_segments + s.non_tcp);
-  // Every decoded message reached the sink exactly once.
-  EXPECT_EQ(s.messages, fuzz.delivered());
-  // Lossless flows decode *everything* they carried, despite reordering,
-  // retransmissions and overlapping segments.
-  EXPECT_EQ(fuzz.delivered_clean(), clean_sent);
-  // The dirty half must actually have exercised the failure paths.
-  EXPECT_GT(s.undecoded, 0u);
-  EXPECT_GE(s.stream_gaps, 1u);
-  const auto& rs = fuzz.decoder().stream_stats();
-  EXPECT_GE(rs.gaps_skipped, 1u);
-  EXPECT_GT(rs.duplicates, 0u);
-  EXPECT_GT(rs.out_of_order, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// TCP fuzz: TcpMessageExtractor fed directly
-// ---------------------------------------------------------------------------
-
-TEST(TcpDecodeFuzz, ExtractorDecodesEverythingUnderArbitraryChunking) {
-  Rng rng(0x7C9A110);
-  const std::vector<proto::TcpMessage> corpus = tcp_corpus();
-  for (int round = 0; round < 50; ++round) {
-    std::uint64_t sunk = 0;
-    proto::TcpMessageExtractor extractor(
-        [&](proto::TcpMessage&&) { ++sunk; });
-    Bytes stream;
-    const std::uint64_t count = rng.between(1, 40);
-    for (std::uint64_t m = 0; m < count; ++m) {
-      const Bytes wire =
-          proto::encode_tcp_message(corpus[rng.below(corpus.size())]);
-      stream.insert(stream.end(), wire.begin(), wire.end());
-    }
-    std::size_t off = 0;
-    while (off < stream.size()) {
-      const std::size_t len =
-          std::min<std::size_t>(rng.between(1, 97), stream.size() - off);
-      extractor.feed(BytesView(stream.data() + off, len));
-      off += len;
-    }
-    EXPECT_EQ(extractor.stats().messages, count);
-    EXPECT_EQ(sunk, count);
-    EXPECT_EQ(extractor.stats().undecoded, 0u);
-    EXPECT_EQ(extractor.stats().resyncs, 0u);
-    EXPECT_EQ(extractor.buffered(), 0u);
-  }
-}
-
-TEST(TcpDecodeFuzz, ExtractorSurvivesGarbageResyncsAndOversizedFrames) {
-  Rng rng(0xD15EA5E);
-  const std::vector<proto::TcpMessage> corpus = tcp_corpus();
-  std::uint64_t sunk = 0;
-  std::uint64_t resyncs_called = 0;
-  proto::TcpMessageExtractor extractor([&](proto::TcpMessage&&) { ++sunk; });
-
-  // A frame header claiming a body larger than kMaxFrameLength must be
-  // rejected (and trigger a scan), never buffered until memory runs out.
-  {
-    Bytes bomb{0xE3};
-    const std::uint32_t huge = proto::TcpMessageExtractor::kMaxFrameLength + 1;
-    for (int i = 0; i < 4; ++i) {
-      bomb.push_back(static_cast<std::uint8_t>(huge >> (8 * i)));
-    }
-    bomb.push_back(0x01);
-    extractor.feed(bomb);
-    EXPECT_GE(extractor.stats().undecoded, 1u);
-  }
-
-  for (int i = 0; i < 10'000; ++i) {
-    switch (rng.below(4)) {
-      case 0: {  // a pristine message, possibly split
-        const Bytes wire =
-            proto::encode_tcp_message(corpus[rng.below(corpus.size())]);
-        const std::size_t cut = rng.below(wire.size() + 1);
-        extractor.feed(BytesView(wire.data(), cut));
-        extractor.feed(BytesView(wire.data() + cut, wire.size() - cut));
-        break;
-      }
-      case 1: {  // a mutated message
-        extractor.feed(
-            mutate(proto::encode_tcp_message(corpus[rng.below(corpus.size())]),
-                   rng));
-        break;
-      }
-      case 2: {  // raw garbage
-        Bytes junk(rng.between(1, 64), 0);
-        for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
-        extractor.feed(junk);
-        break;
-      }
-      default:  // a stream gap, as the reassembler would report it
-        extractor.resync();
-        ++resyncs_called;
-        break;
-    }
-    // The buffer can never exceed one maximal frame plus its header.
-    ASSERT_LE(extractor.buffered(),
-              proto::TcpMessageExtractor::kMaxFrameLength + 5u);
-  }
-  EXPECT_GT(sunk, 0u);
-  EXPECT_GT(extractor.stats().undecoded, 0u);
-  EXPECT_GE(extractor.stats().resyncs, resyncs_called);
-  EXPECT_GT(extractor.stats().bytes_skipped, 0u);
 }
 
 }  // namespace

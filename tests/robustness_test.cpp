@@ -20,10 +20,8 @@
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
 #include "net/pcap.hpp"
-#include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "proto/codec.hpp"
-#include "proto/tcp_codec.hpp"
 #include "reference_checkpoint_encoder.hpp"
 #include "xmlio/chunked.hpp"
 #include "xmlio/parser.hpp"
@@ -98,7 +96,6 @@ TEST_P(FuzzSeeds, NetworkDecodersNeverCrash) {
     (void)net::decode_ethernet(junk);
     (void)net::decode_ipv4(junk);
     (void)net::decode_udp(junk, 1, 2);
-    (void)net::decode_tcp(junk, 1, 2);
   }
 }
 
@@ -119,28 +116,6 @@ TEST_P(FuzzSeeds, IpReassemblerSurvivesHostileFragments) {
   // Bounded state: expiry keeps the pending map from growing forever.
   reassembler.expire(5000 * kSecond);
   EXPECT_EQ(reassembler.pending(), 0u);
-}
-
-TEST_P(FuzzSeeds, TcpExtractorSurvivesGarbageStreams) {
-  Rng rng(GetParam());
-  std::uint64_t sunk = 0;
-  proto::TcpMessageExtractor extractor(
-      [&](proto::TcpMessage&&) { ++sunk; });
-  for (int i = 0; i < 200; ++i) {
-    extractor.feed(random_bytes(rng, 300));
-    if (rng.chance(0.1)) extractor.resync();
-    // Buffer must stay bounded: garbage cannot accumulate forever.
-    EXPECT_LT(extractor.buffered(),
-              proto::TcpMessageExtractor::kMaxFrameLength + 1024u);
-  }
-  // And a valid message still gets through afterwards.
-  extractor.resync();
-  Bytes good =
-      proto::encode_tcp_message(proto::TcpMessage(proto::IdChange{42}));
-  std::uint64_t before = sunk;
-  extractor.feed(good);
-  extractor.feed(good);  // two, in case the first is eaten by a stale scan
-  EXPECT_GT(sunk, before);
 }
 
 TEST_P(FuzzSeeds, XmlParserNeverCrashes) {

@@ -73,8 +73,6 @@ commands:
                                       compressor: --xml receives the DTZCHNK1
                                       container; implied by a .dtz path;
                                       decompress restores the XML)
-              [--compress-chunk BYTES] (uncompressed chunk size; default
-                                      262144; joins the snapshot fingerprint)
   decode      replay a pcap file through the capture pipeline (decode,
               anonymise, write) that campaign runs
               --pcap PATH [--xml PATH[.dtz]]
@@ -470,8 +468,6 @@ int cmd_campaign(const cli::Args& args) {
   const std::string xml_path = args.get("xml");
   // A .dtz path always means the chunked container.
   cfg.compress = args.has("compress") || ends_with(xml_path, ".dtz");
-  cfg.compress_chunk_bytes =
-      args.get_uint<std::size_t>("compress-chunk", xmlio::kDefaultChunkBytes);
   cfg.pcap_path = args.get("pcap");
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume_from = args.get("resume-from");
@@ -529,8 +525,7 @@ int cmd_campaign(const cli::Args& args) {
   telemetry.attach(cfg);
   cfg.series = telemetry.series.get();
 
-  // The runner compresses itself (on the --compress-chunk grid), so the
-  // file takes its output as is.
+  // The runner compresses itself, so the file takes its output as is.
   DatasetOutput dataset(xml_path);
   if (!xml_path.empty() && !(cfg.xml_out = dataset.open(false))) return 1;
 
